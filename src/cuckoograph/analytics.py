@@ -52,12 +52,12 @@ def adjacency_view(graph):
     return adj
 
 
-def total_degrees(graph) -> dict:
-    deg = {}
-    for u in graph.nodes():
-        for v in _succ_ids(graph, u):
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
+def total_degrees(adj) -> dict:
+    """Out-degree plus in-degree of every node of an ``adjacency_view``."""
+    deg = {u: len(vs) for u, vs in adj.items()}
+    for vs in adj.values():
+        for v in vs:
+            deg[v] += 1
     return deg
 
 
@@ -66,8 +66,8 @@ def select_top_degree(graph, k: int) -> list:
     adj = adjacency_view(graph)
     if k > len(adj):
         raise ValueError(f"asked for {k} nodes, graph has only {len(adj)}")
-    deg = total_degrees(graph)
-    ranked = sorted(adj, key=lambda n: (-deg.get(n, 0), n))
+    deg = total_degrees(adj)
+    ranked = sorted(adj, key=lambda n: (-deg[n], n))
     return ranked[:k]
 
 

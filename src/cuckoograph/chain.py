@@ -24,13 +24,22 @@ Since consecutive rows differ in capacity by at most 3/2, every row above
 the floor lands at a load rate in ``(expand_at / 1.5, expand_at]``; with
 ``contract_at <= 2 * expand_at / 3`` that is above the floor threshold,
 so one contraction never triggers another and never leaves the chain
-over its grow threshold. (With base length 2, row 1 is clamped to (2, 2)
-and doubles row 0; a chain there may sit under the floor threshold, and
-contraction then does nothing until the entries fit row 0.)
+over its grow threshold.
+
+Real tables are never shorter than ``MIN_TABLE_LEN``, which clamps the
+early rows of short chains: with base length 2, rows 1 and 2 become
+(2, 2) and (2, 2, 2). Row 1 then doubles row 0, so a chain there may sit
+under the floor threshold, and contraction does nothing until the
+entries fit row 0. Row 2 then holds as many cells as the merge row 3,
+(4, 2), so a merge there lands on row 4, (4, 2, 2), instead: its entries
+fill the tables below the newest one to the grow threshold, and the last
+of those to capacity. A merge never moves entries into less room than
+they came from, and the newest table always starts empty.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 MAX_TABLES = 3
@@ -157,7 +166,17 @@ class TableChain:
         return evicted
 
     def advance(self) -> ChainEvent:
-        """Perform one grow event and run the grow hook."""
+        """Perform one grow event and run the grow hook.
+
+        Even steps (and step 1) enable one more, empty table. Odd steps
+        merge every entry into fresh tables of the new row. When clamping
+        leaves that row no larger than the current one, the merge lands on
+        the row after it. The entries fill the landing row's tables
+        in order, all but the newest: each up to ``ceil(expand_at * cap)``,
+        the last one up to its full capacity. The newest table stays empty
+        because the forced growth of the overflow lists inserts into the
+        table a grow event leaves newest and relies on its room.
+        """
         self.step += 1
         target = _materialized(self.step, self.base_len)
         if self.step == 1 or self.step % 2 == 0:
@@ -165,10 +184,16 @@ class TableChain:
             self.tables.append(self.make_table(target[-1]))
             event = ChainEvent("enabled", target)
         else:
+            # equal cells per unit of length, so lengths compare capacities
+            if sum(target) <= sum(self.lengths()):
+                self.step += 1
+                target = _materialized(self.step, self.base_len)
             old = self.tables
-            merged = self.make_table(target[0])
-            moved, failed = self._transfer(old, [merged])
-            self.tables = [merged, self.make_table(target[1])]
+            self.tables = [self.make_table(ln) for ln in target]
+            fill = self.tables[:-1]
+            quotas = [math.ceil(self.expand_at * t.cap) for t in fill[:-1]]
+            quotas.append(fill[-1].cap)
+            moved, failed = self._transfer(old, fill, quotas)
             event = ChainEvent("merged", target, moved=moved, failed=failed)
         if self.on_grow is not None:
             self.on_grow(self, event)
@@ -194,15 +219,18 @@ class TableChain:
             return None
         kind = "removed" if len(self.tables) >= 2 else "halved"
         survivors = [t for t in self.tables if t is not hit_table]
+        n = self.entry_count()
         if tuple(t.shape.length for t in survivors) == target:
+            sources = [hit_table]
             self.tables = survivors
-            moved, failed = self._transfer([hit_table], survivors)
             rebuilt = False
         else:
-            old = self.tables
+            sources = self.tables
             self.tables = [self.make_table(ln) for ln in target]
-            moved, failed = self._transfer(old, self.tables)
             rebuilt = True
+        cap = sum(t.cap for t in self.tables)
+        quotas = [-(-n * t.cap // cap) for t in self.tables]
+        moved, failed = self._transfer(sources, self.tables, quotas)
         self.step = step
         return ChainEvent(kind, target, moved=moved, failed=failed,
                           rebuilt=rebuilt)
@@ -219,27 +247,28 @@ class TableChain:
             step += 1
         return step
 
-    def _transfer(self, sources, dests):
+    def _transfer(self, sources, dests, quotas):
         """Drain every source table into the destination tables.
 
-        Each destination accepts entries only while it holds less than its
-        share of the total, ``ceil(entries * its capacity / destination
-        capacity)``, so the tables end at equal load rates instead of the
-        first one filling up. Entries that no destination accepts go to
-        the fail sink. Returns (moved, failed) where moved counts all
-        drained entries.
+        Each entry goes to the first destination still under its quota (a
+        table takes entries while its count is below the quota); a
+        displaced entry tries the next one. Grow merges fill the landing
+        row in order (see ``advance``); contractions pass equal load
+        shares, ``ceil(entries * capacity / destination capacity)``, so
+        the tables end at equal load rates. An entry that every destination
+        under quota left homeless is offered once more to each destination
+        with a free cell; only then does it go to the fail sink. Returns
+        (moved, failed) where moved counts all drained entries.
         """
-        n = sum(t.count for t in sources) + sum(t.count for t in dests)
-        cap = sum(t.cap for t in dests)
-        quotas = [-(-n * t.cap // cap) for t in dests]
+        limits = list(zip(dests, quotas)) + [(t, t.cap) for t in dests]
         moved = 0
         failed = []
         for src in sources:
             for entry in src.entries():
                 moved += 1
                 homeless = entry
-                for t, quota in zip(dests, quotas):
-                    if t.count >= quota:
+                for t, limit in limits:
+                    if t.count >= limit:
                         continue
                     _, homeless = t.insert(homeless[0], homeless[1], homeless[2],
                                            homeless[3])

@@ -64,7 +64,7 @@ class LevelCounters:
     """Shared instrumentation for all tables of one level."""
 
     __slots__ = ("insert_events", "placements", "evictions", "bucket_probes",
-                 "entries", "capacity_cells", "tables")
+                 "entries", "capacity_cells", "tables", "move_failures")
 
     def __init__(self):
         self.insert_events = 0
@@ -74,6 +74,7 @@ class LevelCounters:
         self.entries = 0
         self.capacity_cells = 0
         self.tables = 0
+        self.move_failures = 0   # entries a structural move left homeless
 
     def snapshot(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}

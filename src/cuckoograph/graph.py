@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .chain import MIN_TABLE_LEN, TableChain, lengths_for_step
@@ -165,9 +166,10 @@ class CuckooGraph:
         self._adj_hash = HashPair(*params.adj_seeds)
         self.node_counters = LevelCounters()
         self.adj_counters = LevelCounters()
+        self._make_adj_table = partial(self._make_table, self.adj_counters)
         self._node_chain = TableChain(
             params.node_table_len, params.expand_at, params.contract_at,
-            make_table=self._make_node_table,
+            make_table=partial(self._make_table, self.node_counters),
             on_grow=self._on_node_grow,
             fail_sink=self._node_fail_sink,
         )
@@ -188,15 +190,10 @@ class CuckooGraph:
 
     # -- table / chain factories ------------------------------------------
 
-    def _make_node_table(self, length):
+    def _make_table(self, counters, length):
+        """One table of either level, charged to that level's counters."""
         shape = TableShape.for_length(length, self.params.cells_per_bucket)
-        return CuckooTable(shape, self._rng, self.node_counters,
-                           self.params.kick_budget)
-
-    def _make_adj_table(self, length):
-        shape = TableShape.for_length(length, self.params.cells_per_bucket)
-        return CuckooTable(shape, self._rng, self.adj_counters,
-                           self.params.kick_budget)
+        return CuckooTable(shape, self._rng, counters, self.params.kick_budget)
 
     def _new_adj_chain(self, owner):
         return TableChain(
@@ -205,11 +202,16 @@ class CuckooGraph:
             make_table=self._make_adj_table,
             owner=owner,
             on_grow=self._on_adj_grow,
-            fail_sink=lambda entry, u=owner: self._pending_adj.append((u, entry)),
+            fail_sink=lambda entry, u=owner: self._adj_fail_sink(u, entry),
         )
 
     def _node_fail_sink(self, entry):
+        self.node_counters.move_failures += 1
         self._pending_node.append(entry[3])
+
+    def _adj_fail_sink(self, owner, entry):
+        self.adj_counters.move_failures += 1
+        self._pending_adj.append((owner, entry))
 
     # -- grow hooks: count moves, then drain the overflow lists ------------
 

@@ -42,6 +42,14 @@ class TestSelection:
         g, ref = build_pair(edges)
         assert analytics.select_top_degree(g, 15) == oracle.top_degree(ref, 15)
 
+    def test_walks_each_stored_source_once(self):
+        g, _ = build_pair(random_edges(3))
+        calls = []
+        successors = g.successors
+        g.successors = lambda u: calls.append(u) or successors(u)
+        analytics.select_top_degree(g, 5)
+        assert sorted(calls) == sorted(g.nodes())
+
     def test_oversized_k_rejected(self):
         g, _ = build_pair(PATH)
         with pytest.raises(ValueError):

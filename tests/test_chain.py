@@ -115,6 +115,42 @@ class TestExpand:
         assert sorted(chain_keys(chain)) == before
         assert event.moved == len(before)
 
+    def test_first_merge_of_a_clamped_chain_lands_on_a_larger_row(self):
+        # base length 2 clamps rows 1-2 to (2, 2) and (2, 2, 2): 72 cells,
+        # as many as the merge row (4, 2), so the merge lands on (4, 2, 2)
+        chain, _ = make_chain(base=2, d=8, g=0.9, kicks=250)
+        sink = []
+        chain.fail_sink = sink.append
+        merges = []
+
+        def on_grow(ch, event):
+            if event.kind == "merged":
+                merges.append((ch.step, ch.lengths(), ch.newest().count,
+                               event.moved))
+
+        chain.on_grow = on_grow
+        k = 0
+        while not merges:
+            h1, h2 = HP.pair(k)
+            assert chain.insert(k, h1, h2, None) is None
+            k += 1
+        step, lengths, newest_count, moved = merges[0]
+        assert sink == []
+        assert newest_count == 0
+        assert (step, lengths) == (4, (4, 2, 2))
+        assert moved == k - 1
+        assert sorted(chain_keys(chain)) == list(range(k))
+
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_clamped_merge_skips_a_row_at_any_bucket_size(self, d):
+        chain, _ = make_chain(base=2, d=d)
+        for _ in range(3):
+            chain.advance()
+        assert chain.step == 4
+        assert chain.lengths() == (4, 2, 2)
+        chain.advance()
+        assert (chain.step, chain.lengths()) == (5, (8, 4))
+
     def test_grow_driven_by_inserts_walks_the_schedule(self):
         # d=2 keeps tables tiny, so placement failures happen; every lost
         # entry must surface either as an insert failure or via the sink
@@ -279,6 +315,29 @@ class TestContract:
         before = sorted(chain_keys(chain))
         event = chain.contract(big)
         self._assert_sized_by_count(chain, event, before)
+
+    def test_rebuild_retries_homeless_entries_before_the_fail_sink(self):
+        # 24 keys share one bucket pair of every length-4 table; placed
+        # last, they overflow the last table's quota share, while the
+        # earlier tables still have free cells that can take them
+        chain, _ = make_chain(base=2, d=8, kicks=250)
+        big = chain.make_table(32)
+        for t in chain.tables:
+            t.dispose()
+        chain.tables = [big]
+        chain.step = 99
+        crowd = [k for k in range(20000)
+                 if HP.pair(k)[0] & 31 == 31 and HP.pair(k)[1] & 1 == 0][:24]
+        spread = [k for k in range(20000) if HP.pair(k)[0] & 3 != 3][:119]
+        for k in spread + crowd:
+            h1, h2 = HP.pair(k)
+            assert big.insert(k, h1, h2, None)[1] is None
+        assert chain.should_contract()
+        event = chain.contract(big)
+        assert event.rebuilt
+        assert chain.lengths() == (8, 4, 4)
+        assert not event.failed
+        assert sorted(chain_keys(chain)) == sorted(spread + crowd)
 
     def test_stable_band_triggers_nothing(self):
         chain, _ = make_chain(base=8, d=2, g=0.9, lam=0.5)

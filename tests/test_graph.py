@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cuckoograph import CuckooGraph, GraphParams, OracleGraph
 from cuckoograph.graph import NodeCell
+from cuckoograph.workload import generate_synthetic
 
 
 def tiny_params(**over):
@@ -334,6 +335,27 @@ def test_thousand_destinations_match_oracle():
 
 
 class TestBounds:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_skewed_inserts_keep_adjacency_placements_bounded(self, seed):
+        # zipf out-degrees push many adjacency chains through their merges
+        g = CuckooGraph(GraphParams.from_seed(seed))
+        for u, v in generate_synthetic("zipf", 2000, 10000, seed):
+            g.insert_edge(u, v)
+        adj = g.stats().counters["adj"]
+        assert adj["placements"] / adj["insert_events"] <= 1.2
+        assert adj["move_failures"] == 0
+        g.check_invariants()
+
+    def test_failed_structural_moves_are_counted(self):
+        # one-cell buckets and two kicks: structural moves do fail here
+        g = CuckooGraph(tiny_params())
+        for u in range(40):
+            for v in range(12):
+                g.insert_edge(u, v)
+        c = g.stats().counters
+        assert c["node"]["move_failures"] + c["adj"]["move_failures"] > 0
+        g.check_invariants()
+
     def test_query_probe_bound(self):
         g = CuckooGraph(GraphParams(node_table_len=2, adj_table_len=2))
         rnd = random.Random(9)
