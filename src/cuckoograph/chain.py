@@ -26,6 +26,13 @@ the floor lands at a load rate in ``(expand_at / 1.5, expand_at]``; with
 so one contraction never triggers another and never leaves the chain
 over its grow threshold.
 
+Merges and contraction rebuilds share one rebuild: when an entry is left
+homeless it discards the fresh tables and starts over one row larger, and
+a drain that leaves an entry homeless falls back to it. A structural move
+thus places every entry, on a larger row if it must, and none leaves the
+chain. A contraction that lands above its target row may sit under the
+floor threshold; the next deletion then contracts it again.
+
 Real tables are never shorter than ``MIN_TABLE_LEN``, which clamps the
 early rows of short chains: with base length 2, rows 1 and 2 become
 (2, 2) and (2, 2, 2). Row 1 then doubles row 0, so a chain there may sit
@@ -74,7 +81,7 @@ class ChainEvent:
     kind: str                      # enabled | merged | removed | halved
     lengths: tuple[int, ...]
     moved: int = 0
-    failed: list = field(default_factory=list)
+    failed: list = field(default_factory=list)  # homeless on a redone try, then placed
     rebuilt: bool = False
 
 
@@ -82,23 +89,21 @@ class TableChain:
     """Ordered list of cuckoo tables plus the grow/shrink bookkeeping.
 
     ``make_table(length)`` builds a table of the given length;
-    ``fail_sink(entry)`` receives entries that could not be re-placed
-    during a structural move; ``on_grow(chain, event)`` runs after each
-    grow event (the overflow-list drain hook).
+    ``on_grow(chain, event)`` runs after each grow event (the overflow-list
+    drain hook). Structural moves never hand an entry out of the chain.
     """
 
     __slots__ = ("base_len", "expand_at", "contract_at", "step", "tables",
-                 "make_table", "owner", "on_grow", "fail_sink")
+                 "make_table", "owner", "on_grow")
 
     def __init__(self, base_len, expand_at, contract_at, make_table,
-                 owner=None, on_grow=None, fail_sink=None):
+                 owner=None, on_grow=None):
         self.base_len = base_len
         self.expand_at = expand_at
         self.contract_at = contract_at
         self.make_table = make_table
         self.owner = owner
         self.on_grow = on_grow
-        self.fail_sink = fail_sink
         self.step = 0
         self.tables = [make_table(max(MIN_TABLE_LEN, base_len))]
 
@@ -138,13 +143,6 @@ class TableChain:
 
     # -- operations --------------------------------------------------------
 
-    def find(self, key, h1, h2):
-        for t in self.tables:
-            e = t.find(key, h1, h2)
-            if e is not None:
-                return e
-        return None
-
     def find_slot(self, key, h1, h2):
         """Return (table, key_bucket, entry_bucket, index) for in-place edits."""
         for t in self.tables:
@@ -169,13 +167,9 @@ class TableChain:
         """Perform one grow event and run the grow hook.
 
         Even steps (and step 1) enable one more, empty table. Odd steps
-        merge every entry into fresh tables of the new row. When clamping
-        leaves that row no larger than the current one, the merge lands on
-        the row after it. The entries fill the landing row's tables
-        in order, all but the newest: each up to ``ceil(expand_at * cap)``,
-        the last one up to its full capacity. The newest table stays empty
-        because the forced growth of the overflow lists inserts into the
-        table a grow event leaves newest and relies on its room.
+        merge every entry into fresh tables of the new row (see
+        ``_rebuild``). When clamping leaves that row no larger than the
+        current one, the merge starts at the row after it.
         """
         self.step += 1
         target = _materialized(self.step, self.base_len)
@@ -187,14 +181,9 @@ class TableChain:
             # equal cells per unit of length, so lengths compare capacities
             if sum(target) <= sum(self.lengths()):
                 self.step += 1
-                target = _materialized(self.step, self.base_len)
-            old = self.tables
-            self.tables = [self.make_table(ln) for ln in target]
-            fill = self.tables[:-1]
-            quotas = [math.ceil(self.expand_at * t.cap) for t in fill[:-1]]
-            quotas.append(fill[-1].cap)
-            moved, failed = self._transfer(old, fill, quotas)
-            event = ChainEvent("merged", target, moved=moved, failed=failed)
+            moved, failed = self._rebuild(self.step, self.tables, merge=True)
+            event = ChainEvent("merged", self.lengths(), moved=moved,
+                               failed=failed)
         if self.on_grow is not None:
             self.on_grow(self, event)
         return event
@@ -206,34 +195,33 @@ class TableChain:
         the chain's current entry count (``entries <= expand_at *
         capacity``); the row is chosen from that count alone. When the
         tables left after dropping ``hit_table`` already form the target
-        row, only the hit table's entries move into them; otherwise every
-        entry is rebuilt into fresh tables of the target row. Either way
-        each receiving table fills to the same load share. Returns None
-        when the chain sits at its floor or already is the target row.
+        row, only the hit table's entries move into them, each receiving
+        table filling to the same load share; if that drain leaves an
+        entry homeless, or the survivors are not the target row, every
+        entry is rebuilt from the target row on (see ``_rebuild``).
+        Returns None when the chain sits at its floor or already is the
+        target row.
         """
         if self.at_floor():
             return None
-        step = self._row_for(self.entry_count())
+        n = self.entry_count()
+        step = self._row_for(n)
         target = _materialized(step, self.base_len)
         if target == self.lengths():
             return None
         kind = "removed" if len(self.tables) >= 2 else "halved"
         survivors = [t for t in self.tables if t is not hit_table]
-        n = self.entry_count()
+        drained, homeless = [], []
         if tuple(t.shape.length for t in survivors) == target:
-            sources = [hit_table]
-            self.tables = survivors
-            rebuilt = False
-        else:
-            sources = self.tables
-            self.tables = [self.make_table(ln) for ln in target]
-            rebuilt = True
-        cap = sum(t.cap for t in self.tables)
-        quotas = [-(-n * t.cap // cap) for t in self.tables]
-        moved, failed = self._transfer(sources, self.tables, quotas)
-        self.step = step
-        return ChainEvent(kind, target, moved=moved, failed=failed,
-                          rebuilt=rebuilt)
+            drained = list(hit_table.entries())
+            hit_table.dispose()
+            homeless = self._transfer(drained, survivors, _shares(n, survivors))
+            self.tables, self.step = survivors, step
+            if not homeless:
+                return ChainEvent(kind, target, moved=len(drained))
+        moved, failed = self._rebuild(step, self.tables, homeless)
+        return ChainEvent(kind, self.lengths(), moved=len(drained) + moved,
+                          failed=homeless + failed, rebuilt=True)
 
     # -- internals ---------------------------------------------------------
 
@@ -247,38 +235,71 @@ class TableChain:
             step += 1
         return step
 
-    def _transfer(self, sources, dests, quotas):
-        """Drain every source table into the destination tables.
+    def _rebuild(self, step, old, extra=(), merge=False):
+        """Move the entries of the ``old`` tables, plus ``extra`` ones, into
+        fresh tables of row ``step`` or a later one; ``old`` is disposed of.
+
+        A merge fills the row's tables in order, all but the newest: each
+        up to ``ceil(expand_at * cap)``, the last one up to its full
+        capacity. The newest stays empty because the forced growth of the
+        overflow lists inserts into it. A contraction fills every table to
+        the same load share. A row that leaves an entry homeless is
+        discarded for the next one. Returns (moved, failed): every
+        placement attempt, and the entries left homeless on discarded rows.
+        """
+        entries = [e for t in old for e in t.entries()] + list(extra)
+        for t in old:
+            t.dispose()
+        moved = 0
+        failed = []
+        while True:
+            tables = [self.make_table(ln)
+                      for ln in _materialized(step, self.base_len)]
+            if merge:
+                dests = tables[:-1]
+                quotas = [math.ceil(self.expand_at * t.cap) for t in dests]
+                quotas[-1] = dests[-1].cap
+            else:
+                dests = tables
+                quotas = _shares(len(entries), tables)
+            homeless = self._transfer(entries, dests, quotas)
+            moved += len(entries)
+            if not homeless:
+                self.tables = tables
+                self.step = step
+                return moved, failed
+            failed.extend(homeless)
+            for t in tables:
+                t.dispose()
+            step += 1
+
+    @staticmethod
+    def _transfer(entries, dests, quotas):
+        """Place every entry into the destination tables.
 
         Each entry goes to the first destination still under its quota (a
         table takes entries while its count is below the quota); a
-        displaced entry tries the next one. Grow merges fill the landing
-        row in order (see ``advance``); contractions pass equal load
-        shares, ``ceil(entries * capacity / destination capacity)``, so
-        the tables end at equal load rates. An entry that every destination
+        displaced entry tries the next one. An entry that every destination
         under quota left homeless is offered once more to each destination
-        with a free cell; only then does it go to the fail sink. Returns
-        (moved, failed) where moved counts all drained entries.
+        with a free cell. Returns the entries still homeless after that.
         """
         limits = list(zip(dests, quotas)) + [(t, t.cap) for t in dests]
-        moved = 0
-        failed = []
-        for src in sources:
-            for entry in src.entries():
-                moved += 1
-                homeless = entry
-                for t, limit in limits:
-                    if t.count >= limit:
-                        continue
-                    _, homeless = t.insert(homeless[0], homeless[1], homeless[2],
-                                           homeless[3])
-                    if homeless is None:
-                        break
-                if homeless is not None:
-                    failed.append(homeless)
-            src.dispose()
-        if failed and self.fail_sink is not None:
-            for e in failed:
-                self.fail_sink(e)
-            failed = []
-        return moved, failed
+        homeless_all = []
+        for entry in entries:
+            homeless = entry
+            for t, limit in limits:
+                if t.count >= limit:
+                    continue
+                _, homeless = t.insert(homeless[0], homeless[1], homeless[2],
+                                       homeless[3])
+                if homeless is None:
+                    break
+            if homeless is not None:
+                homeless_all.append(homeless)
+        return homeless_all
+
+
+def _shares(n, tables):
+    """Equal load shares: ``ceil(n * cap / total capacity)`` per table."""
+    cap = sum(t.cap for t in tables)
+    return [-(-n * t.cap // cap) for t in tables]

@@ -74,7 +74,7 @@ class LevelCounters:
         self.entries = 0
         self.capacity_cells = 0
         self.tables = 0
-        self.move_failures = 0   # entries a structural move left homeless
+        self.move_failures = 0   # entries that pushed a structural move up a row
 
     def snapshot(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -121,9 +121,6 @@ class CuckooTable:
         self._stats.tables -= 1
         self.count = 0
         self.k1 = self.v1 = self.k2 = self.v2 = []
-
-    def load_rate(self) -> float:
-        return self.count / self.cap
 
     # -- lookups ---------------------------------------------------------
 

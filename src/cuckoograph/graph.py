@@ -4,7 +4,9 @@ Source nodes live in a chain of node tables; each node's cell stores its
 destinations either inline (a handful of slots) or in the node's own
 chain of adjacency tables. Placement failures after the kick budget go
 to bounded overflow lists (one for node cells, one for edges), which are
-drained back whenever the owning chain grows.
+drained back whenever the owning chain grows; a full list forces its
+chain to grow instead. Structural moves inside a chain (merges and
+contractions) never lose an entry, so nothing else needs re-placing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .chain import MIN_TABLE_LEN, TableChain, lengths_for_step
+from .chain import MAX_TABLES, MIN_TABLE_LEN, TableChain, lengths_for_step
 from .cuckoo_table import CuckooTable, LevelCounters, TableShape
 from .hashing import HashPair, mix64
 
@@ -51,7 +53,6 @@ class GraphParams:
     """Tuning knobs; the defaults are the tuned operating point."""
 
     cells_per_bucket: int = 8
-    chain_slots: int = 3
     expand_at: float = 0.9
     contract_at: float = 0.5
     kick_budget: int = 250
@@ -66,9 +67,6 @@ class GraphParams:
     def __post_init__(self):
         if self.cells_per_bucket < 1:
             raise ValueError("cells_per_bucket must be >= 1")
-        if self.chain_slots != 3:
-            raise ValueError("only chain_slots=3 is supported; the length "
-                             "schedule is defined for three-slot chains")
         if not (0.0 < self.expand_at < 1.0):
             raise ValueError("expand_at must be in (0, 1)")
         # chains contract to the smallest row holding their entries at
@@ -101,11 +99,11 @@ class GraphParams:
     @property
     def inline_capacity(self) -> int:
         # a weighted destination takes two slots, halving the inline fan-out
-        return self.chain_slots if self.weighted else 2 * self.chain_slots
+        return MAX_TABLES if self.weighted else 2 * MAX_TABLES
 
     @property
     def node_cell_bytes(self) -> int:
-        return NODE_BYTES + 2 * self.chain_slots * NODE_BYTES
+        return NODE_BYTES + 2 * MAX_TABLES * NODE_BYTES
 
     @property
     def adj_cell_bytes(self) -> int:
@@ -171,12 +169,9 @@ class CuckooGraph:
             params.node_table_len, params.expand_at, params.contract_at,
             make_table=partial(self._make_table, self.node_counters),
             on_grow=self._on_node_grow,
-            fail_sink=self._node_fail_sink,
         )
         self._node_dl = []       # complete NodeCell objects
         self._adj_dl = []        # [u, v] rows, or [u, v, w] when weighted
-        self._pending_node = []  # cells awaiting an overflow-list push
-        self._pending_adj = []   # (owner, homeless adjacency entry) pairs
         self._node_count = 0
         self._edge_count = 0
         self._inline_edges = 0
@@ -202,21 +197,16 @@ class CuckooGraph:
             make_table=self._make_adj_table,
             owner=owner,
             on_grow=self._on_adj_grow,
-            fail_sink=lambda entry, u=owner: self._adj_fail_sink(u, entry),
         )
-
-    def _node_fail_sink(self, entry):
-        self.node_counters.move_failures += 1
-        self._pending_node.append(entry[3])
-
-    def _adj_fail_sink(self, owner, entry):
-        self.adj_counters.move_failures += 1
-        self._pending_adj.append((owner, entry))
 
     # -- grow hooks: count moves, then drain the overflow lists ------------
 
-    def _on_node_grow(self, chain, event):
+    def _count_move(self, counters, event):
         self._movements += event.moved
+        counters.move_failures += len(event.failed)
+
+    def _on_node_grow(self, chain, event):
+        self._count_move(self.node_counters, event)
         if not self._node_dl:
             return
         pending, self._node_dl = self._node_dl, []
@@ -230,7 +220,7 @@ class CuckooGraph:
                 self._node_dl.append(homeless[3])
 
     def _on_adj_grow(self, chain, event):
-        self._movements += event.moved
+        self._count_move(self.adj_counters, event)
         owner = chain.owner
         if not self._adj_dl:
             return
@@ -287,34 +277,6 @@ class CuckooGraph:
             return
         raise CapacityExhausted(
             f"edge overflow list full and forced growth failed under node {cell.node}")
-
-    def _flush_pending(self):
-        # pending entries came out of structural moves; the structure may
-        # have changed since they failed, so re-placement gets one free try
-        # before the overflow list (and its forced-growth fallback) is used
-        while self._pending_node or self._pending_adj:
-            if self._pending_node:
-                cell = self._pending_node.pop()
-                h1, h2 = self._node_hash.pair(cell.node)
-                _, homeless = self._node_chain.tables[-1].insert(
-                    cell.node, h1, h2, cell)
-                if homeless is not None:
-                    self._push_node_dl(homeless[3])
-                continue
-            owner, entry = self._pending_adj.pop()
-            cell, _, _ = self._find_cell(owner)
-            if cell is None or cell.chain is None:
-                # owner demoted meanwhile; keep the edge in the overflow list
-                if len(self._adj_dl) >= self.params.denylist_cap:
-                    raise CapacityExhausted(
-                        f"edge overflow list full for detached node {owner}")
-                self._adj_dl.append(self._adj_row(owner, entry))
-                self._sdl_peak = max(self._sdl_peak, len(self._adj_dl))
-                continue
-            _, homeless = cell.chain.tables[-1].insert(entry[0], entry[1],
-                                                       entry[2], entry[3])
-            if homeless is not None:
-                self._push_adj_dl(cell, homeless)
 
     # -- location helpers ---------------------------------------------------
 
@@ -414,8 +376,6 @@ class CuckooGraph:
             cell = NodeCell(u)
             self._place_node_cell(cell, uh[0], uh[1])
             self._node_count += 1
-            if self._pending_node or self._pending_adj:
-                self._flush_pending()
         if cell.chain is None:
             if len(cell.inline) < self._inline_cap:
                 cell.inline.append([v, weight] if self._weighted else v)
@@ -427,8 +387,6 @@ class CuckooGraph:
             self._chain_add(cell, v, weight, vh)
         cell.count += 1
         self._edge_count += 1
-        if self._pending_node or self._pending_adj:
-            self._flush_pending()
         return InsertResult("inserted", weight) if self._weighted else _INSERTED
 
     def query_edge(self, u: int, v: int):
@@ -470,11 +428,8 @@ class CuckooGraph:
             if hit_table is not None and chain.should_contract():
                 event = chain.contract(hit_table)
                 if event is not None:
-                    self._movements += event.moved
-                self._flush_pending()
+                    self._count_move(self.adj_counters, event)
             self._maybe_demote(cell)
-        if self._pending_node or self._pending_adj:
-            self._flush_pending()
         return _DELETED
 
     def successors(self, u: int):
@@ -495,10 +450,6 @@ class CuckooGraph:
             if row[0] == u:
                 out.add((row[1], row[2]) if weighted else row[1])
         return out
-
-    def out_degree(self, u: int) -> int:
-        cell, _, _ = self._find_cell(u)
-        return cell.count if cell is not None else 0
 
     def nodes(self):
         """Iterate every stored source node."""
@@ -639,7 +590,7 @@ class CuckooGraph:
                 inline_total += len(cell.inline)
             else:
                 chain = cell.chain
-                assert len(chain.tables) <= p.chain_slots, "chain too long"
+                assert len(chain.tables) <= MAX_TABLES, "chain too long"
                 assert chain.lengths() == tuple(
                     max(MIN_TABLE_LEN, x) for x in _schedule_row(chain)), \
                     "adjacency chain off schedule"
@@ -658,7 +609,6 @@ class CuckooGraph:
         assert inline_total == self._inline_edges, "inline count drift"
         assert len(self._adj_dl) <= p.denylist_cap
         assert len(self._node_dl) <= p.denylist_cap
-        assert not self._pending_node and not self._pending_adj
 
     # -- internals ----------------------------------------------------------
 
@@ -699,8 +649,7 @@ class CuckooGraph:
             homeless = chain.insert(v, h1, h2, w)
             self._movements += 1
             if homeless is not None:
-                self._pending_adj.append((cell.node, homeless))
-        self._flush_pending()
+                self._push_adj_dl(cell, homeless)
 
     def _maybe_demote(self, cell):
         chain = cell.chain
@@ -773,8 +722,7 @@ class CuckooGraph:
             if self._node_chain.should_contract():
                 event = self._node_chain.contract(ref)
                 if event is not None:
-                    self._movements += event.moved
-                self._flush_pending()
+                    self._count_move(self.node_counters, event)
         else:
             self._node_dl.pop(ref)
             self._node_count -= 1

@@ -82,10 +82,6 @@ class OracleGraph:
         return set(self.edges())
 
     @property
-    def node_count(self):
-        return len(self.adj)
-
-    @property
     def edge_count(self):
         return sum(len(nbrs) for nbrs in self.adj.values())
 
@@ -106,10 +102,6 @@ def _plain_adj(g: OracleGraph) -> dict:
 def _check_size(adj):
     if len(adj) > MAX_ORACLE_NODES:
         raise ValueError(f"oracle limited to {MAX_ORACLE_NODES} nodes, got {len(adj)}")
-
-
-def node_universe(g: OracleGraph) -> list:
-    return sorted(_plain_adj(g))
 
 
 def total_degrees(g: OracleGraph) -> dict:

@@ -119,14 +119,12 @@ class TestExpand:
         # base length 2 clamps rows 1-2 to (2, 2) and (2, 2, 2): 72 cells,
         # as many as the merge row (4, 2), so the merge lands on (4, 2, 2)
         chain, _ = make_chain(base=2, d=8, g=0.9, kicks=250)
-        sink = []
-        chain.fail_sink = sink.append
         merges = []
 
         def on_grow(ch, event):
             if event.kind == "merged":
                 merges.append((ch.step, ch.lengths(), ch.newest().count,
-                               event.moved))
+                               event))
 
         chain.on_grow = on_grow
         k = 0
@@ -134,11 +132,11 @@ class TestExpand:
             h1, h2 = HP.pair(k)
             assert chain.insert(k, h1, h2, None) is None
             k += 1
-        step, lengths, newest_count, moved = merges[0]
-        assert sink == []
+        step, lengths, newest_count, event = merges[0]
+        assert not event.failed
         assert newest_count == 0
         assert (step, lengths) == (4, (4, 2, 2))
-        assert moved == k - 1
+        assert event.moved == k - 1
         assert sorted(chain_keys(chain)) == list(range(k))
 
     @pytest.mark.parametrize("d", [1, 8])
@@ -151,24 +149,53 @@ class TestExpand:
         chain.advance()
         assert (chain.step, chain.lengths()) == (5, (8, 4))
 
-    def test_grow_driven_by_inserts_walks_the_schedule(self):
-        # d=2 keeps tables tiny, so placement failures happen; every lost
-        # entry must surface either as an insert failure or via the sink
-        chain, _ = make_chain(base=8, d=2, g=0.9)
-        overflow = []
-        chain.fail_sink = overflow.append
+    @staticmethod
+    def _grow_to_step_7(d):
+        """Insert keys until step 7; returns (chain, rows seen, merges, lost keys)."""
+        chain, _ = make_chain(base=8, d=d, g=0.9)
+        merges = []
+
+        def on_grow(ch, event):
+            if event.kind == "merged":
+                merges.append((tried, ch.step, ch.newest().count, event))
+
+        chain.on_grow = on_grow
         seen = [chain.lengths()]
-        failed = 0
-        for k in range(500):
+        lost = set()
+        k = 0
+        while chain.step < 7:
+            tried = chain.step + 1   # the row a merge in this insert tries first
             h1, h2 = HP.pair(k)
-            if chain.insert(k, h1, h2, None) is not None:
-                failed += 1
+            homeless = chain.insert(k, h1, h2, None)
+            if homeless is not None:
+                lost.add(homeless[0])
             if chain.lengths() != seen[-1]:
                 seen.append(chain.lengths())
-            if chain.step == 7:
-                break
+            k += 1
+        assert chain.entry_count() == k - len(lost)
+        assert sorted(chain_keys(chain)) == sorted(set(range(k)) - lost)
+        return chain, seen, merges, lost
+
+    def test_grow_driven_by_inserts_walks_the_schedule(self):
+        # with 8-cell buckets no structural move fails, so every row shows up
+        _, seen, merges, lost = self._grow_to_step_7(8)
         assert seen == [SCHEDULE[s](8) for s in range(8)]
-        assert chain.entry_count() == k + 1 - failed - len(overflow)
+        assert not any(event.failed for *_, event in merges)
+        assert not lost
+
+    def test_merge_that_leaves_an_entry_homeless_lands_on_a_later_row(self):
+        # 2-cell buckets and 50 kicks: some merge row cannot hold its
+        # entries, so the merge moves on to a larger row instead of losing
+        # them; only the inserts' own kick failures leave the chain
+        _, seen, merges, _ = self._grow_to_step_7(2)
+        rows = {SCHEDULE[s](8) for s in range(8)}
+        assert all(row in rows for row in seen)
+        escalated = [m for m in merges if m[3].failed]
+        assert escalated
+        for tried, step, newest_count, event in escalated:
+            assert step > tried
+            assert event.lengths == lengths_for_step(step, 8)
+            assert newest_count == 0
 
 
 class TestContract:
@@ -316,7 +343,26 @@ class TestContract:
         event = chain.contract(big)
         self._assert_sized_by_count(chain, event, before)
 
-    def test_rebuild_retries_homeless_entries_before_the_fail_sink(self):
+    def test_drain_into_a_lone_base_table_keeps_every_key(self):
+        # a length-2 table has one minor bucket, so a drain of (2, 2) into
+        # (2,) strands keys whenever more than 16 share a major bucket;
+        # the contraction must then rebuild instead of dropping them
+        for seed in range(300):
+            chain, _ = make_chain(base=2, d=8, kicks=250, rng_seed=seed)
+            keys = list(range(300))
+            assert not fill(chain, keys)
+            random.Random(seed).shuffle(keys)
+            live = set(keys)
+            for k in keys:
+                h1, h2 = HP.pair(k)
+                t, kb, vb, j = chain.find_slot(k, h1, h2)
+                t.clear_slot(kb, vb, j)
+                live.discard(k)
+                if chain.should_contract():
+                    chain.contract(t)
+                    assert set(chain_keys(chain)) == live, (seed, k)
+
+    def test_rebuild_retries_homeless_entries_before_a_larger_row(self):
         # 24 keys share one bucket pair of every length-4 table; placed
         # last, they overflow the last table's quota share, while the
         # earlier tables still have free cells that can take them

@@ -115,18 +115,23 @@ class TestDenylists:
 
     def test_evicted_node_cell_lands_in_overflow_with_chain_intact(self):
         g = CuckooGraph(tiny_params())
-        # give one node a chain first, then crowd the node tables
+        # give one node a chain first, then crowd the node tables until a
+        # cell overflows (a later grow event drains the list again)
         for v in range(10):
             g.insert_edge(0, v)
+        crowd = []
         for u in range(1, 40):
             g.insert_edge(u, 1000 + u)
+            crowd.append(u)
+            if g._node_dl:
+                break
         assert g.stats().node_dl_len > 0
         overflowed = g._node_dl[0]
         assert isinstance(overflowed, NodeCell)
         for v in g.successors(overflowed.node):
             assert g.query_edge(overflowed.node, v) is True
         # every edge is still reachable no matter where its cell lives
-        for u in range(1, 40):
+        for u in crowd:
             assert g.query_edge(u, 1000 + u) is True
         g.check_invariants()
 
@@ -380,8 +385,6 @@ class TestBounds:
         assert c["ldl_peak"] < g.params.denylist_cap
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            GraphParams(chain_slots=4)
         with pytest.raises(ValueError):
             GraphParams(contract_at=0.7)   # must stay <= (2/3) * expand_at
         with pytest.raises(ValueError):
