@@ -12,7 +12,8 @@ schedule:
 Odd steps beyond the first merge everything into one larger table and
 enable a fresh one; even steps just enable another table. Total capacity
 grows by 3/2 on merge steps and 4/3 on enable steps. New entries always
-go to the newest table; lookups scan oldest to newest.
+go to the newest table; lookups (``cuckoo_table.find_slot`` over
+``tables``) scan oldest to newest.
 
 Contraction runs when a deletion drops the whole chain's load rate below
 the floor threshold (``contract_at``). It is sized by entry count, not by
@@ -121,19 +122,11 @@ class TableChain:
     def load_rate(self) -> float:
         return self.entry_count() / self.capacity()
 
-    def newest(self):
-        return self.tables[-1]
-
     def at_floor(self) -> bool:
         return len(self.tables) == 1 and self.tables[0].shape.length <= max(
             MIN_TABLE_LEN, self.base_len)
 
     # -- triggers ----------------------------------------------------------
-
-    def should_expand(self) -> bool:
-        """True when the newest table already sits at or above the grow threshold."""
-        t = self.tables[-1]
-        return t.count >= self.expand_at * t.cap
 
     def should_contract(self) -> bool:
         """True when the whole chain's load rate fell strictly below the floor threshold."""
@@ -142,14 +135,6 @@ class TableChain:
         return self.entry_count() < self.contract_at * self.capacity()
 
     # -- operations --------------------------------------------------------
-
-    def find_slot(self, key, h1, h2):
-        """Return (table, key_bucket, entry_bucket, index) for in-place edits."""
-        for t in self.tables:
-            slot = t.find_slot(key, h1, h2)
-            if slot is not None:
-                return (t,) + slot
-        return None
 
     def insert(self, key, h1, h2, payload):
         """Insert into the newest table, growing first if it is at threshold.

@@ -7,6 +7,12 @@ its entry list so membership scans run on the C side of the interpreter.
 
 Array lengths are powers of two, so the modular bucket index reduces to a
 bitmask with identical semantics.
+
+``find_slot`` is the one lookup, for both graph levels: it probes the two
+candidate buckets of each table in a list, oldest first, and returns the
+slot ``(table, key_bucket, entry_bucket, index)`` of the hit. The slot is
+the handle callers edit in place; the graph gives items kept in plain
+lists the same shape, ``(None, None, list, index)``.
 """
 
 from __future__ import annotations
@@ -53,11 +59,6 @@ class TableShape:
         if length < 2 or length % 2:
             raise ValueError(f"table length must be even and >= 2, got {length}")
         return cls(length, length // 2, cells_per_bucket)
-
-
-def load_rate(shape: TableShape, count: int) -> float:
-    """Stored entries divided by total cell capacity."""
-    return count / shape.capacity
 
 
 class LevelCounters:
@@ -122,48 +123,15 @@ class CuckooTable:
         self.count = 0
         self.k1 = self.v1 = self.k2 = self.v2 = []
 
-    # -- lookups ---------------------------------------------------------
-
-    def find(self, key, h1, h2):
-        """Return the stored entry for key, probing at most two buckets."""
-        st = self._stats
-        st.bucket_probes += 1
-        i = h1 & self.mask_major
-        ks = self.k1[i]
-        if key in ks:
-            return self.v1[i][ks.index(key)]
-        st.bucket_probes += 1
-        i = h2 & self.mask_minor
-        ks = self.k2[i]
-        if key in ks:
-            return self.v2[i][ks.index(key)]
-        return None
-
-    def find_slot(self, key, h1, h2):
-        """Return (key_bucket, entry_bucket, index) for in-place updates."""
-        st = self._stats
-        st.bucket_probes += 1
-        i = h1 & self.mask_major
-        ks = self.k1[i]
-        if key in ks:
-            return ks, self.v1[i], ks.index(key)
-        st.bucket_probes += 1
-        i = h2 & self.mask_minor
-        ks = self.k2[i]
-        if key in ks:
-            return ks, self.v2[i], ks.index(key)
-        return None
-
     # -- mutation --------------------------------------------------------
 
-    def insert(self, key, h1, h2, payload, max_kicks=None):
+    def insert(self, key, h1, h2, payload):
         """Insert a key known to be absent.
 
         Returns ``(attempts, evicted)``: attempts is the number of cell
         placements performed (>= 1); evicted is None when the entry (and
         any displaced residents) settled, else the one entry left homeless
-        after the kick budget (``max_kicks``, defaulting to the table's
-        own) ran out.
+        after the kick budget (``max_kicks``) ran out.
         """
         st = self._stats
         st.insert_events += 1
@@ -195,8 +163,7 @@ class CuckooTable:
         in_major = True
         kicks = 0
         rng = self._rng
-        if max_kicks is None:
-            max_kicks = self.max_kicks
+        max_kicks = self.max_kicks
         while True:
             j = rng.randrange(d)
             victim = vb[j]
@@ -225,13 +192,6 @@ class CuckooTable:
                 # net entry count unchanged: newcomer in, this one out
                 return kicks, cur
 
-    def remove(self, key, h1, h2) -> bool:
-        slot = self.find_slot(key, h1, h2)
-        if slot is None:
-            return False
-        self.clear_slot(*slot)
-        return True
-
     def clear_slot(self, kb, vb, j):
         """Free one already-located cell (swap-remove, order is irrelevant)."""
         kb[j] = kb[-1]
@@ -247,3 +207,28 @@ class CuckooTable:
             yield from bucket
         for bucket in self.v2:
             yield from bucket
+
+
+def find_slot(tables, key, h1, h2):
+    """Locate key in a list of tables sharing one level's counters.
+
+    Probes at most two buckets per table, oldest table first, and charges
+    every probe to the level's ``bucket_probes``. Returns the slot
+    ``(table, key_bucket, entry_bucket, index)``, or None on a miss.
+    """
+    probes = 0
+    for t in tables:
+        probes += 1
+        i = h1 & t.mask_major
+        ks = t.k1[i]
+        if key in ks:
+            t._stats.bucket_probes += probes
+            return t, ks, t.v1[i], ks.index(key)
+        probes += 1
+        i = h2 & t.mask_minor
+        ks = t.k2[i]
+        if key in ks:
+            t._stats.bucket_probes += probes
+            return t, ks, t.v2[i], ks.index(key)
+    tables[-1]._stats.bucket_probes += probes
+    return None

@@ -7,6 +7,16 @@ to bounded overflow lists (one for node cells, one for edges), which are
 drained back whenever the owning chain grows; a full list forces its
 chain to grow instead. Structural moves inside a chain (merges and
 contractions) never lose an entry, so nothing else needs re-placing.
+
+Both levels look keys up with ``cuckoo_table.find_slot``: the node chain
+for a node's cell, then that cell's adjacency chain for a destination;
+each overflow list is scanned only after its chain missed.
+Whatever a lookup locates, node cell or edge, comes back as one slot shape,
+``(table, key_bucket, items, index)``; an item kept in a plain list (the
+inline slots and both overflow lists) has the slot ``(None, None, list,
+index)``. A weight is always the last field of its item: ``[v, w]``
+inline, ``[u, v, w]`` in the edge overflow list, ``(v, h1, h2, w)`` in a
+table.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .chain import MAX_TABLES, MIN_TABLE_LEN, TableChain, lengths_for_step
-from .cuckoo_table import CuckooTable, LevelCounters, TableShape
+from .cuckoo_table import CuckooTable, LevelCounters, TableShape, find_slot
 from .hashing import HashPair, mix64
 
 NODE_BYTES = 8
@@ -281,42 +291,38 @@ class CuckooGraph:
     # -- location helpers ---------------------------------------------------
 
     def _find_cell(self, u):
-        """Locate u's cell: (cell, where, scanned_dl)."""
+        """u's cell, or None."""
         h1, h2 = self._node_hash.pair(u)
-        return self._find_cell_hashed(u, h1, h2)
+        slot = find_slot(self._node_chain.tables, u, h1, h2)
+        if slot is not None:
+            return slot[2][slot[3]][3]
+        return self._scan_node_dl(u)[0]
 
-    def _find_cell_hashed(self, u, h1, h2):
-        st = self.node_counters
-        probes = 0
-        for t in self._node_chain.tables:
-            probes += 1
-            i = h1 & t.mask_major
-            ks = t.k1[i]
-            if u in ks:
-                st.bucket_probes += probes
-                return t.v1[i][ks.index(u)][3], ("table", t), False
-            probes += 1
-            i = h2 & t.mask_minor
-            ks = t.k2[i]
-            if u in ks:
-                st.bucket_probes += probes
-                return t.v2[i][ks.index(u)][3], ("table", t), False
-        st.bucket_probes += probes
-        for i, cell in enumerate(self._node_dl):
+    def _scan_node_dl(self, u):
+        """u's cell and its slot in the node overflow list, or (None, None)."""
+        node_dl = self._node_dl
+        for i, cell in enumerate(node_dl):
             if cell.node == u:
                 self._dl_hits += 1
-                return cell, ("dl", i), True
-        return None, None, True
+                return cell, (None, None, node_dl, i)
+        return None, None
 
     def _locate_edge(self, u, v):
         """Full two-step lookup.
 
-        Returns (cell, cell_where, handle, dl_scans, u_hashes, v_hashes);
-        the hash pairs come back so mutating callers never rehash.
+        Returns (cell, cell_slot, edge_slot, dl_scans, u_hashes, v_hashes);
+        the hash pairs come back so mutating callers never rehash. Each
+        level is one ``find_slot`` call: routing the node level through
+        ``_find_cell`` as well cost about 2% of query throughput.
         """
         uh = self._node_hash.pair(u)
-        cell, cwhere, scanned = self._find_cell_hashed(u, uh[0], uh[1])
-        scans = 1 if scanned else 0
+        cslot = find_slot(self._node_chain.tables, u, uh[0], uh[1])
+        if cslot is not None:
+            cell = cslot[2][cslot[3]][3]
+            scans = 0
+        else:
+            cell, cslot = self._scan_node_dl(u)
+            scans = 1
         if cell is None:
             return None, None, None, scans, uh, None
         vh = None
@@ -325,39 +331,22 @@ class CuckooGraph:
             if self._weighted:
                 for i, item in enumerate(inline):
                     if item[0] == v:
-                        return cell, cwhere, ("inline", cell, i), scans, uh, vh
+                        return cell, cslot, (None, None, inline, i), scans, uh, vh
             elif v in inline:
-                return (cell, cwhere, ("inline", cell, inline.index(v)),
+                return (cell, cslot, (None, None, inline, inline.index(v)),
                         scans, uh, vh)
         else:
             vh = self._adj_hash.pair(v)
-            h1, h2 = vh
-            st = self.adj_counters
-            probes = 0
-            for t in cell.chain.tables:
-                probes += 1
-                i = h1 & t.mask_major
-                ks = t.k1[i]
-                if v in ks:
-                    st.bucket_probes += probes
-                    j = ks.index(v)
-                    return (cell, cwhere, ("slot", t, ks, t.v1[i], j),
-                            scans, uh, vh)
-                probes += 1
-                i = h2 & t.mask_minor
-                ks = t.k2[i]
-                if v in ks:
-                    st.bucket_probes += probes
-                    j = ks.index(v)
-                    return (cell, cwhere, ("slot", t, ks, t.v2[i], j),
-                            scans, uh, vh)
-            st.bucket_probes += probes
+            slot = find_slot(cell.chain.tables, v, vh[0], vh[1])
+            if slot is not None:
+                return cell, cslot, slot, scans, uh, vh
         scans += 1
-        for i, row in enumerate(self._adj_dl):
+        adj_dl = self._adj_dl
+        for i, row in enumerate(adj_dl):
             if row[0] == u and row[1] == v:
                 self._dl_hits += 1
-                return cell, cwhere, ("adj_dl", i), scans, uh, vh
-        return cell, cwhere, None, scans, uh, vh
+                return cell, cslot, (None, None, adj_dl, i), scans, uh, vh
+        return cell, cslot, None, scans, uh, vh
 
     # -- public operations ---------------------------------------------------
 
@@ -365,12 +354,12 @@ class CuckooGraph:
         """Insert the directed edge u->v; duplicates increment w in weighted mode."""
         if weight < 1:
             raise ValueError("weight must be >= 1")
-        cell, _, handle, _, uh, vh = self._locate_edge(u, v)
-        if handle is not None:
+        cell, _, slot, _, uh, vh = self._locate_edge(u, v)
+        if slot is not None:
             if not self._weighted:
                 return _DUPLICATE
-            w = self._read_weight(handle) + weight
-            self._write_weight(handle, w)
+            w = slot[2][slot[3]][-1] + weight
+            _write_weight(slot, w)
             return InsertResult("incremented", w)
         if cell is None:
             cell = NodeCell(u)
@@ -393,7 +382,7 @@ class CuckooGraph:
         """Membership test; returns the weight (or None) in weighted mode."""
         np0 = self.node_counters.bucket_probes
         ap0 = self.adj_counters.bucket_probes
-        cell, _, handle, scans, _, _ = self._locate_edge(u, v)
+        _, _, slot, scans, _, _ = self._locate_edge(u, v)
         np_ = self.node_counters.bucket_probes - np0
         ap = self.adj_counters.bucket_probes - ap0
         if np_ > self._max_q_node_probes:
@@ -402,27 +391,30 @@ class CuckooGraph:
             self._max_q_adj_probes = ap
         if scans > self._max_q_dl_scans:
             self._max_q_dl_scans = scans
-        if handle is None:
+        if slot is None:
             return None if self._weighted else False
         if self._weighted:
-            return self._read_weight(handle)
+            return slot[2][slot[3]][-1]
         return True
 
     def delete_edge(self, u: int, v: int) -> DeleteResult:
         """Delete u->v; weighted mode decrements w and removes only at zero."""
-        cell, cwhere, handle, _, _, _ = self._locate_edge(u, v)
-        if handle is None:
+        cell, cslot, slot, _, _, _ = self._locate_edge(u, v)
+        if slot is None:
             return _ABSENT
+        hit_table, _, items, i = slot
         if self._weighted:
-            w = self._read_weight(handle)
+            w = items[i][-1]
             if w > 1:
-                self._write_weight(handle, w - 1)
+                _write_weight(slot, w - 1)
                 return DeleteResult("decremented", w - 1)
-        hit_table = self._remove_at(cell, handle)
+        _remove(slot)
+        if items is cell.inline:
+            self._inline_edges -= 1
         cell.count -= 1
         self._edge_count -= 1
         if cell.count == 0:
-            self._clear_cell(cell, cwhere)
+            self._clear_cell(cell, cslot)
         elif cell.chain is not None:
             chain = cell.chain
             if hit_table is not None and chain.should_contract():
@@ -434,7 +426,7 @@ class CuckooGraph:
 
     def successors(self, u: int):
         """All v with edge u->v, as a set (of (v, w) pairs in weighted mode)."""
-        cell, _, _ = self._find_cell(u)
+        cell = self._find_cell(u)
         if cell is None:
             return set()
         weighted = self._weighted
@@ -530,7 +522,7 @@ class CuckooGraph:
 
     def adjacency_lengths(self, u):
         """Chain table lengths for u, or None while destinations sit inline."""
-        cell, _, _ = self._find_cell(u)
+        cell = self._find_cell(u)
         if cell is None or cell.chain is None:
             return None
         return cell.chain.lengths()
@@ -618,9 +610,7 @@ class CuckooGraph:
                 yield e[3]
         yield from self._node_dl
 
-    def _place_node_cell(self, cell, h1=None, h2=None):
-        if h1 is None:
-            h1, h2 = self._node_hash.pair(cell.node)
+    def _place_node_cell(self, cell, h1, h2):
         homeless = self._node_chain.insert(cell.node, h1, h2, cell)
         if homeless is not None:
             self._push_node_dl(homeless[3])
@@ -676,56 +666,36 @@ class CuckooGraph:
         self._inline_edges += len(items)
         self._movements += len(items)
 
-    def _read_weight(self, handle):
-        kind = handle[0]
-        if kind == "inline":
-            return handle[1].inline[handle[2]][1]
-        if kind == "slot":
-            return handle[3][handle[4]][3]
-        return self._adj_dl[handle[1]][2]
-
-    def _write_weight(self, handle, w):
-        kind = handle[0]
-        if kind == "inline":
-            handle[1].inline[handle[2]][1] = w
-        elif kind == "slot":
-            _, table, kb, vb, j = handle
-            e = vb[j]
-            vb[j] = (e[0], e[1], e[2], w)
-        else:
-            self._adj_dl[handle[1]][2] = w
-
-    def _remove_at(self, cell, handle):
-        """Remove the located edge; returns the adjacency table hit, if any."""
-        kind = handle[0]
-        if kind == "inline":
-            cell.inline.pop(handle[2])
-            self._inline_edges -= 1
-            return None
-        if kind == "slot":
-            _, table, kb, vb, j = handle
-            table.clear_slot(kb, vb, j)
-            return table
-        self._adj_dl.pop(handle[1])
-        return None
-
-    def _clear_cell(self, cell, cwhere):
+    def _clear_cell(self, cell, cslot):
+        """Drop an emptied cell through the slot its lookup found."""
         if cell.chain is not None:
             for t in cell.chain.tables:
                 t.dispose()
             cell.chain = None
-        kind, ref = cwhere
-        if kind == "table":
-            h1, h2 = self._node_hash.pair(cell.node)
-            ref.remove(cell.node, h1, h2)
-            self._node_count -= 1
-            if self._node_chain.should_contract():
-                event = self._node_chain.contract(ref)
-                if event is not None:
-                    self._count_move(self.node_counters, event)
-        else:
-            self._node_dl.pop(ref)
-            self._node_count -= 1
+        _remove(cslot)
+        self._node_count -= 1
+        table = cslot[0]
+        if table is not None and self._node_chain.should_contract():
+            event = self._node_chain.contract(table)
+            if event is not None:
+                self._count_move(self.node_counters, event)
+
+
+def _write_weight(slot, w):
+    table, _, items, i = slot
+    if table is None:
+        items[i][-1] = w
+    else:
+        e = items[i]
+        items[i] = (e[0], e[1], e[2], w)
+
+
+def _remove(slot):
+    table, key_bucket, items, i = slot
+    if table is None:
+        items.pop(i)
+    else:
+        table.clear_slot(key_bucket, items, i)
 
 
 def _schedule_row(chain):

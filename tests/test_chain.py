@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cuckoograph.chain import TableChain, lengths_for_step
-from cuckoograph.cuckoo_table import CuckooTable, LevelCounters, TableShape
+from cuckoograph.cuckoo_table import CuckooTable, LevelCounters, TableShape, find_slot
 from cuckoograph.hashing import HashPair
 
 HP = HashPair(11, 22)
@@ -75,13 +75,18 @@ class TestSchedule:
 class TestExpand:
     def test_fresh_chain_does_not_expand(self):
         chain, _ = make_chain()
-        assert not chain.should_expand()
+        fill(chain, [0])
+        assert (chain.step, chain.lengths()) == (0, (8,))
 
     def test_exactly_at_threshold_expands(self):
         chain, _ = make_chain(base=8, d=2, g=0.5)
         cap = chain.tables[0].shape.capacity  # 24
         fill(chain, range(cap // 2))
-        assert chain.should_expand()
+        assert (chain.step, chain.lengths()) == (0, (8,))
+        # the newest table now sits exactly at the threshold: the next
+        # insert grows the chain first
+        fill(chain, [cap // 2])
+        assert (chain.step, chain.lengths()) == (1, (8, 4))
 
     def test_whole_chain_loaded_but_newest_light_does_not_expand(self):
         chain, _ = make_chain(base=8, d=2, g=0.5)
@@ -94,7 +99,8 @@ class TestExpand:
             old.insert(k, h1, h2, None)
             k += 1
         assert chain.load_rate() >= 0.5
-        assert not chain.should_expand()
+        fill(chain, [k])
+        assert (chain.step, chain.lengths()) == (1, (8, 4))
 
     def test_advance_first_step_enables_half_length_table(self):
         chain, _ = make_chain(base=8)
@@ -123,7 +129,7 @@ class TestExpand:
 
         def on_grow(ch, event):
             if event.kind == "merged":
-                merges.append((ch.step, ch.lengths(), ch.newest().count,
+                merges.append((ch.step, ch.lengths(), ch.tables[-1].count,
                                event))
 
         chain.on_grow = on_grow
@@ -157,7 +163,7 @@ class TestExpand:
 
         def on_grow(ch, event):
             if event.kind == "merged":
-                merges.append((tried, ch.step, ch.newest().count, event))
+                merges.append((tried, ch.step, ch.tables[-1].count, event))
 
         chain.on_grow = on_grow
         seen = [chain.lengths()]
@@ -219,7 +225,7 @@ class TestContract:
         assert chain.entry_count() == total_cap * 0.5
         assert not chain.should_contract()
         h1, h2 = HP.pair(0)
-        t, kb, vb, j = chain.find_slot(0, h1, h2)
+        t, kb, vb, j = find_slot(chain.tables, 0, h1, h2)
         t.clear_slot(kb, vb, j)
         assert chain.should_contract()
 
@@ -278,7 +284,7 @@ class TestContract:
             if live and rnd.random() < 0.45:
                 k = rnd.choice(sorted(live))
                 h1, h2 = HP.pair(k)
-                slot = chain.find_slot(k, h1, h2)
+                slot = find_slot(chain.tables, k, h1, h2)
                 if slot is not None:
                     slot[0].clear_slot(slot[1], slot[2], slot[3])
                     live.discard(k)
@@ -305,7 +311,7 @@ class TestContract:
         k = 0
         while not chain.should_contract():
             h1, h2 = HP.pair(k)
-            t, kb, vb, j = chain.find_slot(k, h1, h2)
+            t, kb, vb, j = find_slot(chain.tables, k, h1, h2)
             t.clear_slot(kb, vb, j)
             k += 1
         return chain
@@ -355,7 +361,7 @@ class TestContract:
             live = set(keys)
             for k in keys:
                 h1, h2 = HP.pair(k)
-                t, kb, vb, j = chain.find_slot(k, h1, h2)
+                t, kb, vb, j = find_slot(chain.tables, k, h1, h2)
                 t.clear_slot(kb, vb, j)
                 live.discard(k)
                 if chain.should_contract():
@@ -389,5 +395,42 @@ class TestContract:
         chain, _ = make_chain(base=8, d=2, g=0.9, lam=0.5)
         cap = chain.capacity()
         fill(chain, range(int(cap * 0.7)))
-        assert not chain.should_expand()
+        assert (chain.step, chain.lengths()) == (0, (8,))
         assert not chain.should_contract()
+        fill(chain, [cap])
+        assert (chain.step, chain.lengths()) == (0, (8,))
+
+
+class TestProbeAccounting:
+    @staticmethod
+    def _three_table_chain():
+        chain, stats = make_chain(base=8, d=8)
+        fill(chain, range(0, 20))
+        chain.advance()
+        fill(chain, range(100, 110))
+        chain.advance()
+        fill(chain, range(200, 210))
+        assert chain.lengths() == (8, 4, 4)
+        return chain, stats
+
+    def test_hit_in_table_k_charges_2k_minus_1_or_2k(self):
+        chain, stats = self._three_table_chain()
+        for k, t in enumerate(chain.tables, start=1):
+            keys = [e[0] for e in t.entries()]
+            assert keys
+            for key in keys:
+                h1, h2 = HP.pair(key)
+                in_major = key in t.k1[h1 & t.mask_major]
+                before = stats.bucket_probes
+                slot = find_slot(chain.tables, key, h1, h2)
+                assert slot[0] is t and slot[2][slot[3]][0] == key
+                assert stats.bucket_probes - before == (2 * k - 1 if in_major else 2 * k)
+
+    def test_miss_charges_two_probes_per_table(self):
+        chain, stats = self._three_table_chain()
+        for n in (1, 2, 3):
+            for key in range(1000, 1050):
+                h1, h2 = HP.pair(key)
+                before = stats.bucket_probes
+                assert find_slot(chain.tables[:n], key, h1, h2) is None
+                assert stats.bucket_probes - before == 2 * n

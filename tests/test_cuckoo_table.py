@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cuckoograph.cuckoo_table import CuckooTable, LevelCounters, TableShape, load_rate
+from cuckoograph.cuckoo_table import CuckooTable, LevelCounters, TableShape, find_slot
 from cuckoograph.hashing import HashPair
 
 
@@ -13,13 +13,24 @@ def make_table(length=4, d=2, seeds=(1, 2), rng_seed=7, max_kicks=50):
     return t, stats, HashPair(*seeds)
 
 
-def ins(t, hp, key, payload=None, max_kicks=None):
+def ins(t, hp, key, payload=None):
     h1, h2 = hp.pair(key)
-    return t.insert(key, h1, h2, payload, max_kicks)
+    return t.insert(key, h1, h2, payload)
 
 
 def find(t, hp, key):
-    return t.find(key, *hp.pair(key))
+    """The stored entry for key, or None."""
+    slot = find_slot([t], key, *hp.pair(key))
+    return None if slot is None else slot[2][slot[3]]
+
+
+def remove(t, hp, key):
+    """Free key's cell through its slot; False when key is absent."""
+    slot = find_slot([t], key, *hp.pair(key))
+    if slot is None:
+        return False
+    t.clear_slot(slot[1], slot[2], slot[3])
+    return True
 
 
 class TestShape:
@@ -35,12 +46,6 @@ class TestShape:
         shape = TableShape.for_length(2, 8)
         assert shape.capacity == 24
         assert shape.length == 2
-
-    def test_load_rate_is_count_over_capacity(self):
-        shape = TableShape.for_length(2, 8)
-        assert load_rate(shape, 0) == 0.0
-        assert load_rate(shape, 24) == 1.0
-        assert load_rate(shape, 12) == 0.5
 
 
 class TestInsertLookup:
@@ -82,7 +87,8 @@ class TestInsertLookup:
         assert all(len(b) == t.d for b in t.k1 + t.k2)
         newcomer = max(filled) + 1
         before = t.count
-        attempts, evicted = ins(t, hp, newcomer, max_kicks=1)
+        t.max_kicks = 1
+        attempts, evicted = ins(t, hp, newcomer)
         assert evicted is not None
         assert attempts == 1
         assert t.count == before
@@ -94,12 +100,12 @@ class TestInsertLookup:
 class TestRemove:
     def test_remove_absent(self):
         t, _, hp = make_table()
-        assert not t.remove(5, *hp.pair(5))
+        assert not remove(t, hp, 5)
 
     def test_insert_then_remove(self):
         t, _, hp = make_table()
         ins(t, hp, 5)
-        assert t.remove(5, *hp.pair(5))
+        assert remove(t, hp, 5)
         assert find(t, hp, 5) is None
 
     def test_remove_one_of_two_colliding_keys(self):
@@ -107,7 +113,7 @@ class TestRemove:
         a, b = _same_major_bucket_pair(hp, length=4)
         ins(t, hp, a)
         ins(t, hp, b)
-        assert t.remove(a, *hp.pair(a))
+        assert remove(t, hp, a)
         assert find(t, hp, b) is not None
         assert find(t, hp, a) is None
 
@@ -130,7 +136,7 @@ class TestDrainAndDeterminism:
         for _ in range(1000):
             k = rnd.randrange(500)
             if k in shadow:
-                assert t.remove(k, *hp.pair(k))
+                assert remove(t, hp, k)
                 shadow.discard(k)
             else:
                 _, evicted = ins(t, hp, k)

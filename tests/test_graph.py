@@ -229,6 +229,46 @@ class TestWeighted:
         assert g.adjacency_lengths(9) is not None
         g.check_invariants()
 
+    def test_every_location_counts_up_and_down(self):
+        # one edge in the inline slots, one in an adjacency table, one in
+        # the edge overflow list, and one under a node cell that sits in
+        # the node overflow list
+        g = CuckooGraph(tiny_params(weighted=True))
+        ref = OracleGraph(weighted=True)
+
+        def insert(u, v):
+            assert tuple(g.insert_edge(u, v)) == ref.insert(u, v)
+
+        hub = 0
+        v = 0
+        while g.stats().adj_dl_len == 0:
+            v += 1
+            insert(hub, v)
+        u = 0
+        while g.stats().node_dl_len == 0:
+            u += 1
+            insert(u, 1000 + u)
+        assert g.adjacency_lengths(hub) is not None
+        spilled = sorted(row[1] for row in g._adj_dl if row[0] == hub)
+        tabled = sorted(x for x, _ in g.successors(hub) if x not in spilled)
+        crowded = g._node_dl[0].node
+        plain = next(x for x in range(1, u)
+                     if x != crowded and _location(g, x, 1000 + x) == "inline")
+        cases = [("adj_dl", (hub, spilled[0])),
+                 ("adj_table", (hub, tabled[0])),
+                 ("inline", (plain, 1000 + plain)),
+                 ("node_dl", (crowded, 1000 + crowded))]
+        for where, (a, b) in cases:
+            assert _location(g, a, b) == where
+            assert tuple(g.insert_edge(a, b)) == ref.insert(a, b) == ("incremented", 2)
+            assert g.query_edge(a, b) == ref.query(a, b) == 2
+            assert tuple(g.delete_edge(a, b)) == ref.delete(a, b) == ("decremented", 1)
+            assert g.query_edge(a, b) == ref.query(a, b) == 1
+            assert tuple(g.delete_edge(a, b)) == ref.delete(a, b) == ("deleted", None)
+            assert g.query_edge(a, b) is ref.query(a, b) is None
+            g.check_invariants()
+        assert set(g.iter_edges()) == ref.edge_set()
+
     def test_agreement_with_unweighted_on_duplicate_free_input(self):
         rnd = random.Random(0)
         edges = {(rnd.randrange(30), rnd.randrange(30)) for _ in range(80)}
@@ -240,6 +280,39 @@ class TestWeighted:
         for u in range(30):
             for v in range(30):
                 assert (gw.query_edge(u, v) is not None) == gu.query_edge(u, v)
+
+
+def _location(g, u, v):
+    """Where edge u->v is stored: node_dl, inline, adj_dl or adj_table."""
+    if any(cell.node == u for cell in g._node_dl):
+        assert g.stats().node_dl_len > 0
+        return "node_dl"
+    if g.adjacency_lengths(u) is None:
+        return "inline"
+    if any(row[:2] == [u, v] for row in g._adj_dl):
+        assert g.stats().adj_dl_len > 0
+        return "adj_dl"
+    return "adj_table"
+
+
+class TestProbeAccounting:
+    def test_deleting_a_nodes_last_edge_charges_only_the_lookup(self):
+        g = CuckooGraph(GraphParams())
+        for u in range(200):
+            g.insert_edge(u, u + 1)
+
+        def node_probes():
+            return g.stats().counters["node"]["bucket_probes"]
+
+        for u in range(200):
+            before = node_probes()
+            assert g.query_edge(u, u + 1) is True
+            lookup = node_probes() - before
+            assert lookup in (1, 2)
+            before = node_probes()
+            assert g.delete_edge(u, u + 1).status == "deleted"
+            assert node_probes() - before == lookup
+        assert g.stats().nodes == 0
 
 
 class TestDeterminism:
