@@ -10,7 +10,9 @@ contractions) never lose an entry, so nothing else needs re-placing.
 
 Both levels look keys up with ``cuckoo_table.find_slot``: the node chain
 for a node's cell, then that cell's adjacency chain for a destination;
-each overflow list is scanned only after its chain missed.
+each overflow list is scanned only after its chain missed, and the edge
+overflow list only for a source with an adjacency chain, since only those
+own rows there.
 Whatever a lookup locates, node cell or edge, comes back as one slot shape,
 ``(table, key_bucket, items, index)``; an item kept in a plain list (the
 inline slots and both overflow lists) has the slot ``(None, None, list,
@@ -60,7 +62,11 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GraphParams:
-    """Tuning knobs; the defaults are the tuned operating point."""
+    """Tuning knobs; the defaults are the tuned operating point.
+
+    ``node_seeds`` and ``adj_seeds`` each seed one level's ``HashPair``:
+    both seeds of a pair feed its one hash pass, so they must differ.
+    """
 
     cells_per_bucket: int = 8
     expand_at: float = 0.9
@@ -325,21 +331,21 @@ class CuckooGraph:
             scans = 1
         if cell is None:
             return None, None, None, scans, uh, None
-        vh = None
         if cell.chain is None:
             inline = cell.inline
             if self._weighted:
                 for i, item in enumerate(inline):
                     if item[0] == v:
-                        return cell, cslot, (None, None, inline, i), scans, uh, vh
+                        return cell, cslot, (None, None, inline, i), scans, uh, None
             elif v in inline:
                 return (cell, cslot, (None, None, inline, inline.index(v)),
-                        scans, uh, vh)
-        else:
-            vh = self._adj_hash.pair(v)
-            slot = find_slot(cell.chain.tables, v, vh[0], vh[1])
-            if slot is not None:
-                return cell, cslot, slot, scans, uh, vh
+                        scans, uh, None)
+            # only chained sources own edge overflow rows: nothing to scan
+            return cell, cslot, None, scans, uh, None
+        vh = self._adj_hash.pair(v)
+        slot = find_slot(cell.chain.tables, v, vh[0], vh[1])
+        if slot is not None:
+            return cell, cslot, slot, scans, uh, vh
         scans += 1
         adj_dl = self._adj_dl
         for i, row in enumerate(adj_dl):
@@ -354,6 +360,8 @@ class CuckooGraph:
         """Insert the directed edge u->v; duplicates increment w in weighted mode."""
         if weight < 1:
             raise ValueError("weight must be >= 1")
+        if (u | v) >> 64:
+            raise ValueError(f"node ids must be in [0, 2**64), got {u}, {v}")
         cell, _, slot, _, uh, vh = self._locate_edge(u, v)
         if slot is not None:
             if not self._weighted:
@@ -592,6 +600,8 @@ class CuckooGraph:
                         dests.add(e[0])
             for (du, dv) in dl_by_edge:
                 if du == cell.node:
+                    assert cell.chain is not None, \
+                        f"inline node {du} owns an edge overflow row"
                     assert dv not in dests, f"edge {(du, dv)} in table and overflow"
                     dests.add(dv)
             assert len(dests) == cell.count, \

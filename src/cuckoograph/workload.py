@@ -10,8 +10,8 @@ import numpy as np
 def read_edge_file(path):
     """Parse whitespace-separated "u v" or "u v w" lines.
 
-    Lines starting with '#' or '%' are comments. Malformed lines raise
-    with their line number.
+    Lines starting with '#' or '%' are comments. Malformed lines, and
+    values outside ``[0, 2^64)``, raise with their line number.
     """
     edges = []
     with open(path) as fh:
@@ -28,8 +28,11 @@ def read_edge_file(path):
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-integer field in "
                                  f"{line!r}") from None
-            if any(x < 0 for x in nums):
+            if min(nums) < 0:
                 raise ValueError(f"{path}:{lineno}: negative value in {line!r}")
+            if max(nums) >> 64:
+                raise ValueError(f"{path}:{lineno}: value of 2**64 or more "
+                                 f"in {line!r}")
             if len(nums) == 3 and nums[2] < 1:
                 raise ValueError(f"{path}:{lineno}: weight must be >= 1")
             edges.append(tuple(nums))

@@ -30,6 +30,14 @@ class TestIngest:
         with pytest.raises(ValueError, match="fields"):
             workload.read_edge_file(p)
 
+    def test_id_of_2_pow_64_reports_lineno(self, tmp_path):
+        p = tmp_path / "big.txt"
+        p.write_text(f"{1 << 64} 1\n")
+        with pytest.raises(ValueError, match=":1:.*2\\*\\*64"):
+            workload.read_edge_file(p)
+        p.write_text(f"0 {(1 << 64) - 1}\n")
+        assert workload.read_edge_file(p) == [(0, (1 << 64) - 1)]
+
 
 class TestGenerators:
     def test_sparse_constant_out_degree(self):

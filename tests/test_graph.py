@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,18 @@ class TestBasicOps:
         g = CuckooGraph(GraphParams())
         assert g.successors(404) == set()
 
+    @pytest.mark.parametrize("u, v", [(1 << 64, 1), (1, 1 << 64), (-1, 1),
+                                      ((3 << 64) | 5, 5)],
+                             ids=["source", "destination", "negative", "alias"])
+    def test_ids_outside_64_bits_are_rejected(self, u, v):
+        # ids that agree mod 2**64 would share both buckets at every size
+        g = CuckooGraph(GraphParams())
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            g.insert_edge(u, v)
+        assert g.stats().edges == 0
+        g.insert_edge((1 << 64) - 1, 0)
+        assert g.query_edge((1 << 64) - 1, 0) is True
+
     def test_successors_inline(self):
         g = CuckooGraph(GraphParams())
         g.insert_edge(1, 10)
@@ -120,7 +133,7 @@ class TestDenylists:
         for v in range(10):
             g.insert_edge(0, v)
         crowd = []
-        for u in range(1, 40):
+        for u in range(1, 1000):
             g.insert_edge(u, 1000 + u)
             crowd.append(u)
             if g._node_dl:
@@ -134,6 +147,28 @@ class TestDenylists:
         for u in crowd:
             assert g.query_edge(u, 1000 + u) is True
         g.check_invariants()
+
+    def test_misses_on_inline_sources_skip_the_edge_overflow_list(self):
+        # only sources with an adjacency chain own edge overflow rows
+        g = CuckooGraph(tiny_params())
+        v = 0
+        while g.stats().adj_dl_len == 0:
+            v += 1
+            g.insert_edge(0, v)
+        g.insert_edge(1, 2)
+        assert g.adjacency_lengths(1) is None
+        assert g.query_edge(1, 3) is False
+        assert g.stats().counters["max_query_dl_scans"] == 0
+        assert g.query_edge(0, 10**6) is False
+        assert g.stats().counters["max_query_dl_scans"] == 1
+        g.check_invariants()
+
+    def test_audit_rejects_an_overflow_row_under_an_inline_source(self):
+        g = CuckooGraph(GraphParams())
+        g.insert_edge(1, 2)
+        g._adj_dl.append([1, 3])
+        with pytest.raises(AssertionError, match="inline node 1"):
+            g.check_invariants()
 
 
 class TestDeletion:
@@ -244,15 +279,23 @@ class TestWeighted:
         while g.stats().adj_dl_len == 0:
             v += 1
             insert(hub, v)
+        # a few sources before the crowd, so one is left inline whichever
+        # cells the crowd pushes out; crowd on while the hub's own cell is
+        # among them
+        sources = list(range(10_000, 10_004))
+        for x in sources:
+            insert(x, 1000 + x)
         u = 0
-        while g.stats().node_dl_len == 0:
+        while (g.stats().node_dl_len == 0
+               or any(cell.node == hub for cell in g._node_dl)):
             u += 1
             insert(u, 1000 + u)
+            sources.append(u)
         assert g.adjacency_lengths(hub) is not None
         spilled = sorted(row[1] for row in g._adj_dl if row[0] == hub)
         tabled = sorted(x for x, _ in g.successors(hub) if x not in spilled)
         crowded = g._node_dl[0].node
-        plain = next(x for x in range(1, u)
+        plain = next(x for x in sources
                      if x != crowded and _location(g, x, 1000 + x) == "inline")
         cases = [("adj_dl", (hub, spilled[0])),
                  ("adj_table", (hub, tabled[0])),
@@ -412,7 +455,62 @@ def test_thousand_destinations_match_oracle():
     assert g.stats().edges == ref.edge_count
 
 
+def _strided_sources(k):
+    return [(i << k, j) for i in range(30_000) for j in range(3)]
+
+
+def _strided_destinations(k):
+    return [(u, j << k) for u in range(200) for j in range(200)]
+
+
+def _grid_sources(s):
+    return [((i << s) + j, 0) for i in range(200) for j in range(200)]
+
+
+def _grid_destinations(s):
+    return [(u, (i << s) + j) for u in range(10)
+            for i in range(60) for j in range(60)]
+
+
+STRUCTURED_KEYS = {
+    **{f"strided-sources-2^{k}": partial(_strided_sources, k)
+       for k in (16, 40, 48)},
+    **{f"strided-destinations-2^{k}": partial(_strided_destinations, k)
+       for k in (16, 40, 48)},
+    **{f"grid-sources-{s}": partial(_grid_sources, s) for s in (8, 16, 32, 40)},
+    **{f"grid-destinations-{s}": partial(_grid_destinations, s)
+       for s in (8, 16, 32, 40)},
+    "zipf": partial(generate_synthetic, "zipf", 20_000, 100_000, 1),
+}
+
+
+def _assert_placements_bounded(g, min_events):
+    c = g.stats().counters
+    for level in ("node", "adj"):
+        events = c[level]["insert_events"]
+        if events >= min_events:
+            ratio = c[level]["placements"] / events
+            assert ratio <= 1.2, f"{level}: {ratio:.3f} placements per insert event"
+    cap = g.params.denylist_cap
+    assert c["ldl_peak"] < cap, f"node overflow peak {c['ldl_peak']}"
+    assert c["sdl_peak"] < cap, f"edge overflow peak {c['sdl_peak']}"
+
+
 class TestBounds:
+    @pytest.mark.parametrize("keys", STRUCTURED_KEYS)
+    def test_structured_keys_keep_placements_bounded(self, keys):
+        # the hash gate: strided ids and 2-D grids are where linear hash
+        # families crowd a few buckets. The bound is checked while
+        # inserting, so a bad hash stops at its first breach instead of
+        # growing the chains until memory runs out.
+        g = CuckooGraph(GraphParams.from_seed(5))
+        for n, (u, v) in enumerate(STRUCTURED_KEYS[keys](), start=1):
+            g.insert_edge(u, v)
+            if n % 500 == 0:
+                _assert_placements_bounded(g, min_events=1000)
+        _assert_placements_bounded(g, min_events=1)
+        g.check_invariants()
+
     @pytest.mark.parametrize("seed", range(3))
     def test_skewed_inserts_keep_adjacency_placements_bounded(self, seed):
         # zipf out-degrees push many adjacency chains through their merges
