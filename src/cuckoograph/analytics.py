@@ -42,13 +42,17 @@ def _succ_ids(graph, u):
 
 
 def adjacency_view(graph):
-    """Successor-id sets for every endpoint node (plain dict snapshot)."""
+    """Successor-id sets for every endpoint node (plain dict snapshot).
+
+    Built from one ``out_lists`` walk of the store: no node is looked up.
+    """
+    weighted = graph.params.weighted
     adj = {}
-    for u in graph.nodes():
-        vs = _succ_ids(graph, u)
-        adj.setdefault(u, set()).update(vs)
-        for v in vs:
-            adj.setdefault(v, set())
+    for u, dests in graph.out_lists():
+        adj[u] = {v for v, _ in dests} if weighted else set(dests)
+    sinks = {v for vs in adj.values() for v in vs if v not in adj}
+    for v in sinks:
+        adj[v] = set()
     return adj
 
 

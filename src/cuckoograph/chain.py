@@ -145,8 +145,7 @@ class TableChain:
         if t.count >= self.expand_at * t.cap:
             self.advance()
             t = self.tables[-1]
-        _, evicted = t.insert(key, h1, h2, payload)
-        return evicted
+        return t.insert(key, h1, h2, payload)
 
     def advance(self) -> ChainEvent:
         """Perform one grow event and run the grow hook.
@@ -275,8 +274,8 @@ class TableChain:
             for t, limit in limits:
                 if t.count >= limit:
                     continue
-                _, homeless = t.insert(homeless[0], homeless[1], homeless[2],
-                                       homeless[3])
+                homeless = t.insert(homeless[0], homeless[1], homeless[2],
+                                    homeless[3])
                 if homeless is None:
                     break
             if homeless is not None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 Entry = tuple  # (key, h1, h2, payload)
 
 
-def _is_pow2(n: int) -> bool:
+def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
@@ -39,7 +39,7 @@ class TableShape:
         if self.len_minor < 1 or self.len_major != 2 * self.len_minor:
             raise ValueError(f"arrays must keep a 2:1 bucket ratio, got "
                              f"{self.len_major}:{self.len_minor}")
-        if not _is_pow2(self.len_major):
+        if not is_pow2(self.len_major):
             raise ValueError(f"bucket counts must be powers of two, got "
                              f"{self.len_major}")
         if self.cells_per_bucket < 1:
@@ -128,10 +128,10 @@ class CuckooTable:
     def insert(self, key, h1, h2, payload):
         """Insert a key known to be absent.
 
-        Returns ``(attempts, evicted)``: attempts is the number of cell
-        placements performed (>= 1); evicted is None when the entry (and
-        any displaced residents) settled, else the one entry left homeless
-        after the kick budget (``max_kicks``) ran out.
+        Returns None when the entry (and any displaced residents) settled,
+        else the one entry left homeless after the kick budget
+        (``max_kicks``) ran out. Every cell placement is counted in the
+        level's ``placements``.
         """
         st = self._stats
         st.insert_events += 1
@@ -145,7 +145,7 @@ class CuckooTable:
             self.count += 1
             st.entries += 1
             st.placements += 1
-            return 1, None
+            return None
         vfirst = self.v1[i]
         st.bucket_probes += 1
         i = h2 & self.mask_minor
@@ -156,7 +156,7 @@ class CuckooTable:
             self.count += 1
             st.entries += 1
             st.placements += 1
-            return 1, None
+            return None
         # both candidates full: displacement walk starting in the major array
         cur = (key, h1, h2, payload)
         kb, vb = kfirst, vfirst
@@ -187,10 +187,10 @@ class CuckooTable:
                 st.placements += 1
                 self.count += 1
                 st.entries += 1
-                return kicks + 1, None
+                return None
             if kicks >= max_kicks:
                 # net entry count unchanged: newcomer in, this one out
-                return kicks, cur
+                return cur
 
     def clear_slot(self, kb, vb, j):
         """Free one already-located cell (swap-remove, order is irrelevant)."""

@@ -19,21 +19,32 @@ inline slots and both overflow lists) has the slot ``(None, None, list,
 index)``. A weight is always the last field of its item: ``[v, w]``
 inline, ``[u, v, w]`` in the edge overflow list, ``(v, h1, h2, w)`` in a
 table.
+
+A cell's destinations are read in one place, ``_dests``: its inline
+slots, or its chain's key lists (entries when weighted) plus the edge
+overflow rows it owns. ``out_lists`` walks the node chain once, feeding
+every cell to that reader with the rows grouped by owner once; iteration,
+the analytics snapshot and the audit read through it, so none re-probes a
+node it has walked past.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
 from .chain import MAX_TABLES, MIN_TABLE_LEN, TableChain, lengths_for_step
-from .cuckoo_table import CuckooTable, LevelCounters, TableShape, find_slot
+from .cuckoo_table import CuckooTable, LevelCounters, TableShape, find_slot, is_pow2
 from .hashing import HashPair, mix64
+from .workload import write_edge_file
 
 NODE_BYTES = 8
 TABLE_HEADER_BYTES = 48
+
+_flatten = itertools.chain.from_iterable
 
 
 class CapacityExhausted(RuntimeError):
@@ -54,10 +65,6 @@ _INSERTED = InsertResult("inserted", None)
 _DUPLICATE = InsertResult("duplicate", None)
 _DELETED = DeleteResult("deleted", None)
 _ABSENT = DeleteResult("absent", None)
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,8 @@ class GraphParams:
             raise ValueError("contract_at must satisfy 0 < contract_at <= (2/3) * expand_at")
         if self.kick_budget < 1:
             raise ValueError("kick_budget must be >= 1")
-        if not _is_pow2(self.node_table_len) or not _is_pow2(self.adj_table_len):
+        if not all(n >= 2 and is_pow2(n)
+                   for n in (self.node_table_len, self.adj_table_len)):
             raise ValueError("initial table lengths must be powers of two >= 2")
         if self.denylist_cap < 1:
             raise ValueError("denylist_cap must be >= 1")
@@ -229,7 +237,7 @@ class CuckooGraph:
         newest = chain.tables[-1]
         for cell in pending:
             h1, h2 = self._node_hash.pair(cell.node)
-            _, homeless = newest.insert(cell.node, h1, h2, cell)
+            homeless = newest.insert(cell.node, h1, h2, cell)
             if homeless is None:
                 self._movements += 1
             else:
@@ -248,7 +256,7 @@ class CuckooGraph:
                 continue
             h1, h2 = self._adj_hash.pair(row[1])
             payload = row[2] if self._weighted else None
-            _, homeless = newest.insert(row[1], h1, h2, payload)
+            homeless = newest.insert(row[1], h1, h2, payload)
             if homeless is None:
                 self._movements += 1
             else:
@@ -269,7 +277,7 @@ class CuckooGraph:
             return
         self._node_chain.advance()
         h1, h2 = self._node_hash.pair(cell.node)
-        _, homeless = self._node_chain.tables[-1].insert(cell.node, h1, h2, cell)
+        homeless = self._node_chain.tables[-1].insert(cell.node, h1, h2, cell)
         if homeless is None:
             return
         if len(self._node_dl) < self.params.denylist_cap:
@@ -285,7 +293,7 @@ class CuckooGraph:
             return
         chain = cell.chain
         chain.advance()
-        _, homeless = chain.tables[-1].insert(entry[0], entry[1], entry[2], entry[3])
+        homeless = chain.tables[-1].insert(entry[0], entry[1], entry[2], entry[3])
         if homeless is None:
             return
         if len(self._adj_dl) < self.params.denylist_cap:
@@ -437,52 +445,41 @@ class CuckooGraph:
         cell = self._find_cell(u)
         if cell is None:
             return set()
-        weighted = self._weighted
-        if cell.chain is None:
-            if weighted:
-                return {(item[0], item[1]) for item in cell.inline}
-            return set(cell.inline)
-        out = set()
-        for t in cell.chain.tables:
-            for e in t.entries():
-                out.add((e[0], e[3]) if weighted else e[0])
+        if cell.chain is None and not self._weighted:
+            return set(cell.inline)   # no list copy: BFS calls this per node
+        return set(self._dests(cell))
+
+    def out_lists(self):
+        """Iterate (u, destinations) once per stored source, in one walk.
+
+        Destinations come as a fresh list of ids, or of (v, w) pairs in
+        weighted mode; no node is hashed or probed.
+        """
+        by_owner = {}
         for row in self._adj_dl:
-            if row[0] == u:
-                out.add((row[1], row[2]) if weighted else row[1])
-        return out
+            by_owner.setdefault(row[0], []).append(row)
+        dests = self._dests
+        for cell in self._iter_cells():
+            yield cell.node, dests(cell, by_owner.get(cell.node, ()))
 
     def nodes(self):
         """Iterate every stored source node."""
-        for t in self._node_chain.tables:
-            for e in t.entries():
-                yield e[0]
-        for cell in self._node_dl:
-            yield cell.node
+        return (cell.node for cell in self._iter_cells())
 
     def iter_edges(self):
         """Iterate distinct edges as (u, v) or (u, v, w) tuples."""
-        weighted = self._weighted
-        dl_by_u = {}
-        for row in self._adj_dl:
-            dl_by_u.setdefault(row[0], []).append(row)
-        for cell in self._iter_cells():
-            u = cell.node
-            if cell.chain is None:
-                for item in cell.inline:
-                    yield (u, item[0], item[1]) if weighted else (u, item)
-            else:
-                for t in cell.chain.tables:
-                    for e in t.entries():
-                        yield (u, e[0], e[3]) if weighted else (u, e[0])
-                for row in dl_by_u.get(u, ()):
-                    yield tuple(row)
+        if self._weighted:
+            for u, dests in self.out_lists():
+                for v, w in dests:
+                    yield u, v, w
+        else:
+            for u, dests in self.out_lists():
+                for v in dests:
+                    yield u, v
 
     def export_edges(self, path):
         """Write the deduplicated edge list as text lines."""
-        with open(path, "w") as fh:
-            for edge in self.iter_edges():
-                fh.write(" ".join(str(x) for x in edge))
-                fh.write("\n")
+        write_edge_file(path, self.iter_edges())
 
     def stats(self) -> GraphStats:
         p = self.params
@@ -547,22 +544,16 @@ class CuckooGraph:
         seen_nodes = {}
         for t in self._node_chain.tables:
             n_found = 0
-            for bi, bucket in enumerate(t.v1):
-                assert len(bucket) <= t.d, "bucket over capacity"
-                assert t.k1[bi] == [e[0] for e in bucket], "key mirror drift"
-                for e in bucket:
-                    assert e[1] & t.mask_major == bi, "entry outside candidate bucket"
-                    n_found += 1
-                    assert e[0] not in seen_nodes, f"node {e[0]} stored twice"
-                    seen_nodes[e[0]] = e[3]
-            for bi, bucket in enumerate(t.v2):
-                assert len(bucket) <= t.d, "bucket over capacity"
-                assert t.k2[bi] == [e[0] for e in bucket], "key mirror drift"
-                for e in bucket:
-                    assert e[2] & t.mask_minor == bi, "entry outside candidate bucket"
-                    n_found += 1
-                    assert e[0] not in seen_nodes, f"node {e[0]} stored twice"
-                    seen_nodes[e[0]] = e[3]
+            for hi, mask, keys, buckets in ((1, t.mask_major, t.k1, t.v1),
+                                            (2, t.mask_minor, t.k2, t.v2)):
+                for bi, bucket in enumerate(buckets):
+                    assert len(bucket) <= t.d, "bucket over capacity"
+                    assert keys[bi] == [e[0] for e in bucket], "key mirror drift"
+                    for e in bucket:
+                        assert e[hi] & mask == bi, "entry outside candidate bucket"
+                        n_found += 1
+                        assert e[0] not in seen_nodes, f"node {e[0]} stored twice"
+                        seen_nodes[e[0]] = e[3]
             assert n_found == t.count, "table count drift"
         for cell in self._node_dl:
             assert cell.node not in seen_nodes, f"node {cell.node} in table and overflow"
@@ -571,41 +562,27 @@ class CuckooGraph:
         assert self._node_chain.lengths() == tuple(
             max(MIN_TABLE_LEN, x) for x in _schedule_row(self._node_chain)), \
             "node chain off schedule"
-        dl_by_edge = {}
-        for row in self._adj_dl:
-            key = (row[0], row[1])
-            assert key not in dl_by_edge, f"edge {key} duplicated in overflow"
-            dl_by_edge[key] = row
+        # out_lists only hands a row to its owner's cell: check the owners
+        for u in {row[0] for row in self._adj_dl}:
+            assert u in seen_nodes, f"edge overflow row under unstored node {u}"
+            assert seen_nodes[u].chain is not None, \
+                f"inline node {u} owns an edge overflow row"
         total_edges = 0
         inline_total = 0
-        for cell in seen_nodes.values():
-            assert cell.node in seen_nodes
-            dests = set()
-            if cell.chain is None:
+        for u, dests in self.out_lists():
+            cell = seen_nodes[u]
+            ids = {d[0] for d in dests} if self._weighted else set(dests)
+            assert len(ids) == len(dests), f"duplicate destination under node {u}"
+            assert len(dests) == cell.count, f"cell count drift for node {u}"
+            chain = cell.chain
+            if chain is None:
                 assert len(cell.inline) <= self._inline_cap, "inline overflow"
-                for item in cell.inline:
-                    v = item[0] if self._weighted else item
-                    assert v not in dests, f"duplicate destination {v}"
-                    dests.add(v)
-                inline_total += len(cell.inline)
+                inline_total += cell.count
             else:
-                chain = cell.chain
                 assert len(chain.tables) <= MAX_TABLES, "chain too long"
                 assert chain.lengths() == tuple(
                     max(MIN_TABLE_LEN, x) for x in _schedule_row(chain)), \
                     "adjacency chain off schedule"
-                for t in chain.tables:
-                    for e in t.entries():
-                        assert e[0] not in dests, f"duplicate destination {e[0]}"
-                        dests.add(e[0])
-            for (du, dv) in dl_by_edge:
-                if du == cell.node:
-                    assert cell.chain is not None, \
-                        f"inline node {du} owns an edge overflow row"
-                    assert dv not in dests, f"edge {(du, dv)} in table and overflow"
-                    dests.add(dv)
-            assert len(dests) == cell.count, \
-                f"cell count drift for node {cell.node}"
             total_edges += cell.count
         assert total_edges == self._edge_count, "edge count drift"
         assert inline_total == self._inline_edges, "inline count drift"
@@ -659,29 +636,46 @@ class CuckooGraph:
             return
         if chain.entry_count() >= chain.contract_at * chain.capacity():
             return
-        items = []
-        for t in chain.tables:
-            for e in t.entries():
-                items.append([e[0], e[3]] if self._weighted else e[0])
-            t.dispose()
-        kept = []
-        for row in self._adj_dl:
-            if row[0] == cell.node:
-                items.append([row[1], row[2]] if self._weighted else row[1])
-            else:
-                kept.append(row)
-        self._adj_dl = kept
-        cell.chain = None
-        cell.inline = items
+        items = self._dests(cell)
+        self._drop_chain(cell)
+        cell.inline = [list(item) for item in items] if self._weighted else items
         self._inline_edges += len(items)
         self._movements += len(items)
+
+    def _dests(self, cell, rows=None):
+        """The one reader of a cell's destinations, as a fresh list.
+
+        Ids, or (v, w) pairs when weighted: the inline slots, or the chain
+        tables followed by the edge overflow rows the cell owns. ``rows``
+        passes those rows in when the caller grouped them already.
+        """
+        if cell.chain is None:
+            if self._weighted:
+                return [(v, w) for v, w in cell.inline]
+            return cell.inline[:]
+        if rows is None:
+            u = cell.node
+            rows = [row for row in self._adj_dl if row[0] == u]
+        if self._weighted:
+            buckets = [b for t in cell.chain.tables for b in (t.v1, t.v2)]
+            return ([(e[0], e[3]) for e in _flatten(_flatten(buckets))]
+                    + [(row[1], row[2]) for row in rows])
+        buckets = [b for t in cell.chain.tables for b in (t.k1, t.k2)]
+        return list(_flatten(_flatten(buckets))) + [row[1] for row in rows]
+
+    def _drop_chain(self, cell):
+        """Release cell's adjacency chain and the edge overflow rows it owns."""
+        for t in cell.chain.tables:
+            t.dispose()
+        cell.chain = None
+        if self._adj_dl:
+            u = cell.node
+            self._adj_dl = [row for row in self._adj_dl if row[0] != u]
 
     def _clear_cell(self, cell, cslot):
         """Drop an emptied cell through the slot its lookup found."""
         if cell.chain is not None:
-            for t in cell.chain.tables:
-                t.dispose()
-            cell.chain = None
+            self._drop_chain(cell)
         _remove(cslot)
         self._node_count -= 1
         table = cslot[0]

@@ -5,6 +5,7 @@ import pytest
 
 from cuckoograph import CuckooGraph, GraphParams, analytics, oracle
 from cuckoograph.analytics import TaskSpec
+from cuckoograph.hashing import HashPair
 from cuckoograph.oracle import OracleGraph
 
 
@@ -20,6 +21,30 @@ def build_pair(edges, weighted=False):
 def random_edges(seed, nodes=60, count=180):
     rnd = random.Random(seed)
     return {(rnd.randrange(nodes), rnd.randrange(nodes)) for _ in range(count)}
+
+
+def count_reads(g, monkeypatch):
+    """Count g's successors calls and all key hashing; log every cell read."""
+    calls = {"successors": 0, "pair": 0}
+    read = []
+    successors, dests, pair = g.successors, g._dests, HashPair.pair
+
+    def counted_successors(u):
+        calls["successors"] += 1
+        return successors(u)
+
+    def counted_pair(self, key):
+        calls["pair"] += 1
+        return pair(self, key)
+
+    def logged_dests(cell, rows=None):
+        read.append(cell.node)
+        return dests(cell, rows)
+
+    g.successors = counted_successors
+    g._dests = logged_dests
+    monkeypatch.setattr(HashPair, "pair", counted_pair)
+    return calls, read
 
 
 THREE_CYCLE = [(1, 2), (2, 3), (3, 1)]
@@ -42,13 +67,26 @@ class TestSelection:
         g, ref = build_pair(edges)
         assert analytics.select_top_degree(g, 15) == oracle.top_degree(ref, 15)
 
-    def test_walks_each_stored_source_once(self):
-        g, _ = build_pair(random_edges(3))
-        calls = []
-        successors = g.successors
-        g.successors = lambda u: calls.append(u) or successors(u)
+    def test_walks_each_stored_source_once(self, monkeypatch):
+        # the hub's destinations sit in a chain, the others' inline
+        g, _ = build_pair(random_edges(3) | {(0, v) for v in range(100, 140)})
+        succ, read = count_reads(g, monkeypatch)
         analytics.select_top_degree(g, 5)
-        assert sorted(calls) == sorted(g.nodes())
+        assert succ == {"successors": 0, "pair": 0}
+        assert sorted(read) == sorted(g.nodes())
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_snapshot_reads_cells_without_lookups(self, weighted, monkeypatch):
+        edges = random_edges(4) | {(0, v) for v in range(100, 140)}
+        g, ref = build_pair(edges, weighted)
+        succ, read = count_reads(g, monkeypatch)
+        adj = analytics.adjacency_view(g)
+        assert succ == {"successors": 0, "pair": 0}
+        assert sorted(read) == sorted(g.nodes())
+        want = {u: set() for e in edges for u in e[:2]}
+        for u, v in edges:
+            want[u].add(v)
+        assert adj == want
 
     def test_oversized_k_rejected(self):
         g, _ = build_pair(PATH)

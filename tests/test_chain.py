@@ -342,7 +342,7 @@ class TestContract:
         k = 0
         while chain.entry_count() + 1 < chain.contract_at * chain.capacity():
             h1, h2 = HP.pair(k)
-            assert big.insert(k, h1, h2, None)[1] is None
+            assert big.insert(k, h1, h2, None) is None
             k += 1
         assert chain.should_contract()
         before = sorted(chain_keys(chain))
@@ -383,7 +383,7 @@ class TestContract:
         spread = [k for k in range(20000) if HP.pair(k)[0] & 3 != 3][:119]
         for k in spread + crowd:
             h1, h2 = HP.pair(k)
-            assert big.insert(k, h1, h2, None)[1] is None
+            assert big.insert(k, h1, h2, None) is None
         assert chain.should_contract()
         event = chain.contract(big)
         assert event.rebuilt

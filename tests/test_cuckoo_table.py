@@ -50,9 +50,9 @@ class TestShape:
 
 class TestInsertLookup:
     def test_insert_into_empty_places_first_try(self):
-        t, _, hp = make_table()
-        attempts, evicted = ins(t, hp, 42, "p")
-        assert attempts == 1 and evicted is None
+        t, stats, hp = make_table()
+        assert ins(t, hp, 42, "p") is None
+        assert stats.placements == 1
         assert find(t, hp, 42)[3] == "p"
 
     def test_lookup_absent_in_empty(self):
@@ -69,18 +69,18 @@ class TestInsertLookup:
 
     def test_eviction_moves_to_alternate_and_stays_findable(self):
         # d=1 so a second key sharing the major bucket forces one eviction
-        t, _, hp = make_table(length=4, d=1)
+        t, stats, hp = make_table(length=4, d=1)
         a, b, x = _colliding_triple(hp)
         ins(t, hp, a)
         ins(t, hp, b)
-        attempts, evicted = ins(t, hp, x)
-        assert evicted is None
-        assert attempts == 2
+        before = stats.placements
+        assert ins(t, hp, x) is None
+        assert stats.placements - before == 2
         for key in (a, b, x):
             assert find(t, hp, key) is not None
 
     def test_failed_insert_returns_exactly_one_entry(self):
-        t, _, hp = make_table(length=2, d=2, max_kicks=200)
+        t, stats, hp = make_table(length=2, d=2, max_kicks=200)
         filled = _fill_to_capacity(t, hp)
         # exhaustive check: genuinely no empty cell remains
         assert t.count == t.shape.capacity == 6
@@ -88,9 +88,10 @@ class TestInsertLookup:
         newcomer = max(filled) + 1
         before = t.count
         t.max_kicks = 1
-        attempts, evicted = ins(t, hp, newcomer)
+        placed = stats.placements
+        evicted = ins(t, hp, newcomer)
         assert evicted is not None
-        assert attempts == 1
+        assert stats.placements - placed == 1
         assert t.count == before
         survivors = {e[0] for e in t.entries()}
         assert len(survivors) == before
@@ -139,7 +140,7 @@ class TestDrainAndDeterminism:
                 assert remove(t, hp, k)
                 shadow.discard(k)
             else:
-                _, evicted = ins(t, hp, k)
+                evicted = ins(t, hp, k)
                 shadow.add(k)
                 if evicted is not None:
                     shadow.discard(evicted[0])
@@ -170,7 +171,7 @@ class TestDrainAndDeterminism:
         t, stats, hp = make_table(length=2, d=2, max_kicks=5)
         for k in range(200):
             before = stats.evictions
-            _, _ = ins(t, hp, k)
+            ins(t, hp, k)
             assert stats.evictions - before <= 5
 
 
@@ -212,7 +213,7 @@ def _fill_to_capacity(t, hp):
     key = 0
     while t.count < t.shape.capacity and key < 10000:
         if key not in filled:
-            _, evicted = ins(t, hp, key)
+            evicted = ins(t, hp, key)
             filled.add(key)
             if evicted is not None:
                 filled.discard(evicted[0])

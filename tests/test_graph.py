@@ -4,8 +4,10 @@ from functools import partial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
-from cuckoograph import CuckooGraph, GraphParams, OracleGraph
+from cuckoograph import CuckooGraph, GraphParams, OracleGraph, analytics, oracle
 from cuckoograph.graph import NodeCell
 from cuckoograph.workload import generate_synthetic
 
@@ -168,6 +170,13 @@ class TestDenylists:
         g.insert_edge(1, 2)
         g._adj_dl.append([1, 3])
         with pytest.raises(AssertionError, match="inline node 1"):
+            g.check_invariants()
+
+    def test_audit_rejects_an_overflow_row_without_a_stored_owner(self):
+        g = CuckooGraph(GraphParams())
+        g.insert_edge(1, 2)
+        g._adj_dl.append([99, 3])
+        with pytest.raises(AssertionError, match="unstored node 99"):
             g.check_invariants()
 
 
@@ -441,6 +450,85 @@ def test_differential_default_params_random_run(seed):
             assert g.delete_edge(u, v).status == ref.delete(u, v)[0]
     assert set(g.iter_edges()) == ref.edge_set()
     g.check_invariants()
+
+
+class GraphMachine(RuleBasedStateMachine):
+    """Operation streams on tiny tables, checked against the oracle after
+    every step. Bursts on one source promote it to a chain and push rows
+    into the edge overflow list; draining it demotes it again, and many
+    sources crowd the node tables into the node overflow list."""
+
+    weighted = False
+    sources = st.integers(0, 40)
+    dests = st.integers(0, 40)
+
+    def __init__(self):
+        super().__init__()
+        self.g = CuckooGraph(tiny_params(weighted=self.weighted))
+        self.ref = OracleGraph(weighted=self.weighted)
+        self.touched = set()
+
+    def _insert(self, u, v, w=1):
+        assert tuple(self.g.insert_edge(u, v, w)) == self.ref.insert(u, v, w)
+        self.touched.add(u)
+
+    def _delete(self, u, v):
+        assert tuple(self.g.delete_edge(u, v)) == self.ref.delete(u, v)
+        self.touched.add(u)
+
+    @rule(u=sources, v=dests, w=st.integers(1, 3))
+    def insert(self, u, v, w):
+        self._insert(u, v, w)   # an unweighted store ignores w
+
+    @rule(u=sources, v=dests)
+    def delete(self, u, v):
+        self._delete(u, v)
+
+    @precondition(lambda self: self.ref.adj)
+    @rule(data=st.data())
+    def delete_stored(self, data):
+        u, v, *_ = data.draw(st.sampled_from(sorted(self.ref.edges())))
+        self._delete(u, v)
+
+    @rule(u=st.integers(0, 3), first=dests, n=st.integers(8, 40))
+    def burst(self, u, first, n):
+        for v in range(first, first + n):
+            self._insert(u, v)
+
+    @rule(u=st.integers(0, 3), keep=st.integers(0, 2))
+    def drain(self, u, keep):
+        for v in sorted(self.ref.adj.get(u, ()))[keep:]:
+            while self.ref.query(u, v):
+                self._delete(u, v)
+
+    @rule(u=sources, v=dests)
+    def query(self, u, v):
+        assert self.g.query_edge(u, v) == self.ref.query(u, v)
+
+    @rule(u=sources)
+    def successors(self, u):
+        assert self.g.successors(u) == self.ref.successors(u)
+
+    @invariant()
+    def agrees_with_oracle(self):
+        g, ref = self.g, self.ref
+        for u in self.touched:
+            assert g.successors(u) == ref.successors(u), u
+        assert set(g.iter_edges()) == ref.edge_set()
+        assert analytics.adjacency_view(g) == oracle._plain_adj(ref)
+        g.check_invariants()
+
+
+class WeightedGraphMachine(GraphMachine):
+    weighted = True
+
+
+_machine_settings = settings(max_examples=60, stateful_step_count=40,
+                             deadline=None)
+TestGraphMachine = GraphMachine.TestCase
+TestGraphMachine.settings = _machine_settings
+TestWeightedGraphMachine = WeightedGraphMachine.TestCase
+TestWeightedGraphMachine.settings = _machine_settings
 
 
 def test_thousand_destinations_match_oracle():
