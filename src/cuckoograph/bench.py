@@ -8,8 +8,9 @@ Phases are given as compact strings:
     mixed:RI,RQ,RD:COUNT      random op mix over the node universe
     task:NAME[:TOP_K]         one analytics task (bfs sssp tc cc pr bc lcc)
 
-The CSV has one summary row per phase plus "mem:" rows carrying the
-structure-accounted byte samples taken every ``mem_interval`` operations.
+The CSV has one summary row per phase. Timed loops do nothing per
+operation beyond the graph call; the structure-accounted bytes are read
+once, after each phase.
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ class PhaseResult:
 
 
 @dataclass(frozen=True)
-class MemSample:
-    phase: str
-    ops: int
-    bytes: int
-
-
-@dataclass(frozen=True)
 class Workload:
     dataset: str | None = None
     phases: tuple = ("insert", "query")
@@ -58,6 +52,7 @@ class Workload:
     seed: int = 0
     top_k: int = 10
     delete_order: str = "insertion"
+    # accepted so that existing callers keep working; it has no effect
     mem_interval: int = 100_000
 
     def __post_init__(self):
@@ -72,7 +67,6 @@ class Workload:
 @dataclass(frozen=True)
 class Report:
     phases: tuple
-    samples: tuple
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -82,29 +76,22 @@ class Report:
                 writer.writerow([p.phase, p.ops, p.elapsed_ns, repr(p.mops),
                                  p.bytes, p.placements, p.evictions,
                                  p.dl_hits, p.movements])
-            for s in self.samples:
-                writer.writerow([f"mem:{s.phase}", s.ops, 0, repr(0.0),
-                                 s.bytes, 0, 0, 0, 0])
         return path
 
     @classmethod
     def from_csv(cls, path):
-        phases, samples = [], []
+        phases = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             if tuple(header) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV header {header}")
             for row in reader:
-                if row[0].startswith("mem:"):
-                    samples.append(MemSample(row[0][4:], int(row[1]),
-                                             int(row[4])))
-                else:
-                    phases.append(PhaseResult(
-                        row[0], int(row[1]), int(row[2]), float(row[3]),
-                        int(row[4]), int(row[5]), int(row[6]), int(row[7]),
-                        int(row[8])))
-        return cls(tuple(phases), tuple(samples))
+                phases.append(PhaseResult(
+                    row[0], int(row[1]), int(row[2]), float(row[3]),
+                    int(row[4]), int(row[5]), int(row[6]), int(row[7]),
+                    int(row[8])))
+        return cls(tuple(phases))
 
 
 def _parse_phase(spec, workload):
@@ -146,21 +133,6 @@ def _digest(value) -> str:
     return format(acc, "016x")
 
 
-class _PhaseTimer:
-    def __init__(self, graph, mem_interval, samples, phase_name):
-        self.graph = graph
-        self.interval = mem_interval
-        self.samples = samples
-        self.phase = phase_name
-        self.ops = 0
-
-    def tick(self):
-        self.ops += 1
-        if self.interval and self.ops % self.interval == 0:
-            self.samples.append(MemSample(self.phase, self.ops,
-                                          self.graph.stats().bytes_total))
-
-
 def run(workload: Workload) -> Report:
     """Execute every phase in order against a single graph instance."""
     edges = []
@@ -170,22 +142,19 @@ def run(workload: Workload) -> Report:
             edges = dedup_edges(edges)
     graph = CuckooGraph(workload.params)
     phases = []
-    samples = []
     universe = 1 + max((max(e[0], e[1]) for e in edges), default=1 << 16)
     for i, spec in enumerate(workload.phases):
         parsed = _parse_phase(spec, workload)
         name = f"{i}:{spec}"
         before = _counter_totals(graph)
-        timer = _PhaseTimer(graph, workload.mem_interval, samples, name)
+        ops = len(edges)
         start = time.perf_counter_ns()
         if parsed[0] == "insert":
             for e in edges:
                 graph.insert_edge(*e)
-                timer.tick()
         elif parsed[0] == "query":
             for e in edges:
                 graph.query_edge(e[0], e[1])
-                timer.tick()
         elif parsed[0] == "delete":
             order = edges
             if workload.delete_order == "random":
@@ -193,37 +162,34 @@ def run(workload: Workload) -> Report:
                 random.Random(workload.seed).shuffle(order)
             for e in order:
                 graph.delete_edge(e[0], e[1])
-                timer.tick()
         elif parsed[0] == "mixed":
-            _, ratios, count = parsed
-            for op, u, v in mixed_ops(count, ratios, universe, workload.seed):
+            _, ratios, ops = parsed
+            for op, u, v in mixed_ops(ops, ratios, universe, workload.seed):
                 if op == "i":
                     graph.insert_edge(u, v)
                 elif op == "q":
                     graph.query_edge(u, v)
                 else:
                     graph.delete_edge(u, v)
-                timer.tick()
         else:
             result = analytics.run_task(graph, parsed[1])
-            timer.ops = _task_units(result)
+            ops = _task_units(result)
             name = f"{name}@{_digest(result)}"
         elapsed = max(1, time.perf_counter_ns() - start)
         after = _counter_totals(graph)
         stats = graph.stats()
-        samples.append(MemSample(name, timer.ops, stats.bytes_total))
         phases.append(PhaseResult(
             phase=name,
-            ops=timer.ops,
+            ops=ops,
             elapsed_ns=elapsed,
-            mops=timer.ops / elapsed * 1000.0,
+            mops=ops / elapsed * 1000.0,
             bytes=stats.bytes_total,
             placements=after["placements"] - before["placements"],
             evictions=after["evictions"] - before["evictions"],
             dl_hits=after["dl_hits"] - before["dl_hits"],
             movements=after["movements"] - before["movements"],
         ))
-    return Report(tuple(phases), tuple(samples))
+    return Report(tuple(phases))
 
 
 def _counter_totals(graph):

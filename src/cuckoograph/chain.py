@@ -139,7 +139,8 @@ class TableChain:
     def insert(self, key, h1, h2, payload):
         """Insert into the newest table, growing first if it is at threshold.
 
-        Returns the evicted entry when the kick budget ran out, else None.
+        Returns the homeless ``(key, payload)`` when the kick budget ran
+        out, else None.
         """
         t = self.tables[-1]
         if t.count >= self.expand_at * t.cap:
@@ -261,11 +262,13 @@ class TableChain:
     def _transfer(entries, dests, quotas):
         """Place every entry into the destination tables.
 
-        Each entry goes to the first destination still under its quota (a
-        table takes entries while its count is below the quota); a
-        displaced entry tries the next one. An entry that every destination
-        under quota left homeless is offered once more to each destination
-        with a free cell. Returns the entries still homeless after that.
+        Entries are ``(key, payload)`` pairs, rehashed with the receiving
+        table's ``HashPair``. Each entry goes to the first destination still
+        under its quota (a table takes entries while its count is below the
+        quota); a displaced entry tries the next one. An entry that every
+        destination under quota left homeless is offered once more to each
+        destination with a free cell. Returns the entries still homeless
+        after that.
         """
         limits = list(zip(dests, quotas)) + [(t, t.cap) for t in dests]
         homeless_all = []
@@ -274,8 +277,9 @@ class TableChain:
             for t, limit in limits:
                 if t.count >= limit:
                     continue
-                homeless = t.insert(homeless[0], homeless[1], homeless[2],
-                                    homeless[3])
+                key = homeless[0]
+                h1, h2 = t._hash.pair(key)
+                homeless = t.insert(key, h1, h2, homeless[1])
                 if homeless is None:
                     break
             if homeless is not None:

@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted", action="store_true",
                    help="duplicate edges increment a weight")
     p.add_argument("--csv-out", help="write the per-phase CSV here")
-    p.add_argument("--mem-interval", type=int, default=100_000,
-                   help="ops between structure-byte samples")
     p.add_argument("--delete-order", choices=("insertion", "random"),
                    default="insertion")
     return p
@@ -97,7 +95,6 @@ def main(argv=None) -> int:
             seed=seed,
             top_k=args.top_k,
             delete_order=args.delete_order,
-            mem_interval=args.mem_interval,
         )
         report = run(workload)
     except (ValueError, OSError) as exc:

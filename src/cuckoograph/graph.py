@@ -14,18 +14,22 @@ each overflow list is scanned only after its chain missed, and the edge
 overflow list only for a source with an adjacency chain, since only those
 own rows there.
 Whatever a lookup locates, node cell or edge, comes back as one slot shape,
-``(table, key_bucket, items, index)``; an item kept in a plain list (the
-inline slots and both overflow lists) has the slot ``(None, None, list,
-index)``. A weight is always the last field of its item: ``[v, w]``
-inline, ``[u, v, w]`` in the edge overflow list, ``(v, h1, h2, w)`` in a
-table.
+``(table, key_bucket, payload_bucket, index)``; an item kept outside a
+table (the inline slots and both overflow lists) has the slot ``(None,
+None, items, index)``. Tables keep no per-entry object: a node table's
+payload is the ``NodeCell``, a weighted adjacency table's the weight int,
+and an unweighted adjacency table has keys only. The inline slots are an
+immutable tuple, of ids or of ``(v, w)`` pairs when weighted, that every
+insert, delete and weight write replaces; an all-int tuple is one object
+the garbage collector stops tracking. Edge overflow rows are ``[u, v]``
+or ``[u, v, w]`` lists, edited in place.
 
 A cell's destinations are read in one place, ``_dests``: its inline
-slots, or its chain's key lists (entries when weighted) plus the edge
-overflow rows it owns. ``out_lists`` walks the node chain once, feeding
-every cell to that reader with the rows grouped by owner once; iteration,
-the analytics snapshot and the audit read through it, so none re-probes a
-node it has walked past.
+slots, or its chain's key lists (zipped with the weight lists when
+weighted) plus the edge overflow rows it owns. ``out_lists`` walks the
+node chain once, feeding every cell to that reader with the rows grouped
+by owner once; iteration, the analytics snapshot and the audit read
+through it, so none re-probes a node it has walked past.
 """
 
 from __future__ import annotations
@@ -139,13 +143,18 @@ class GraphParams:
 
 
 class NodeCell:
-    """One node-table cell: the source node plus its destination storage."""
+    """One node-table cell: the source node plus its destination storage.
+
+    The cell itself is the payload of its node-table entry.
+    """
 
     __slots__ = ("node", "inline", "chain", "count")
 
     def __init__(self, node):
         self.node = node
-        self.inline = []     # destination ids, or [v, w] pairs when weighted
+        # destination ids, or (v, w) pairs when weighted; a tuple that is
+        # replaced, never edited, so an all-int one stays untracked by gc
+        self.inline = ()
         self.chain = None    # TableChain once the inline slots overflowed
         self.count = 0       # live destinations, wherever they are stored
 
@@ -188,10 +197,12 @@ class CuckooGraph:
         self._adj_hash = HashPair(*params.adj_seeds)
         self.node_counters = LevelCounters()
         self.adj_counters = LevelCounters()
-        self._make_adj_table = partial(self._make_table, self.adj_counters)
+        self._make_adj_table = partial(self._make_table, self.adj_counters,
+                                       self._adj_hash, self._weighted)
         self._node_chain = TableChain(
             params.node_table_len, params.expand_at, params.contract_at,
-            make_table=partial(self._make_table, self.node_counters),
+            make_table=partial(self._make_table, self.node_counters,
+                               self._node_hash, True),
             on_grow=self._on_node_grow,
         )
         self._node_dl = []       # complete NodeCell objects
@@ -209,10 +220,11 @@ class CuckooGraph:
 
     # -- table / chain factories ------------------------------------------
 
-    def _make_table(self, counters, length):
+    def _make_table(self, counters, hash_pair, payloads, length):
         """One table of either level, charged to that level's counters."""
         shape = TableShape.for_length(length, self.params.cells_per_bucket)
-        return CuckooTable(shape, self._rng, counters, self.params.kick_budget)
+        return CuckooTable(shape, self._rng, counters, self.params.kick_budget,
+                           hash_pair, payloads)
 
     def _new_adj_chain(self, owner):
         return TableChain(
@@ -241,7 +253,7 @@ class CuckooGraph:
             if homeless is None:
                 self._movements += 1
             else:
-                self._node_dl.append(homeless[3])
+                self._node_dl.append(homeless[1])
 
     def _on_adj_grow(self, chain, event):
         self._count_move(self.adj_counters, event)
@@ -267,7 +279,7 @@ class CuckooGraph:
 
     def _adj_row(self, u, entry):
         if self._weighted:
-            return [u, entry[0], entry[3]]
+            return [u, entry[0], entry[1]]
         return [u, entry[0]]
 
     def _push_node_dl(self, cell):
@@ -281,7 +293,7 @@ class CuckooGraph:
         if homeless is None:
             return
         if len(self._node_dl) < self.params.denylist_cap:
-            self._node_dl.append(homeless[3])
+            self._node_dl.append(homeless[1])
             return
         raise CapacityExhausted(
             f"node overflow list full and forced growth failed for node {cell.node}")
@@ -293,7 +305,9 @@ class CuckooGraph:
             return
         chain = cell.chain
         chain.advance()
-        homeless = chain.tables[-1].insert(entry[0], entry[1], entry[2], entry[3])
+        v = entry[0]
+        h1, h2 = self._adj_hash.pair(v)
+        homeless = chain.tables[-1].insert(v, h1, h2, entry[1])
         if homeless is None:
             return
         if len(self._adj_dl) < self.params.denylist_cap:
@@ -309,7 +323,7 @@ class CuckooGraph:
         h1, h2 = self._node_hash.pair(u)
         slot = find_slot(self._node_chain.tables, u, h1, h2)
         if slot is not None:
-            return slot[2][slot[3]][3]
+            return slot[2][slot[3]]
         return self._scan_node_dl(u)[0]
 
     def _scan_node_dl(self, u):
@@ -332,7 +346,7 @@ class CuckooGraph:
         uh = self._node_hash.pair(u)
         cslot = find_slot(self._node_chain.tables, u, uh[0], uh[1])
         if cslot is not None:
-            cell = cslot[2][cslot[3]][3]
+            cell = cslot[2][cslot[3]]
             scans = 0
         else:
             cell, cslot = self._scan_node_dl(u)
@@ -374,8 +388,8 @@ class CuckooGraph:
         if slot is not None:
             if not self._weighted:
                 return _DUPLICATE
-            w = slot[2][slot[3]][-1] + weight
-            _write_weight(slot, w)
+            w = _weight(slot) + weight
+            _write_weight(cell, slot, w)
             return InsertResult("incremented", w)
         if cell is None:
             cell = NodeCell(u)
@@ -383,7 +397,7 @@ class CuckooGraph:
             self._node_count += 1
         if cell.chain is None:
             if len(cell.inline) < self._inline_cap:
-                cell.inline.append([v, weight] if self._weighted else v)
+                cell.inline += ((v, weight),) if self._weighted else (v,)
                 self._inline_edges += 1
             else:
                 self._promote(cell)
@@ -410,7 +424,7 @@ class CuckooGraph:
         if slot is None:
             return None if self._weighted else False
         if self._weighted:
-            return slot[2][slot[3]][-1]
+            return _weight(slot)
         return True
 
     def delete_edge(self, u: int, v: int) -> DeleteResult:
@@ -420,13 +434,15 @@ class CuckooGraph:
             return _ABSENT
         hit_table, _, items, i = slot
         if self._weighted:
-            w = items[i][-1]
+            w = _weight(slot)
             if w > 1:
-                _write_weight(slot, w - 1)
+                _write_weight(cell, slot, w - 1)
                 return DeleteResult("decremented", w - 1)
-        _remove(slot)
         if items is cell.inline:
+            cell.inline = items[:i] + items[i + 1:]
             self._inline_edges -= 1
+        else:
+            _remove(slot)
         cell.count -= 1
         self._edge_count -= 1
         if cell.count == 0:
@@ -445,7 +461,7 @@ class CuckooGraph:
         cell = self._find_cell(u)
         if cell is None:
             return set()
-        if cell.chain is None and not self._weighted:
+        if cell.chain is None:
             return set(cell.inline)   # no list copy: BFS calls this per node
         return set(self._dests(cell))
 
@@ -543,18 +559,13 @@ class CuckooGraph:
         p = self.params
         seen_nodes = {}
         for t in self._node_chain.tables:
-            n_found = 0
-            for hi, mask, keys, buckets in ((1, t.mask_major, t.k1, t.v1),
-                                            (2, t.mask_minor, t.k2, t.v2)):
-                for bi, bucket in enumerate(buckets):
-                    assert len(bucket) <= t.d, "bucket over capacity"
-                    assert keys[bi] == [e[0] for e in bucket], "key mirror drift"
-                    for e in bucket:
-                        assert e[hi] & mask == bi, "entry outside candidate bucket"
-                        n_found += 1
-                        assert e[0] not in seen_nodes, f"node {e[0]} stored twice"
-                        seen_nodes[e[0]] = e[3]
-            assert n_found == t.count, "table count drift"
+            t.check_invariants()
+            assert t.v1 is not None, "node table without cells"
+            for u, cell in t.entries():
+                assert cell.node == u, f"cell of node {cell.node} under key {u}"
+                assert u not in seen_nodes, f"node {u} stored twice"
+                seen_nodes[u] = cell
+        _check_level(self.node_counters, self._node_chain.tables)
         for cell in self._node_dl:
             assert cell.node not in seen_nodes, f"node {cell.node} in table and overflow"
             seen_nodes[cell.node] = cell
@@ -569,21 +580,29 @@ class CuckooGraph:
                 f"inline node {u} owns an edge overflow row"
         total_edges = 0
         inline_total = 0
+        adj_tables = []
         for u, dests in self.out_lists():
             cell = seen_nodes[u]
-            ids = {d[0] for d in dests} if self._weighted else set(dests)
-            assert len(ids) == len(dests), f"duplicate destination under node {u}"
-            assert len(dests) == cell.count, f"cell count drift for node {u}"
             chain = cell.chain
             if chain is None:
                 assert len(cell.inline) <= self._inline_cap, "inline overflow"
                 inline_total += cell.count
             else:
+                assert not cell.inline, f"chained node {u} keeps inline slots"
                 assert len(chain.tables) <= MAX_TABLES, "chain too long"
                 assert chain.lengths() == tuple(
                     max(MIN_TABLE_LEN, x) for x in _schedule_row(chain)), \
                     "adjacency chain off schedule"
+                for t in chain.tables:
+                    t.check_invariants()
+                    assert (t.v1 is not None) == self._weighted, \
+                        f"weight lists do not match the mode under node {u}"
+                adj_tables += chain.tables
+            ids = {d[0] for d in dests} if self._weighted else set(dests)
+            assert len(ids) == len(dests), f"duplicate destination under node {u}"
+            assert len(dests) == cell.count, f"cell count drift for node {u}"
             total_edges += cell.count
+        _check_level(self.adj_counters, adj_tables)
         assert total_edges == self._edge_count, "edge count drift"
         assert inline_total == self._inline_edges, "inline count drift"
         assert len(self._adj_dl) <= p.denylist_cap
@@ -593,14 +612,14 @@ class CuckooGraph:
 
     def _iter_cells(self):
         for t in self._node_chain.tables:
-            for e in t.entries():
-                yield e[3]
+            yield from _flatten(t.v1)
+            yield from _flatten(t.v2)
         yield from self._node_dl
 
     def _place_node_cell(self, cell, h1, h2):
         homeless = self._node_chain.insert(cell.node, h1, h2, cell)
         if homeless is not None:
-            self._push_node_dl(homeless[3])
+            self._push_node_dl(homeless[1])
 
     def _chain_add(self, cell, v, weight, vh=None):
         if vh is None:
@@ -614,12 +633,12 @@ class CuckooGraph:
         """Move an overflowing inline slot set into a fresh adjacency chain."""
         chain = self._new_adj_chain(cell.node)
         items = cell.inline
-        cell.inline = []
+        cell.inline = ()
         cell.chain = chain
         self._inline_edges -= len(items)
         for item in items:
             if self._weighted:
-                v, w = item[0], item[1]
+                v, w = item
             else:
                 v, w = item, None
             h1, h2 = self._adj_hash.pair(v)
@@ -638,7 +657,7 @@ class CuckooGraph:
             return
         items = self._dests(cell)
         self._drop_chain(cell)
-        cell.inline = [list(item) for item in items] if self._weighted else items
+        cell.inline = tuple(items)
         self._inline_edges += len(items)
         self._movements += len(items)
 
@@ -650,15 +669,12 @@ class CuckooGraph:
         passes those rows in when the caller grouped them already.
         """
         if cell.chain is None:
-            if self._weighted:
-                return [(v, w) for v, w in cell.inline]
-            return cell.inline[:]
+            return list(cell.inline)
         if rows is None:
             u = cell.node
             rows = [row for row in self._adj_dl if row[0] == u]
         if self._weighted:
-            buckets = [b for t in cell.chain.tables for b in (t.v1, t.v2)]
-            return ([(e[0], e[3]) for e in _flatten(_flatten(buckets))]
+            return ([e for t in cell.chain.tables for e in t.entries()]
                     + [(row[1], row[2]) for row in rows])
         buckets = [b for t in cell.chain.tables for b in (t.k1, t.k2)]
         return list(_flatten(_flatten(buckets))) + [row[1] for row in rows]
@@ -685,13 +701,20 @@ class CuckooGraph:
                 self._count_move(self.node_counters, event)
 
 
-def _write_weight(slot, w):
+def _weight(slot):
+    """The weight at an edge slot: a table payload, else an item's last field."""
     table, _, items, i = slot
-    if table is None:
-        items[i][-1] = w
+    return items[i] if table is not None else items[i][-1]
+
+
+def _write_weight(cell, slot, w):
+    table, _, items, i = slot
+    if table is not None:
+        items[i] = w
+    elif items is cell.inline:
+        cell.inline = items[:i] + ((items[i][0], w),) + items[i + 1:]
     else:
-        e = items[i]
-        items[i] = (e[0], e[1], e[2], w)
+        items[i][-1] = w   # an edge overflow row
 
 
 def _remove(slot):
@@ -700,6 +723,13 @@ def _remove(slot):
         items.pop(i)
     else:
         table.clear_slot(key_bucket, items, i)
+
+
+def _check_level(counters, tables):
+    """A level's counters agree with the tables that level holds."""
+    assert counters.entries == sum(t.count for t in tables), \
+        "level entry count drift"
+    assert counters.tables == len(tables), "level table count drift"
 
 
 def _schedule_row(chain):

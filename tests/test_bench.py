@@ -88,13 +88,12 @@ class TestRun:
 
     def test_insert_then_query_roundtrip(self, tmp_path):
         path, edges = self.make_dataset(tmp_path)
-        report = run(Workload(dataset=str(path), phases=("insert", "query"),
-                              mem_interval=100))
+        report = run(Workload(dataset=str(path), phases=("insert", "query")))
         ins, qry = report.phases
         assert ins.ops == qry.ops == len(edges)
         assert ins.mops > 0 and qry.mops > 0
         assert ins.placements >= len({u for u, _ in edges})
-        assert any(s.phase.endswith("insert") for s in report.samples)
+        assert ins.bytes > 0
 
     def test_insert_then_delete_reaches_floor(self, tmp_path):
         path, edges = self.make_dataset(tmp_path)
@@ -115,15 +114,24 @@ class TestRun:
         assert graphwide == report.phases[0].placements + \
             report.phases[2].placements
 
-    def test_mixed_phase_and_memory_samples(self, tmp_path):
+    def test_mixed_phase_counts_every_op(self, tmp_path):
         path, _ = self.make_dataset(tmp_path)
         report = run(Workload(dataset=str(path),
-                              phases=("mixed:0.6,0.3,0.1:5000",),
-                              mem_interval=500, seed=3))
-        samples = [s for s in report.samples if s.phase.endswith("mixed:0.6,0.3,0.1:5000")]
-        assert len(samples) >= 10
-        ops_axis = [s.ops for s in samples]
-        assert ops_axis == sorted(ops_axis)
+                              phases=("mixed:0.6,0.3,0.1:5000",), seed=3))
+        (mixed,) = report.phases
+        assert mixed.phase == "0:mixed:0.6,0.3,0.1:5000"
+        assert mixed.ops == 5000
+        assert mixed.placements > 0
+
+    def test_mem_interval_is_accepted_and_has_no_effect(self, tmp_path):
+        path, _ = self.make_dataset(tmp_path)
+        plain = run(Workload(dataset=str(path), phases=("insert",)))
+        sampled = run(Workload(dataset=str(path), phases=("insert",),
+                               mem_interval=10))
+        assert len(plain.phases) == len(sampled.phases) == 1
+        strip = lambda p: (p.phase, p.ops, p.bytes, p.placements,
+                           p.evictions, p.movements)
+        assert strip(plain.phases[0]) == strip(sampled.phases[0])
 
     def test_task_phase_digest(self, tmp_path):
         path, _ = self.make_dataset(tmp_path)
@@ -136,11 +144,12 @@ class TestRun:
     def test_csv_round_trip(self, tmp_path):
         path, _ = self.make_dataset(tmp_path)
         report = run(Workload(dataset=str(path),
-                              phases=("insert", "query", "task:pr:6"),
-                              mem_interval=150))
+                              phases=("insert", "query", "task:pr:6")))
         csv_path = tmp_path / "out.csv"
         report.to_csv(csv_path)
         assert Report.from_csv(csv_path) == report
+        with open(csv_path) as fh:
+            assert len(fh.readlines()) == 1 + len(report.phases)
 
     def test_workload_validation(self):
         with pytest.raises(ValueError):
@@ -164,13 +173,19 @@ class TestCli:
         csv_out = tmp_path / "r.csv"
         code = main(["--generate", "sparse:50:150:7", "--dataset", str(ds),
                      "--phases", "insert,query,task:cc:5",
-                     "--csv-out", str(csv_out), "--mem-interval", "50"])
+                     "--csv-out", str(csv_out)])
         assert code == 0
         out = capsys.readouterr().out
         assert "mops=" in out
         assert csv_out.exists()
         report = Report.from_csv(csv_out)
         assert len(report.phases) == 3
+
+    def test_mem_interval_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["--dataset", str(tmp_path / "g.txt"),
+                  "--mem-interval", "50"])
+        assert "--mem-interval" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(["--dataset", str(tmp_path / "missing.txt")])

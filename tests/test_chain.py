@@ -26,7 +26,8 @@ def make_chain(base=8, d=2, g=0.9, lam=0.5, kicks=50, rng_seed=3):
     rng = random.Random(rng_seed)
 
     def factory(length):
-        return CuckooTable(TableShape.for_length(length, d), rng, stats, kicks)
+        return CuckooTable(TableShape.for_length(length, d), rng, stats, kicks,
+                           HP, False)
 
     return TableChain(base, g, lam, factory), stats
 
@@ -423,7 +424,7 @@ class TestProbeAccounting:
                 in_major = key in t.k1[h1 & t.mask_major]
                 before = stats.bucket_probes
                 slot = find_slot(chain.tables, key, h1, h2)
-                assert slot[0] is t and slot[2][slot[3]][0] == key
+                assert slot[0] is t and slot[1][slot[3]] == key
                 assert stats.bucket_probes - before == (2 * k - 1 if in_major else 2 * k)
 
     def test_miss_charges_two_probes_per_table(self):

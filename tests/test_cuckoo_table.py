@@ -6,11 +6,13 @@ from cuckoograph.cuckoo_table import CuckooTable, LevelCounters, TableShape, fin
 from cuckoograph.hashing import HashPair
 
 
-def make_table(length=4, d=2, seeds=(1, 2), rng_seed=7, max_kicks=50):
+def make_table(length=4, d=2, seeds=(1, 2), rng_seed=7, max_kicks=50,
+               payloads=True):
     stats = LevelCounters()
+    hp = HashPair(*seeds)
     t = CuckooTable(TableShape.for_length(length, d), random.Random(rng_seed),
-                    stats, max_kicks)
-    return t, stats, HashPair(*seeds)
+                    stats, max_kicks, hp, payloads)
+    return t, stats, hp
 
 
 def ins(t, hp, key, payload=None):
@@ -19,7 +21,7 @@ def ins(t, hp, key, payload=None):
 
 
 def find(t, hp, key):
-    """The stored entry for key, or None."""
+    """The payload stored with key, or None."""
     slot = find_slot([t], key, *hp.pair(key))
     return None if slot is None else slot[2][slot[3]]
 
@@ -53,7 +55,7 @@ class TestInsertLookup:
         t, stats, hp = make_table()
         assert ins(t, hp, 42, "p") is None
         assert stats.placements == 1
-        assert find(t, hp, 42)[3] == "p"
+        assert find(t, hp, 42) == "p"
 
     def test_lookup_absent_in_empty(self):
         t, _, hp = make_table()
@@ -77,7 +79,7 @@ class TestInsertLookup:
         assert ins(t, hp, x) is None
         assert stats.placements - before == 2
         for key in (a, b, x):
-            assert find(t, hp, key) is not None
+            assert find_slot([t], key, *hp.pair(key)) is not None
 
     def test_failed_insert_returns_exactly_one_entry(self):
         t, stats, hp = make_table(length=2, d=2, max_kicks=200)
@@ -105,7 +107,7 @@ class TestRemove:
 
     def test_insert_then_remove(self):
         t, _, hp = make_table()
-        ins(t, hp, 5)
+        ins(t, hp, 5, payload="p")
         assert remove(t, hp, 5)
         assert find(t, hp, 5) is None
 
@@ -115,8 +117,8 @@ class TestRemove:
         ins(t, hp, a)
         ins(t, hp, b)
         assert remove(t, hp, a)
-        assert find(t, hp, b) is not None
-        assert find(t, hp, a) is None
+        assert find_slot([t], b, *hp.pair(b)) is not None
+        assert find_slot([t], a, *hp.pair(a)) is None
 
 
 class TestDrainAndDeterminism:
@@ -128,7 +130,7 @@ class TestDrainAndDeterminism:
         t, _, hp = make_table()
         for k in (3, 1, 4):
             ins(t, hp, k, payload=k * 10)
-        assert sorted((e[0], e[3]) for e in t.entries()) == [(1, 10), (3, 30), (4, 40)]
+        assert sorted(t.entries()) == [(1, 10), (3, 30), (4, 40)]
 
     def test_drain_matches_shadow_after_random_ops(self):
         t, _, hp = make_table(length=64, d=4, max_kicks=100)
@@ -148,15 +150,10 @@ class TestDrainAndDeterminism:
         assert t.count == len(shadow)
 
     def test_entries_live_in_a_candidate_bucket(self):
-        t, _, hp = make_table(length=16, d=2)
-        for k in range(40):
-            ins(t, hp, k)
-        for i, bucket in enumerate(t.v1):
-            for e in bucket:
-                assert e[1] & t.mask_major == i
-        for i, bucket in enumerate(t.v2):
-            for e in bucket:
-                assert e[2] & t.mask_minor == i
+        _check_eviction_heavy_fill(payloads=True)
+
+    def test_keys_only_entries_live_in_a_candidate_bucket(self):
+        _check_eviction_heavy_fill(payloads=False)
 
     def test_same_seeds_same_layout(self):
         layouts = []
@@ -173,6 +170,75 @@ class TestDrainAndDeterminism:
             before = stats.evictions
             ins(t, hp, k)
             assert stats.evictions - before <= 5
+
+    def test_exhausted_walks_count_homeless_entries(self):
+        t, stats, hp = make_table(length=2, d=2, max_kicks=5)
+        homeless = 0
+        for k in range(200):
+            if ins(t, hp, k, payload=k) is not None:
+                homeless += 1
+        assert homeless > 0
+        assert stats.kicks_exhausted == homeless
+        walks = (stats.kicks_1 + stats.kicks_2_3 + stats.kicks_4_15
+                 + stats.kicks_16_up)
+        # a walk that never settled spent exactly the budget
+        assert stats.kicks_16_up == 0
+        assert stats.evictions >= walks + 5 * homeless
+        assert stats.placements == 200 + stats.evictions - homeless
+
+
+class TestAudit:
+    def test_full_table_passes(self):
+        t, _, hp = make_table(length=2, d=2, max_kicks=200)
+        _fill_to_capacity(t, hp)
+        t.check_invariants()
+
+    def test_key_outside_its_bucket_is_caught(self):
+        t, _, hp = make_table(length=16, d=2, payloads=False)
+        for k in range(20):
+            ins(t, hp, k)
+        i, bucket = next((i, b) for i, b in enumerate(t.k1) if b)
+        bucket[0] = next(k for k in range(100, 1000)
+                         if hp.pair(k)[0] & t.mask_major != i)
+        with pytest.raises(AssertionError, match="candidate bucket"):
+            t.check_invariants()
+
+    def test_payload_list_out_of_step_is_caught(self):
+        t, _, hp = make_table(length=16, d=2)
+        ins(t, hp, 7, payload="p")
+        slot = find_slot([t], 7, *hp.pair(7))
+        slot[2].append("stray")
+        with pytest.raises(AssertionError, match="not parallel"):
+            t.check_invariants()
+
+
+def _check_eviction_heavy_fill(payloads):
+    """Fill 2-cell buckets to 46 of 48 cells, then rehash every stored key.
+
+    Most keys were moved by a kick walk, which rehashes the victims
+    itself; a fresh ``HashPair`` must select the bucket each key sits in.
+    """
+    t, stats, hp = make_table(length=16, d=2, payloads=payloads,
+                              max_kicks=500)
+    stored = {}
+    for k in range(46):
+        homeless = ins(t, hp, k, payload=-k if payloads else None)
+        stored[k] = -k if payloads else None
+        if homeless is not None:
+            del stored[homeless[0]]
+    assert stats.evictions > 46
+    fresh = HashPair(1, 2)
+    for i, bucket in enumerate(t.k1):
+        for key in bucket:
+            assert fresh.pair(key)[0] & t.mask_major == i
+    for i, bucket in enumerate(t.k2):
+        for key in bucket:
+            assert fresh.pair(key)[1] & t.mask_minor == i
+    # each payload stayed with its key through every kick
+    assert sorted(t.entries()) == sorted(stored.items())
+    if not payloads:
+        assert t.v1 is None and t.v2 is None
+    t.check_invariants()
 
 
 # -- adversarial key searches -------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import random
+import types
 from functools import partial
 
 import pytest
@@ -178,6 +180,98 @@ class TestDenylists:
         g._adj_dl.append([99, 3])
         with pytest.raises(AssertionError, match="unstored node 99"):
             g.check_invariants()
+
+
+def _chained_node_5(weighted=False):
+    """Node 5 with destinations 0-39, all in its adjacency chain."""
+    g = CuckooGraph(GraphParams(weighted=weighted))
+    for v in range(40):
+        g.insert_edge(5, v)
+    cell = g._find_cell(5)
+    assert cell.chain is not None and not g._adj_dl
+    g.check_invariants()
+    return g, cell
+
+
+class TestAudit:
+    def test_rejects_an_adjacency_key_outside_its_bucket(self):
+        g, cell = _chained_node_5()
+        t = cell.chain.tables[0]
+        i, bucket = next((i, b) for i, b in enumerate(t.k1) if b)
+        # a fresh id whose hash selects another major bucket
+        bucket[0] = next(k for k in range(1000, 2000)
+                         if g._adj_hash.pair(k)[0] & t.mask_major != i)
+        with pytest.raises(AssertionError, match="candidate bucket"):
+            g.check_invariants()
+
+    def test_rejects_a_weight_list_out_of_step(self):
+        g, cell = _chained_node_5(weighted=True)
+        t = cell.chain.tables[0]
+        next(b for b in t.v1 if b).pop()
+        with pytest.raises(AssertionError, match="not parallel"):
+            g.check_invariants()
+
+    def test_rejects_adjacency_entry_count_drift(self):
+        g, _ = _chained_node_5()
+        g.adj_counters.entries += 1
+        with pytest.raises(AssertionError, match="level entry count drift"):
+            g.check_invariants()
+
+    def test_rejects_a_node_cell_under_a_foreign_key(self):
+        g, _ = _chained_node_5()
+        g.insert_edge(6, 1)
+        t = g._node_chain.tables[0]
+        slot = next((kb, vb) for kb, vb in zip(t.k1 + t.k2, t.v1 + t.v2)
+                    if 6 in kb)
+        slot[1][slot[0].index(6)] = g._find_cell(5)
+        with pytest.raises(AssertionError, match="under key 6"):
+            g.check_invariants()
+
+
+_OPAQUE = (type, types.ModuleType, types.FunctionType,
+           types.BuiltinFunctionType, types.CodeType)
+
+
+def _reachable(root):
+    """Every object reachable from root, program text left out."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _OPAQUE):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+class TestLayout:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_zipf_graph_reaches_no_per_entry_objects(self, seed):
+        g = CuckooGraph(GraphParams.from_seed(seed))
+        for e in generate_synthetic("zipf", 2000, 10000, seed):
+            g.insert_edge(*e)
+        gc.collect()
+        objs = _reachable(g)
+        sources = g.stats().nodes
+        cells = [o for o in objs if type(o) is NodeCell]
+        assert len(cells) == sources
+        # the only tuples are the cells' inline slots, plus a few of the
+        # graph's own (seed pairs, factory arguments): no table entry is one
+        inline = {id(c.inline) for c in cells}
+        assert all(type(c.inline) is tuple for c in cells)
+        others = [o for o in objs if type(o) is tuple and id(o) not in inline]
+        assert len(others) <= 8, others[:10]
+        chained = [c for c in cells if c.chain is not None]
+        assert chained
+        for c in chained:
+            for t in c.chain.tables:
+                assert t.v1 is None and t.v2 is None
+        for t in g._node_chain.tables:
+            assert all(type(x) is NodeCell for b in t.v1 + t.v2 for x in b)
+        # all-int inline tuples are untracked, and no entry owns an object
+        tracked = sum(1 for o in objs if gc.is_tracked(o))
+        assert tracked / sources < 7.5
 
 
 class TestDeletion:
@@ -619,6 +713,20 @@ class TestBounds:
         c = g.stats().counters
         assert c["node"]["move_failures"] + c["adj"]["move_failures"] > 0
         g.check_invariants()
+
+    def test_kick_walks_are_counted_by_length(self):
+        g = CuckooGraph(tiny_params(kick_budget=5))
+        for e in generate_synthetic("zipf", 200, 1000, 1):
+            g.insert_edge(*e)
+        for level in ("node", "adj"):
+            c = g.stats().counters[level]
+            walks = (c["kicks_1"] + c["kicks_2_3"] + c["kicks_4_15"]
+                     + c["kicks_16_up"] + c["kicks_exhausted"])
+            assert 0 < walks <= c["insert_events"]
+            assert c["kicks_16_up"] == 0   # no walk outlives a 5-kick budget
+            assert c["evictions"] >= (c["kicks_1"] + 2 * c["kicks_2_3"]
+                                      + 4 * c["kicks_4_15"]
+                                      + 5 * c["kicks_exhausted"])
 
     def test_query_probe_bound(self):
         g = CuckooGraph(GraphParams(node_table_len=2, adj_table_len=2))
