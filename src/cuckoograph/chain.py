@@ -43,10 +43,22 @@ entries fit row 0. Row 2 then holds as many cells as the merge row 3,
 fill the tables below the newest one to the grow threshold, and the last
 of those to capacity. A merge never moves entries into less room than
 they came from, and the newest table always starts empty.
+
+Each chain owns its overflow list (the paper's denylist), as a cuckoo
+table with a stash owns its stash: the keys an insert's kick walk left
+homeless, in ``spill_k``, with their payloads in a parallel ``spill_v``
+when the chain's tables keep payloads. ``spill`` is the one push and
+``advance`` the one drain: every grow event retries the list, in order,
+in the newest table. The cap on a level's lists is shared by all chains
+of that level, so the lists count their entries in the level's
+``LevelCounters.overflow``; a push over the cap forces the chain to grow
+first. Most chains never spill, so a chain allocates its lists on its
+first spill.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -87,28 +99,39 @@ class ChainEvent:
 
 
 class TableChain:
-    """Ordered list of cuckoo tables plus the grow/shrink bookkeeping.
+    """Ordered list of cuckoo tables, the grow/shrink bookkeeping, and the
+    chain's own overflow list.
 
-    ``make_table(length)`` builds a table of the given length;
-    ``on_grow(chain, event)`` runs after each grow event (the overflow-list
-    drain hook). Structural moves never hand an entry out of the chain.
+    ``make_table(length)`` builds a table of the given length; every table
+    of a chain charges the same ``LevelCounters``, which also count the
+    chain's moves and overflow entries. ``owner`` names the node an
+    adjacency chain belongs to (None for the node chain); the chain itself
+    never reads it, it labels the level in traces. Structural moves never
+    hand an entry out of the chain.
     """
 
     __slots__ = ("base_len", "expand_at", "contract_at", "step", "tables",
-                 "make_table", "owner", "on_grow")
+                 "make_table", "owner", "spill_k", "spill_v")
 
     def __init__(self, base_len, expand_at, contract_at, make_table,
-                 owner=None, on_grow=None):
+                 owner=None):
         self.base_len = base_len
         self.expand_at = expand_at
         self.contract_at = contract_at
         self.make_table = make_table
         self.owner = owner
-        self.on_grow = on_grow
         self.step = 0
         self.tables = [make_table(max(MIN_TABLE_LEN, base_len))]
+        # empty until the first spill; spill_v stays None without payloads
+        self.spill_k = ()
+        self.spill_v = None if self.tables[0].v1 is None else ()
 
     # -- metrics ---------------------------------------------------------
+
+    @property
+    def counters(self):
+        """The level counters this chain's tables charge."""
+        return self.tables[0]._stats
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(t.shape.length for t in self.tables)
@@ -149,12 +172,13 @@ class TableChain:
         return t.insert(key, h1, h2, payload)
 
     def advance(self) -> ChainEvent:
-        """Perform one grow event and run the grow hook.
+        """Perform one grow event, then drain the overflow list.
 
         Even steps (and step 1) enable one more, empty table. Odd steps
         merge every entry into fresh tables of the new row (see
         ``_rebuild``). When clamping leaves that row no larger than the
-        current one, the merge starts at the row after it.
+        current one, the merge starts at the row after it. Either way the
+        newest table starts empty, and the overflow list is retried in it.
         """
         self.step += 1
         target = _materialized(self.step, self.base_len)
@@ -169,8 +193,9 @@ class TableChain:
             moved, failed = self._rebuild(self.step, self.tables, merge=True)
             event = ChainEvent("merged", self.lengths(), moved=moved,
                                failed=failed)
-        if self.on_grow is not None:
-            self.on_grow(self, event)
+        self._count(event)
+        if self.spill_k:
+            self._drain()
         return event
 
     def contract(self, hit_table) -> ChainEvent | None:
@@ -203,12 +228,107 @@ class TableChain:
             homeless = self._transfer(drained, survivors, _shares(n, survivors))
             self.tables, self.step = survivors, step
             if not homeless:
-                return ChainEvent(kind, target, moved=len(drained))
+                return self._count(ChainEvent(kind, target, moved=len(drained)))
         moved, failed = self._rebuild(step, self.tables, homeless)
-        return ChainEvent(kind, self.lengths(), moved=len(drained) + moved,
-                          failed=homeless + failed, rebuilt=True)
+        return self._count(ChainEvent(
+            kind, self.lengths(), moved=len(drained) + moved,
+            failed=homeless + failed, rebuilt=True))
+
+    # -- overflow list -----------------------------------------------------
+
+    def spill(self, entry, cap) -> bool:
+        """Keep a homeless ``(key, payload)`` in the overflow list.
+
+        ``cap`` bounds the entries of all the level's lists together. At
+        the cap the chain grows first (which drains its list) and retries
+        the entry in the newest table; whatever is still homeless then is
+        kept if the level is under its cap again. Returns False when it
+        was not: the entry (or one it displaced) is left out.
+        """
+        st = self.counters
+        if st.overflow >= cap:
+            self.advance()
+            entry = self._to_newest(*entry)
+            if entry is None:
+                return True
+            if st.overflow >= cap:
+                return False
+        self._keep(*entry)
+        return True
+
+    def unspill(self, i):
+        """Remove the i-th overflow entry; the rest keep their order."""
+        self.spill_k.pop(i)
+        if self.spill_v is not None:
+            self.spill_v.pop(i)
+        self.counters.overflow -= 1
+
+    def dispose(self):
+        """Release every table and the overflow list from the level accounting."""
+        self.counters.overflow -= len(self.spill_k)
+        for t in self.tables:
+            t.dispose()
+
+    def check_invariants(self):
+        """Audit the tables, the schedule row and the overflow list.
+
+        Raises AssertionError. Spilled keys are looked up without
+        ``find_slot``, so the audit charges no bucket probes.
+        """
+        assert len(self.tables) <= MAX_TABLES, "chain too long"
+        assert self.lengths() == _materialized(self.step, self.base_len), \
+            "chain off its schedule row"
+        for t in self.tables:
+            t.check_invariants()
+        keys, vals = self.spill_k, self.spill_v
+        assert (vals is None) == (self.tables[0].v1 is None), \
+            "overflow payloads do not match the tables"
+        assert vals is None or len(vals) == len(keys), "overflow payloads not parallel"
+        assert len(set(keys)) == len(keys), "key spilled twice"
+        for key, t in itertools.product(keys, self.tables):
+            h1, h2 = t._hash.pair(key)
+            assert key not in t.k1[h1 & t.mask_major] + t.k2[h2 & t.mask_minor], \
+                f"spilled key {key} also sits in a table"
 
     # -- internals ---------------------------------------------------------
+
+    def _count(self, event):
+        st = self.counters
+        st.moved += event.moved
+        st.move_failures += len(event.failed)
+        return event
+
+    def _to_newest(self, key, payload):
+        """Insert into the newest table; returns the homeless entry or None."""
+        t = self.tables[-1]
+        h1, h2 = t._hash.pair(key)
+        return t.insert(key, h1, h2, payload)
+
+    def _keep(self, key, payload):
+        if not self.spill_k:
+            self.spill_k = []
+            if self.spill_v is not None:
+                self.spill_v = []
+        self.spill_k.append(key)
+        if self.spill_v is not None:
+            self.spill_v.append(payload)
+        self.counters.overflow += 1
+
+    def _drain(self):
+        """Retry every overflow entry in the newest table, in list order."""
+        keys, payloads = self.spill_k, self.spill_v
+        self.counters.overflow -= len(keys)
+        self.spill_k = ()
+        if payloads is None:
+            payloads = itertools.repeat(None)
+        else:
+            self.spill_v = ()
+        for entry in zip(keys, payloads):
+            homeless = self._to_newest(*entry)
+            if homeless is None:
+                self.counters.moved += 1
+            else:
+                self._keep(*homeless)
 
     def _row_for(self, n: int) -> int:
         """Smallest schedule step whose tables hold n entries at the grow threshold."""

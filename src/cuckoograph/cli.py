@@ -10,14 +10,11 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bench import Report, Workload, run
 from .graph import GraphParams
 from .workload import generate_synthetic
-
-ENV_SEED = "CUCKOOGRAPH_SEED"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,8 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.5,
                    help="contraction threshold")
     p.add_argument("--t", type=int, default=250, help="kick budget")
-    p.add_argument("--seed", type=int, default=0,
-                   help=f"master seed (env {ENV_SEED} overrides)")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--weighted", action="store_true",
                    help="duplicate edges increment a weight")
     p.add_argument("--csv-out", help="write the per-phase CSV here")
@@ -67,7 +63,7 @@ def _split_phases(raw: str):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        seed = int(os.environ.get(ENV_SEED, args.seed))
+        seed = args.seed
         dataset = args.dataset
         if args.generate:
             fields = args.generate.split(":")

@@ -19,8 +19,9 @@ bitmask with identical semantics.
 candidate buckets of each table in a list, oldest first, and returns the
 slot ``(table, key_bucket, payload_bucket, index)`` of the hit, with no
 payload bucket in a keys-only table. The slot is the handle callers edit
-in place; the graph gives items kept in plain lists the same shape,
-``(None, None, list, index)``.
+in place; a chain's overflow entries have the same shape, ``(None, keys,
+payloads, index)``, and the graph's inline destinations ``(None, None,
+inline, index)``.
 """
 
 from __future__ import annotations
@@ -75,12 +76,16 @@ class LevelCounters:
 
     The ``kicks_*`` fields count displacement walks by their length: a walk
     that settled after 1, 2-3, 4-15 or 16 and more kicks, or one that ran
-    out of its kick budget and handed an entry back.
+    out of its kick budget and handed an entry back. ``moved`` counts the
+    level's chain moves: every placement attempt of a merge or contraction,
+    and every overflow entry a grow drained into a table. ``overflow`` is
+    the number of entries in all the level's overflow lists, which share
+    one cap.
     """
 
     __slots__ = ("insert_events", "placements", "evictions", "bucket_probes",
                  "entries", "capacity_cells", "tables", "move_failures",
-                 "kicks_1", "kicks_2_3", "kicks_4_15", "kicks_16_up",
+                 "moved", "overflow", "kicks_1", "kicks_2_3", "kicks_4_15", "kicks_16_up",
                  "kicks_exhausted")
 
     def __init__(self):
@@ -92,6 +97,8 @@ class LevelCounters:
         self.capacity_cells = 0
         self.tables = 0
         self.move_failures = 0   # entries that pushed a structural move up a row
+        self.moved = 0
+        self.overflow = 0
         self.kicks_1 = 0
         self.kicks_2_3 = 0
         self.kicks_4_15 = 0

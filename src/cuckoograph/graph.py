@@ -3,33 +3,34 @@
 Source nodes live in a chain of node tables; each node's cell stores its
 destinations either inline (a handful of slots) or in the node's own
 chain of adjacency tables. Placement failures after the kick budget go
-to bounded overflow lists (one for node cells, one for edges), which are
-drained back whenever the owning chain grows; a full list forces its
-chain to grow instead. Structural moves inside a chain (merges and
-contractions) never lose an entry, so nothing else needs re-placing.
+to the overflow list of the chain that failed them: the node chain's
+list keeps node cells, an adjacency chain's list keeps that node's
+destinations. A chain drains its list whenever it grows, and a push over
+the level's cap forces the chain to grow instead (``TableChain.spill``).
+Structural moves inside a chain (merges and contractions) never lose an
+entry, so nothing else needs re-placing.
 
 Both levels look keys up with ``cuckoo_table.find_slot``: the node chain
 for a node's cell, then that cell's adjacency chain for a destination;
-each overflow list is scanned only after its chain missed, and the edge
-overflow list only for a source with an adjacency chain, since only those
-own rows there.
+a chain's overflow list is scanned only after its tables missed, and a
+source whose destinations sit inline has no list to scan.
 Whatever a lookup locates, node cell or edge, comes back as one slot shape,
-``(table, key_bucket, payload_bucket, index)``; an item kept outside a
-table (the inline slots and both overflow lists) has the slot ``(None,
-None, items, index)``. Tables keep no per-entry object: a node table's
-payload is the ``NodeCell``, a weighted adjacency table's the weight int,
-and an unweighted adjacency table has keys only. The inline slots are an
-immutable tuple, of ids or of ``(v, w)`` pairs when weighted, that every
-insert, delete and weight write replaces; an all-int tuple is one object
-the garbage collector stops tracking. Edge overflow rows are ``[u, v]``
-or ``[u, v, w]`` lists, edited in place.
+``(table, key_bucket, payload_bucket, index)``: an overflow entry has the
+slot ``(None, keys, payloads, index)`` of its chain's lists, and an inline
+destination ``(None, None, inline, index)``. Tables keep no per-entry
+object: a node table's payload is the ``NodeCell``, a weighted adjacency
+table's the weight int, and an unweighted adjacency table has keys only;
+overflow lists keep the same payloads. The inline slots are an immutable
+tuple, of ids or of ``(v, w)`` pairs when weighted, that every insert,
+delete and weight write replaces; an all-int tuple is one object the
+garbage collector stops tracking.
 
 A cell's destinations are read in one place, ``_dests``: its inline
 slots, or its chain's key lists (zipped with the weight lists when
-weighted) plus the edge overflow rows it owns. ``out_lists`` walks the
-node chain once, feeding every cell to that reader with the rows grouped
-by owner once; iteration, the analytics snapshot and the audit read
-through it, so none re-probes a node it has walked past.
+weighted) followed by the chain's overflow list. ``out_lists`` walks the
+node chain once, feeding every cell to that reader; iteration, the
+analytics snapshot and the audit read through it, so none re-probes a
+node it has walked past.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .chain import MAX_TABLES, MIN_TABLE_LEN, TableChain, lengths_for_step
+from .chain import MAX_TABLES, TableChain
 from .cuckoo_table import CuckooTable, LevelCounters, TableShape, find_slot, is_pow2
 from .hashing import HashPair, mix64
 from .workload import write_edge_file
@@ -75,8 +76,8 @@ _ABSENT = DeleteResult("absent", None)
 class GraphParams:
     """Tuning knobs; the defaults are the tuned operating point.
 
-    ``node_seeds`` and ``adj_seeds`` each seed one level's ``HashPair``:
-    both seeds of a pair feed its one hash pass, so they must differ.
+    ``seed`` derives both levels' ``HashPair`` seeds and the kick walks'
+    victim choice.
     """
 
     cells_per_bucket: int = 8
@@ -87,9 +88,7 @@ class GraphParams:
     adj_table_len: int = 2
     denylist_cap: int = 64
     weighted: bool = False
-    node_seeds: tuple = (0x243F6A8885A308D3, 0x13198A2E03707344)
-    adj_seeds: tuple = (0xA4093822299F31D0, 0x082EFA98EC4E6C89)
-    victim_seed: int = 0x452821E638D01377
+    seed: int = 0
 
     def __post_init__(self):
         if self.cells_per_bucket < 1:
@@ -109,20 +108,11 @@ class GraphParams:
             raise ValueError("initial table lengths must be powers of two >= 2")
         if self.denylist_cap < 1:
             raise ValueError("denylist_cap must be >= 1")
-        if self.node_seeds[0] == self.node_seeds[1] or self.adj_seeds[0] == self.adj_seeds[1]:
-            raise ValueError("seed pairs must contain distinct seeds")
 
     @classmethod
     def from_seed(cls, seed: int, **overrides) -> "GraphParams":
-        """Derive all hash and victim seeds from one master seed."""
-        base = mix64(seed)
-        derived = dict(
-            node_seeds=(mix64(base + 1), mix64(base + 2)),
-            adj_seeds=(mix64(base + 3), mix64(base + 4)),
-            victim_seed=mix64(base + 5),
-        )
-        derived.update(overrides)
-        return cls(**derived)
+        """Shorthand for ``GraphParams(seed=seed, **overrides)``."""
+        return cls(seed=seed, **overrides)
 
     @property
     def inline_capacity(self) -> int:
@@ -192,21 +182,18 @@ class CuckooGraph:
         self.params = params
         self._weighted = params.weighted
         self._inline_cap = params.inline_capacity
-        self._rng = random.Random(params.victim_seed)
-        self._node_hash = HashPair(*params.node_seeds)
-        self._adj_hash = HashPair(*params.adj_seeds)
+        # mix64 is a bijection, so the four hash seeds are distinct
+        base = mix64(params.seed)
+        self._node_hash = HashPair(mix64(base + 1), mix64(base + 2))
+        self._adj_hash = HashPair(mix64(base + 3), mix64(base + 4))
+        self._rng = random.Random(mix64(base + 5))
         self.node_counters = LevelCounters()
         self.adj_counters = LevelCounters()
         self._make_adj_table = partial(self._make_table, self.adj_counters,
                                        self._adj_hash, self._weighted)
         self._node_chain = TableChain(
             params.node_table_len, params.expand_at, params.contract_at,
-            make_table=partial(self._make_table, self.node_counters,
-                               self._node_hash, True),
-            on_grow=self._on_node_grow,
-        )
-        self._node_dl = []       # complete NodeCell objects
-        self._adj_dl = []        # [u, v] rows, or [u, v, w] when weighted
+            partial(self._make_table, self.node_counters, self._node_hash, True))
         self._node_count = 0
         self._edge_count = 0
         self._inline_edges = 0
@@ -227,94 +214,31 @@ class CuckooGraph:
                            hash_pair, payloads)
 
     def _new_adj_chain(self, owner):
-        return TableChain(
-            self.params.adj_table_len, self.params.expand_at,
-            self.params.contract_at,
-            make_table=self._make_adj_table,
-            owner=owner,
-            on_grow=self._on_adj_grow,
-        )
+        p = self.params
+        return TableChain(p.adj_table_len, p.expand_at, p.contract_at,
+                          self._make_adj_table, owner)
 
-    # -- grow hooks: count moves, then drain the overflow lists ------------
+    # -- overflow lists -----------------------------------------------------
 
-    def _count_move(self, counters, event):
-        self._movements += event.moved
-        counters.move_failures += len(event.failed)
-
-    def _on_node_grow(self, chain, event):
-        self._count_move(self.node_counters, event)
-        if not self._node_dl:
-            return
-        pending, self._node_dl = self._node_dl, []
-        newest = chain.tables[-1]
-        for cell in pending:
-            h1, h2 = self._node_hash.pair(cell.node)
-            homeless = newest.insert(cell.node, h1, h2, cell)
-            if homeless is None:
-                self._movements += 1
-            else:
-                self._node_dl.append(homeless[1])
-
-    def _on_adj_grow(self, chain, event):
-        self._count_move(self.adj_counters, event)
-        owner = chain.owner
-        if not self._adj_dl:
-            return
-        kept = []
-        newest = chain.tables[-1]
-        for row in self._adj_dl:
-            if row[0] != owner:
-                kept.append(row)
-                continue
-            h1, h2 = self._adj_hash.pair(row[1])
-            payload = row[2] if self._weighted else None
-            homeless = newest.insert(row[1], h1, h2, payload)
-            if homeless is None:
-                self._movements += 1
-            else:
-                kept.append(self._adj_row(owner, homeless))
-        self._adj_dl = kept
-
-    # -- overflow-list pushes with the forced-growth fallback --------------
-
-    def _adj_row(self, u, entry):
-        if self._weighted:
-            return [u, entry[0], entry[1]]
-        return [u, entry[0]]
-
-    def _push_node_dl(self, cell):
-        if len(self._node_dl) < self.params.denylist_cap:
-            self._node_dl.append(cell)
-            self._ldl_peak = max(self._ldl_peak, len(self._node_dl))
-            return
-        self._node_chain.advance()
-        h1, h2 = self._node_hash.pair(cell.node)
-        homeless = self._node_chain.tables[-1].insert(cell.node, h1, h2, cell)
-        if homeless is None:
-            return
-        if len(self._node_dl) < self.params.denylist_cap:
-            self._node_dl.append(homeless[1])
-            return
-        raise CapacityExhausted(
-            f"node overflow list full and forced growth failed for node {cell.node}")
+    def _push_node_dl(self, entry):
+        if not self._node_chain.spill(entry, self.params.denylist_cap):
+            raise CapacityExhausted(
+                f"node overflow list full and forced growth failed for node {entry[0]}")
+        self._ldl_peak = max(self._ldl_peak, self.node_counters.overflow)
 
     def _push_adj_dl(self, cell, entry):
-        if len(self._adj_dl) < self.params.denylist_cap:
-            self._adj_dl.append(self._adj_row(cell.node, entry))
-            self._sdl_peak = max(self._sdl_peak, len(self._adj_dl))
-            return
-        chain = cell.chain
-        chain.advance()
-        v = entry[0]
-        h1, h2 = self._adj_hash.pair(v)
-        homeless = chain.tables[-1].insert(v, h1, h2, entry[1])
-        if homeless is None:
-            return
-        if len(self._adj_dl) < self.params.denylist_cap:
-            self._adj_dl.append(self._adj_row(cell.node, homeless))
-            return
-        raise CapacityExhausted(
-            f"edge overflow list full and forced growth failed under node {cell.node}")
+        if not cell.chain.spill(entry, self.params.denylist_cap):
+            raise CapacityExhausted(
+                f"edge overflow list full and forced growth failed under node {cell.node}")
+        self._sdl_peak = max(self._sdl_peak, self.adj_counters.overflow)
+
+    def _spilled(self, chain, key):
+        """The slot of key in chain's overflow list, or None."""
+        keys = chain.spill_k
+        if key in keys:
+            self._dl_hits += 1
+            return None, keys, chain.spill_v, keys.index(key)
+        return None
 
     # -- location helpers ---------------------------------------------------
 
@@ -322,37 +246,31 @@ class CuckooGraph:
         """u's cell, or None."""
         h1, h2 = self._node_hash.pair(u)
         slot = find_slot(self._node_chain.tables, u, h1, h2)
-        if slot is not None:
-            return slot[2][slot[3]]
-        return self._scan_node_dl(u)[0]
-
-    def _scan_node_dl(self, u):
-        """u's cell and its slot in the node overflow list, or (None, None)."""
-        node_dl = self._node_dl
-        for i, cell in enumerate(node_dl):
-            if cell.node == u:
-                self._dl_hits += 1
-                return cell, (None, None, node_dl, i)
-        return None, None
+        if slot is None:
+            slot = self._spilled(self._node_chain, u)
+            if slot is None:
+                return None
+        return slot[2][slot[3]]
 
     def _locate_edge(self, u, v):
         """Full two-step lookup.
 
         Returns (cell, cell_slot, edge_slot, dl_scans, u_hashes, v_hashes);
         the hash pairs come back so mutating callers never rehash. Each
-        level is one ``find_slot`` call: routing the node level through
+        level is one ``find_slot`` call, then, on a miss, a scan of that
+        chain's overflow list (counted in ``dl_scans``); a source with
+        inline destinations has no list. Routing the node level through
         ``_find_cell`` as well cost about 2% of query throughput.
         """
         uh = self._node_hash.pair(u)
         cslot = find_slot(self._node_chain.tables, u, uh[0], uh[1])
-        if cslot is not None:
-            cell = cslot[2][cslot[3]]
-            scans = 0
-        else:
-            cell, cslot = self._scan_node_dl(u)
+        scans = 0
+        if cslot is None:
             scans = 1
-        if cell is None:
-            return None, None, None, scans, uh, None
+            cslot = self._spilled(self._node_chain, u)
+            if cslot is None:
+                return None, None, None, scans, uh, None
+        cell = cslot[2][cslot[3]]
         if cell.chain is None:
             inline = cell.inline
             if self._weighted:
@@ -362,19 +280,14 @@ class CuckooGraph:
             elif v in inline:
                 return (cell, cslot, (None, None, inline, inline.index(v)),
                         scans, uh, None)
-            # only chained sources own edge overflow rows: nothing to scan
             return cell, cslot, None, scans, uh, None
         vh = self._adj_hash.pair(v)
-        slot = find_slot(cell.chain.tables, v, vh[0], vh[1])
-        if slot is not None:
-            return cell, cslot, slot, scans, uh, vh
-        scans += 1
-        adj_dl = self._adj_dl
-        for i, row in enumerate(adj_dl):
-            if row[0] == u and row[1] == v:
-                self._dl_hits += 1
-                return cell, cslot, (None, None, adj_dl, i), scans, uh, vh
-        return cell, cslot, None, scans, uh, vh
+        chain = cell.chain
+        slot = find_slot(chain.tables, v, vh[0], vh[1])
+        if slot is None:
+            scans += 1
+            slot = self._spilled(chain, v)
+        return cell, cslot, slot, scans, uh, vh
 
     # -- public operations ---------------------------------------------------
 
@@ -438,11 +351,11 @@ class CuckooGraph:
             if w > 1:
                 _write_weight(cell, slot, w - 1)
                 return DeleteResult("decremented", w - 1)
-        if items is cell.inline:
+        if cell.chain is None:
             cell.inline = items[:i] + items[i + 1:]
             self._inline_edges -= 1
         else:
-            _remove(slot)
+            _remove(slot, cell.chain)
         cell.count -= 1
         self._edge_count -= 1
         if cell.count == 0:
@@ -450,9 +363,7 @@ class CuckooGraph:
         elif cell.chain is not None:
             chain = cell.chain
             if hit_table is not None and chain.should_contract():
-                event = chain.contract(hit_table)
-                if event is not None:
-                    self._count_move(self.adj_counters, event)
+                chain.contract(hit_table)
             self._maybe_demote(cell)
         return _DELETED
 
@@ -471,12 +382,9 @@ class CuckooGraph:
         Destinations come as a fresh list of ids, or of (v, w) pairs in
         weighted mode; no node is hashed or probed.
         """
-        by_owner = {}
-        for row in self._adj_dl:
-            by_owner.setdefault(row[0], []).append(row)
         dests = self._dests
         for cell in self._iter_cells():
-            yield cell.node, dests(cell, by_owner.get(cell.node, ()))
+            yield cell.node, dests(cell)
 
     def nodes(self):
         """Iterate every stored source node."""
@@ -501,8 +409,10 @@ class CuckooGraph:
         p = self.params
         node_cells = self.node_counters.capacity_cells
         adj_cells = self.adj_counters.capacity_cells
-        dl_bytes = (len(self._node_dl) * p.node_cell_bytes
-                    + len(self._adj_dl) * p.adj_dl_entry_bytes)
+        node_dl_len = self.node_counters.overflow
+        adj_dl_len = self.adj_counters.overflow
+        dl_bytes = (node_dl_len * p.node_cell_bytes
+                    + adj_dl_len * p.adj_dl_entry_bytes)
         bytes_total = (node_cells * p.node_cell_bytes
                        + adj_cells * p.adj_cell_bytes
                        + dl_bytes
@@ -511,7 +421,8 @@ class CuckooGraph:
         counters = {
             "node": self.node_counters.snapshot(),
             "adj": self.adj_counters.snapshot(),
-            "movements": self._movements,
+            "movements": (self._movements + self.node_counters.moved
+                          + self.adj_counters.moved),
             "dl_hits": self._dl_hits,
             "sdl_peak": self._sdl_peak,
             "ldl_peak": self._ldl_peak,
@@ -529,8 +440,8 @@ class CuckooGraph:
             adj_load_rate=(self.adj_counters.entries / adj_cells)
             if adj_cells else 0.0,
             inline_edges=self._inline_edges,
-            node_dl_len=len(self._node_dl),
-            adj_dl_len=len(self._adj_dl),
+            node_dl_len=node_dl_len,
+            adj_dl_len=adj_dl_len,
             dl_bytes=dl_bytes,
             bytes_total=bytes_total,
             counters=counters,
@@ -556,31 +467,23 @@ class CuckooGraph:
 
     def check_invariants(self):
         """Full-scan structural audit; raises AssertionError on violation."""
-        p = self.params
+        cap = self.params.denylist_cap
+        node_chain = self._node_chain
+        node_chain.check_invariants()
         seen_nodes = {}
-        for t in self._node_chain.tables:
-            t.check_invariants()
-            assert t.v1 is not None, "node table without cells"
-            for u, cell in t.entries():
-                assert cell.node == u, f"cell of node {cell.node} under key {u}"
-                assert u not in seen_nodes, f"node {u} stored twice"
-                seen_nodes[u] = cell
-        _check_level(self.node_counters, self._node_chain.tables)
-        for cell in self._node_dl:
-            assert cell.node not in seen_nodes, f"node {cell.node} in table and overflow"
-            seen_nodes[cell.node] = cell
+        entries = [e for t in node_chain.tables for e in t.entries()]
+        entries += zip(node_chain.spill_k, node_chain.spill_v)
+        for u, cell in entries:
+            assert cell.node == u, f"cell of node {cell.node} under key {u}"
+            assert u not in seen_nodes, f"node {u} stored twice"
+            seen_nodes[u] = cell
+        assert all(t.v1 is not None for t in node_chain.tables), \
+            "node table without cells"
+        _check_level(self.node_counters, [node_chain], cap)
         assert len(seen_nodes) == self._node_count, "node count drift"
-        assert self._node_chain.lengths() == tuple(
-            max(MIN_TABLE_LEN, x) for x in _schedule_row(self._node_chain)), \
-            "node chain off schedule"
-        # out_lists only hands a row to its owner's cell: check the owners
-        for u in {row[0] for row in self._adj_dl}:
-            assert u in seen_nodes, f"edge overflow row under unstored node {u}"
-            assert seen_nodes[u].chain is not None, \
-                f"inline node {u} owns an edge overflow row"
         total_edges = 0
         inline_total = 0
-        adj_tables = []
+        adj_chains = []
         for u, dests in self.out_lists():
             cell = seen_nodes[u]
             chain = cell.chain
@@ -589,24 +492,18 @@ class CuckooGraph:
                 inline_total += cell.count
             else:
                 assert not cell.inline, f"chained node {u} keeps inline slots"
-                assert len(chain.tables) <= MAX_TABLES, "chain too long"
-                assert chain.lengths() == tuple(
-                    max(MIN_TABLE_LEN, x) for x in _schedule_row(chain)), \
-                    "adjacency chain off schedule"
-                for t in chain.tables:
-                    t.check_invariants()
-                    assert (t.v1 is not None) == self._weighted, \
-                        f"weight lists do not match the mode under node {u}"
-                adj_tables += chain.tables
+                chain.check_invariants()
+                assert all((t.v1 is not None) == self._weighted
+                           for t in chain.tables), \
+                    f"weight lists do not match the mode under node {u}"
+                adj_chains.append(chain)
             ids = {d[0] for d in dests} if self._weighted else set(dests)
             assert len(ids) == len(dests), f"duplicate destination under node {u}"
             assert len(dests) == cell.count, f"cell count drift for node {u}"
             total_edges += cell.count
-        _check_level(self.adj_counters, adj_tables)
+        _check_level(self.adj_counters, adj_chains, cap)
         assert total_edges == self._edge_count, "edge count drift"
         assert inline_total == self._inline_edges, "inline count drift"
-        assert len(self._adj_dl) <= p.denylist_cap
-        assert len(self._node_dl) <= p.denylist_cap
 
     # -- internals ----------------------------------------------------------
 
@@ -614,12 +511,12 @@ class CuckooGraph:
         for t in self._node_chain.tables:
             yield from _flatten(t.v1)
             yield from _flatten(t.v2)
-        yield from self._node_dl
+        yield from self._node_chain.spill_v
 
     def _place_node_cell(self, cell, h1, h2):
         homeless = self._node_chain.insert(cell.node, h1, h2, cell)
         if homeless is not None:
-            self._push_node_dl(homeless[1])
+            self._push_node_dl(homeless)
 
     def _chain_add(self, cell, v, weight, vh=None):
         if vh is None:
@@ -631,21 +528,13 @@ class CuckooGraph:
 
     def _promote(self, cell):
         """Move an overflowing inline slot set into a fresh adjacency chain."""
-        chain = self._new_adj_chain(cell.node)
         items = cell.inline
         cell.inline = ()
-        cell.chain = chain
+        cell.chain = self._new_adj_chain(cell.node)
         self._inline_edges -= len(items)
+        self._movements += len(items)
         for item in items:
-            if self._weighted:
-                v, w = item
-            else:
-                v, w = item, None
-            h1, h2 = self._adj_hash.pair(v)
-            homeless = chain.insert(v, h1, h2, w)
-            self._movements += 1
-            if homeless is not None:
-                self._push_adj_dl(cell, homeless)
+            self._chain_add(cell, *(item if self._weighted else (item, None)))
 
     def _maybe_demote(self, cell):
         chain = cell.chain
@@ -656,81 +545,68 @@ class CuckooGraph:
         if chain.entry_count() >= chain.contract_at * chain.capacity():
             return
         items = self._dests(cell)
-        self._drop_chain(cell)
+        chain.dispose()
+        cell.chain = None
         cell.inline = tuple(items)
         self._inline_edges += len(items)
         self._movements += len(items)
 
-    def _dests(self, cell, rows=None):
+    def _dests(self, cell):
         """The one reader of a cell's destinations, as a fresh list.
 
         Ids, or (v, w) pairs when weighted: the inline slots, or the chain
-        tables followed by the edge overflow rows the cell owns. ``rows``
-        passes those rows in when the caller grouped them already.
+        tables followed by the chain's overflow list.
         """
-        if cell.chain is None:
+        chain = cell.chain
+        if chain is None:
             return list(cell.inline)
-        if rows is None:
-            u = cell.node
-            rows = [row for row in self._adj_dl if row[0] == u]
         if self._weighted:
-            return ([e for t in cell.chain.tables for e in t.entries()]
-                    + [(row[1], row[2]) for row in rows])
-        buckets = [b for t in cell.chain.tables for b in (t.k1, t.k2)]
-        return list(_flatten(_flatten(buckets))) + [row[1] for row in rows]
-
-    def _drop_chain(self, cell):
-        """Release cell's adjacency chain and the edge overflow rows it owns."""
-        for t in cell.chain.tables:
-            t.dispose()
-        cell.chain = None
-        if self._adj_dl:
-            u = cell.node
-            self._adj_dl = [row for row in self._adj_dl if row[0] != u]
+            return ([e for t in chain.tables for e in t.entries()]
+                    + list(zip(chain.spill_k, chain.spill_v)))
+        buckets = [b for t in chain.tables for b in (t.k1, t.k2)]
+        return [*_flatten(_flatten(buckets)), *chain.spill_k]
 
     def _clear_cell(self, cell, cslot):
-        """Drop an emptied cell through the slot its lookup found."""
+        """Drop an emptied cell, and its chain, through the slot its lookup found."""
         if cell.chain is not None:
-            self._drop_chain(cell)
-        _remove(cslot)
+            cell.chain.dispose()
+        _remove(cslot, self._node_chain)
         self._node_count -= 1
         table = cslot[0]
         if table is not None and self._node_chain.should_contract():
-            event = self._node_chain.contract(table)
-            if event is not None:
-                self._count_move(self.node_counters, event)
+            self._node_chain.contract(table)
 
 
 def _weight(slot):
-    """The weight at an edge slot: a table payload, else an item's last field."""
-    table, _, items, i = slot
-    return items[i] if table is not None else items[i][-1]
+    """The weight at an edge slot: a table or overflow payload, else an
+    inline pair's second field."""
+    _, keys, items, i = slot
+    return items[i] if keys is not None else items[i][1]
 
 
 def _write_weight(cell, slot, w):
-    table, _, items, i = slot
-    if table is not None:
+    _, keys, items, i = slot
+    if keys is not None:
         items[i] = w
-    elif items is cell.inline:
-        cell.inline = items[:i] + ((items[i][0], w),) + items[i + 1:]
     else:
-        items[i][-1] = w   # an edge overflow row
+        cell.inline = items[:i] + ((items[i][0], w),) + items[i + 1:]
 
 
-def _remove(slot):
+def _remove(slot, chain):
+    """Free a located slot of chain: a table cell or an overflow entry."""
     table, key_bucket, items, i = slot
     if table is None:
-        items.pop(i)
+        chain.unspill(i)
     else:
         table.clear_slot(key_bucket, items, i)
 
 
-def _check_level(counters, tables):
-    """A level's counters agree with the tables that level holds."""
+def _check_level(counters, chains, cap):
+    """A level's counters agree with the chains that level holds."""
+    tables = [t for c in chains for t in c.tables]
     assert counters.entries == sum(t.count for t in tables), \
         "level entry count drift"
     assert counters.tables == len(tables), "level table count drift"
-
-
-def _schedule_row(chain):
-    return lengths_for_step(chain.step, chain.base_len)
+    assert counters.overflow == sum(len(c.spill_k) for c in chains), \
+        "level overflow count drift"
+    assert counters.overflow <= cap, "level overflow over its cap"

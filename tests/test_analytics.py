@@ -37,9 +37,9 @@ def count_reads(g, monkeypatch):
         calls["pair"] += 1
         return pair(self, key)
 
-    def logged_dests(cell, rows=None):
+    def logged_dests(cell):
         read.append(cell.node)
-        return dests(cell, rows)
+        return dests(cell)
 
     g.successors = counted_successors
     g._dests = logged_dests

@@ -192,13 +192,6 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
-        ds = tmp_path / "g.txt"
-        workload.write_edge_file(ds, [(1, 2), (3, 4)])
-        monkeypatch.setenv("CUCKOOGRAPH_SEED", "12345")
-        code = main(["--dataset", str(ds), "--phases", "insert", "--seed", "0"])
-        assert code == 0
-
     def test_weighted_flag(self, tmp_path):
         ds = tmp_path / "g.txt"
         workload.write_edge_file(ds, [(1, 2), (1, 2), (2, 3)])

@@ -7,6 +7,10 @@ from cuckoograph.cuckoo_table import CuckooTable, LevelCounters, TableShape, fin
 from cuckoograph.hashing import HashPair
 
 HP = HashPair(11, 22)
+# the chain properties must not hang on one hash: (3, 4) leaves an insert
+# into a base-2 chain homeless, (5, 6) a merge at base 8 with 2-cell buckets
+HASH_PAIRS = (HP, HashPair(3, 4), HashPair(5, 6))
+CAP = 64   # the overflow cap of a test chain's level
 
 # published growth schedule for a three-slot chain, rows 0..7
 SCHEDULE = {
@@ -21,32 +25,76 @@ SCHEDULE = {
 }
 
 
-def make_chain(base=8, d=2, g=0.9, lam=0.5, kicks=50, rng_seed=3):
+class RecordingChain(TableChain):
+    """Records each grow event as its move left the chain, before the
+    overflow list drained: (step, lengths, newest count, spilled, event)."""
+
+    __slots__ = ("grows",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.grows = []
+
+    def advance(self):
+        spilled = len(self.spill_k)
+        event = super().advance()
+        # every drained entry that found a cell sits in the newest table
+        drained = spilled - len(self.spill_k)
+        self.grows.append((self.step, self.lengths(),
+                           self.tables[-1].count - drained, spilled, event))
+        return event
+
+
+def make_chain(base=8, d=2, g=0.9, lam=0.5, kicks=50, rng_seed=3, hp=HP,
+               cls=TableChain, payloads=False):
     stats = LevelCounters()
     rng = random.Random(rng_seed)
 
     def factory(length):
         return CuckooTable(TableShape.for_length(length, d), rng, stats, kicks,
-                           HP, False)
+                           hp, payloads)
 
-    return TableChain(base, g, lam, factory), stats
+    return cls(base, g, lam, factory), stats
+
+
+def pair(chain, k):
+    return chain.tables[0]._hash.pair(k)
 
 
 def fill(chain, keys):
     failed = []
     for k in keys:
-        h1, h2 = HP.pair(k)
+        h1, h2 = pair(chain, k)
         ev = chain.insert(k, h1, h2, None)
         if ev is not None:
             failed.append(ev)
     return failed
 
 
+def add(chain, k):
+    """Insert k as the graph does: a homeless entry goes to the chain's list."""
+    h1, h2 = pair(chain, k)
+    homeless = chain.insert(k, h1, h2, None)
+    if homeless is not None:
+        assert chain.spill(homeless, CAP)
+
+
+def remove(chain, k):
+    """Delete k wherever it sits; returns the table it left, or None."""
+    h1, h2 = pair(chain, k)
+    slot = find_slot(chain.tables, k, h1, h2)
+    if slot is None:
+        chain.unspill(chain.spill_k.index(k))
+        return None
+    slot[0].clear_slot(slot[1], slot[2], slot[3])
+    return slot[0]
+
+
 def chain_keys(chain):
     out = []
     for t in chain.tables:
         out.extend(e[0] for e in t.entries())
-    return out
+    return out + list(chain.spill_k)
 
 
 class TestSchedule:
@@ -125,26 +173,21 @@ class TestExpand:
     def test_first_merge_of_a_clamped_chain_lands_on_a_larger_row(self):
         # base length 2 clamps rows 1-2 to (2, 2) and (2, 2, 2): 72 cells,
         # as many as the merge row (4, 2), so the merge lands on (4, 2, 2)
-        chain, _ = make_chain(base=2, d=8, g=0.9, kicks=250)
-        merges = []
-
-        def on_grow(ch, event):
-            if event.kind == "merged":
-                merges.append((ch.step, ch.lengths(), ch.tables[-1].count,
-                               event))
-
-        chain.on_grow = on_grow
-        k = 0
-        while not merges:
-            h1, h2 = HP.pair(k)
-            assert chain.insert(k, h1, h2, None) is None
-            k += 1
-        step, lengths, newest_count, event = merges[0]
-        assert not event.failed
-        assert newest_count == 0
-        assert (step, lengths) == (4, (4, 2, 2))
-        assert event.moved == k - 1
-        assert sorted(chain_keys(chain)) == list(range(k))
+        for hp in HASH_PAIRS:
+            chain, _ = make_chain(base=2, d=8, g=0.9, kicks=250, hp=hp,
+                                  cls=RecordingChain)
+            k = 0
+            while not any(e.kind == "merged" for *_, e in chain.grows):
+                add(chain, k)
+                k += 1
+            step, lengths, newest_count, spilled, event = next(
+                grow for grow in chain.grows if grow[-1].kind == "merged")
+            assert not event.failed
+            assert newest_count == 0
+            assert (step, lengths) == (4, (4, 2, 2))
+            # every key inserted before the merging one, bar the spilled
+            assert event.moved == k - 1 - spilled
+            assert sorted(chain_keys(chain)) == list(range(k))
 
     @pytest.mark.parametrize("d", [1, 8])
     def test_clamped_merge_skips_a_row_at_any_bucket_size(self, d):
@@ -157,52 +200,53 @@ class TestExpand:
         assert (chain.step, chain.lengths()) == (5, (8, 4))
 
     @staticmethod
-    def _grow_to_step_7(d):
-        """Insert keys until step 7; returns (chain, rows seen, merges, lost keys)."""
-        chain, _ = make_chain(base=8, d=d, g=0.9)
-        merges = []
+    def _grow_to_step_7(d, hp):
+        """Insert keys until step 7; returns (chain, rows seen, merges).
 
-        def on_grow(ch, event):
-            if event.kind == "merged":
-                merges.append((tried, ch.step, ch.tables[-1].count, event))
-
-        chain.on_grow = on_grow
+        A merge is (row tried first, step, lengths, newest count, event).
+        """
+        chain, _ = make_chain(base=8, d=d, g=0.9, hp=hp, cls=RecordingChain)
         seen = [chain.lengths()]
-        lost = set()
+        merges = []
         k = 0
         while chain.step < 7:
             tried = chain.step + 1   # the row a merge in this insert tries first
-            h1, h2 = HP.pair(k)
-            homeless = chain.insert(k, h1, h2, None)
-            if homeless is not None:
-                lost.add(homeless[0])
+            grown = len(chain.grows)
+            add(chain, k)
+            merges += [(tried, step, lengths, newest_count, event)
+                       for step, lengths, newest_count, _, event
+                       in chain.grows[grown:] if event.kind == "merged"]
             if chain.lengths() != seen[-1]:
                 seen.append(chain.lengths())
             k += 1
-        assert chain.entry_count() == k - len(lost)
-        assert sorted(chain_keys(chain)) == sorted(set(range(k)) - lost)
-        return chain, seen, merges, lost
+        assert chain.entry_count() + len(chain.spill_k) == k
+        assert sorted(chain_keys(chain)) == list(range(k))
+        return chain, seen, merges
 
     def test_grow_driven_by_inserts_walks_the_schedule(self):
-        # with 8-cell buckets no structural move fails, so every row shows up
-        _, seen, merges, lost = self._grow_to_step_7(8)
-        assert seen == [SCHEDULE[s](8) for s in range(8)]
-        assert not any(event.failed for *_, event in merges)
-        assert not lost
+        # with 8-cell buckets no structural move fails, so every row shows
+        # up; an insert's own kick failure goes to the chain's list
+        for hp in HASH_PAIRS:
+            _, seen, merges = self._grow_to_step_7(8, hp)
+            assert seen == [SCHEDULE[s](8) for s in range(8)]
+            assert not any(event.failed for *_, event in merges)
 
     def test_merge_that_leaves_an_entry_homeless_lands_on_a_later_row(self):
         # 2-cell buckets and 50 kicks: some merge row cannot hold its
         # entries, so the merge moves on to a larger row instead of losing
-        # them; only the inserts' own kick failures leave the chain
-        _, seen, merges, _ = self._grow_to_step_7(2)
-        rows = {SCHEDULE[s](8) for s in range(8)}
-        assert all(row in rows for row in seen)
-        escalated = [m for m in merges if m[3].failed]
-        assert escalated
-        for tried, step, newest_count, event in escalated:
-            assert step > tried
-            assert event.lengths == lengths_for_step(step, 8)
-            assert newest_count == 0
+        # them. Every merge lands on a schedule row, the one it tried or a
+        # later one, with its newest table empty.
+        rows = [lengths_for_step(s, 8) for s in range(12)]
+        for hp in HASH_PAIRS:
+            _, seen, merges = self._grow_to_step_7(2, hp)
+            assert all(row in rows for row in seen)
+            for tried, step, lengths, newest_count, event in merges:
+                assert step >= tried
+                assert lengths == event.lengths == lengths_for_step(step, 8)
+                assert newest_count == 0
+            escalated = [m for m in merges if m[-1].failed]
+            assert escalated
+            assert all(step > tried for tried, step, *_ in escalated)
 
 
 class TestContract:
@@ -301,19 +345,16 @@ class TestContract:
             assert len(chain.tables) <= 3
 
     @staticmethod
-    def _grown_to_16_8():
-        chain, _ = make_chain(base=8, d=8)
+    def _grown_to_16_8(hp):
+        chain, _ = make_chain(base=8, d=8, hp=hp)
         k = 0
         while chain.lengths() != (16, 8):
-            h1, h2 = HP.pair(k)
-            assert chain.insert(k, h1, h2, None) is None
+            add(chain, k)
             k += 1
         # delete oldest keys until the chain's load falls under the floor
         k = 0
         while not chain.should_contract():
-            h1, h2 = HP.pair(k)
-            t, kb, vb, j = find_slot(chain.tables, k, h1, h2)
-            t.clear_slot(kb, vb, j)
+            remove(chain, k)
             k += 1
         return chain
 
@@ -327,11 +368,12 @@ class TestContract:
 
     @pytest.mark.parametrize("hit", ["big", "newest"])
     def test_contraction_never_lands_over_grow_threshold(self, hit):
-        chain = self._grown_to_16_8()
-        before = sorted(chain_keys(chain))
-        hit_table = chain.tables[0] if hit == "big" else chain.tables[-1]
-        event = chain.contract(hit_table)
-        self._assert_sized_by_count(chain, event, before)
+        for hp in HASH_PAIRS:
+            chain = self._grown_to_16_8(hp)
+            before = sorted(chain_keys(chain))
+            hit_table = chain.tables[0] if hit == "big" else chain.tables[-1]
+            event = chain.contract(hit_table)
+            self._assert_sized_by_count(chain, event, before)
 
     def test_lone_table_just_under_floor_lands_within_threshold(self):
         chain, _ = make_chain(base=8, d=8)
@@ -354,20 +396,21 @@ class TestContract:
         # a length-2 table has one minor bucket, so a drain of (2, 2) into
         # (2,) strands keys whenever more than 16 share a major bucket;
         # the contraction must then rebuild instead of dropping them
-        for seed in range(300):
-            chain, _ = make_chain(base=2, d=8, kicks=250, rng_seed=seed)
-            keys = list(range(300))
-            assert not fill(chain, keys)
-            random.Random(seed).shuffle(keys)
-            live = set(keys)
-            for k in keys:
-                h1, h2 = HP.pair(k)
-                t, kb, vb, j = find_slot(chain.tables, k, h1, h2)
-                t.clear_slot(kb, vb, j)
-                live.discard(k)
-                if chain.should_contract():
-                    chain.contract(t)
-                    assert set(chain_keys(chain)) == live, (seed, k)
+        for hp in HASH_PAIRS:
+            for seed in range(300):
+                chain, _ = make_chain(base=2, d=8, kicks=250, rng_seed=seed,
+                                      hp=hp)
+                keys = list(range(300))
+                for k in keys:
+                    add(chain, k)
+                random.Random(seed).shuffle(keys)
+                live = set(keys)
+                for k in keys:
+                    t = remove(chain, k)
+                    live.discard(k)
+                    if t is not None and chain.should_contract():
+                        chain.contract(t)
+                        assert set(chain_keys(chain)) == live, (hp.seed_1, seed, k)
 
     def test_rebuild_retries_homeless_entries_before_a_larger_row(self):
         # 24 keys share one bucket pair of every length-4 table; placed
@@ -400,6 +443,96 @@ class TestContract:
         assert not chain.should_contract()
         fill(chain, [cap])
         assert (chain.step, chain.lengths()) == (0, (8,))
+
+
+class TestOverflowList:
+    def test_lists_are_allocated_on_the_first_spill(self):
+        for payloads in (False, True):
+            chain, stats = make_chain(payloads=payloads)
+            assert chain.spill_k == ()
+            assert chain.spill_v == (() if payloads else None)
+            assert chain.spill((7, "p7" if payloads else None), CAP)
+            assert chain.spill_k == [7]
+            assert chain.spill_v == (["p7"] if payloads else None)
+            assert stats.overflow == 1
+            chain.check_invariants()
+
+    def test_unspill_keeps_the_order_and_the_count(self):
+        chain, stats = make_chain(payloads=True)
+        for k in (5, 6, 7):
+            chain.spill((k, -k), CAP)
+        chain.unspill(1)
+        assert (chain.spill_k, chain.spill_v) == ([5, 7], [-5, -7])
+        assert stats.overflow == 2
+
+    def test_grow_drains_the_list_in_order_into_the_newest_table(self):
+        chain, stats = make_chain(base=8, d=2, payloads=True)
+        fill(chain, range(10))
+        # two keys sharing a major bucket of the new length-4 table land
+        # in it in list order
+        a, b = [k for k in range(100, 1000) if HP.pair(k)[0] & 3 == 0][:2]
+        for k in (b, a, 99):
+            chain.spill((k, -k), CAP)
+        event = chain.advance()
+        assert (chain.spill_k, chain.spill_v) == ((), ())
+        newest = chain.tables[-1]
+        assert (newest.k1[0], newest.v1[0]) == ([b, a], [-b, -a])
+        assert sorted(newest.entries()) == sorted((k, -k) for k in (a, b, 99))
+        assert stats.overflow == 0
+        assert stats.moved == event.moved + 3
+        chain.check_invariants()
+
+    def test_spill_at_the_cap_grows_the_chain_instead(self):
+        chain, stats = make_chain(base=8, d=2)
+        fill(chain, range(10))
+        assert chain.spill((100, None), 1)
+        assert chain.spill((101, None), 1)
+        # the grow drained 100 into the new table, which then took 101
+        assert chain.step == 1
+        assert chain.spill_k == ()
+        assert sorted(e[0] for e in chain.tables[-1].entries()) == [100, 101]
+        assert stats.overflow == 0
+
+    def test_the_cap_is_shared_by_every_chain_of_a_level(self):
+        chain, stats = make_chain(base=8, d=2)
+        other = TableChain(8, 0.9, 0.5, chain.make_table)
+        assert other.spill((100, None), 2)
+        assert chain.spill((101, None), 2)
+        assert chain.spill((102, None), 2)   # at the cap: this chain grows
+        assert (chain.step, other.step) == (1, 0)
+        assert (chain.spill_k, other.spill_k) == ((), [100])
+        assert stats.overflow == 1
+        other.dispose()
+        assert stats.overflow == 0
+        assert stats.tables == len(chain.tables)
+
+    def test_structural_moves_count_into_the_level(self):
+        chain, stats = make_chain(base=8, d=8)
+        fill(chain, range(20))
+        moved = []
+        for _ in range(3):
+            moved.append(chain.advance().moved)
+        event = chain.contract(chain.tables[-1])
+        assert event is not None
+        assert stats.moved == sum(moved) + event.moved
+        assert stats.move_failures == 0
+
+    def test_audit_rejects_a_broken_list(self):
+        chain, _ = make_chain(payloads=True)
+        fill(chain, range(5))
+        chain.spill((100, 1), CAP)
+        chain.check_invariants()
+        chain.spill((100, 2), CAP)
+        with pytest.raises(AssertionError, match="spilled twice"):
+            chain.check_invariants()
+        chain.unspill(1)
+        chain.spill_v.append(3)
+        with pytest.raises(AssertionError, match="not parallel"):
+            chain.check_invariants()
+        chain.spill_v.pop()
+        chain.spill((4, 4), CAP)   # key 4 also sits in a table
+        with pytest.raises(AssertionError, match="spilled key 4 also sits"):
+            chain.check_invariants()
 
 
 class TestProbeAccounting:

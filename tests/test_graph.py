@@ -140,10 +140,10 @@ class TestDenylists:
         for u in range(1, 1000):
             g.insert_edge(u, 1000 + u)
             crowd.append(u)
-            if g._node_dl:
+            if g._node_chain.spill_k:
                 break
         assert g.stats().node_dl_len > 0
-        overflowed = g._node_dl[0]
+        overflowed = g._node_chain.spill_v[0]
         assert isinstance(overflowed, NodeCell)
         for v in g.successors(overflowed.node):
             assert g.query_edge(overflowed.node, v) is True
@@ -167,19 +167,36 @@ class TestDenylists:
         assert g.stats().counters["max_query_dl_scans"] == 1
         g.check_invariants()
 
-    def test_audit_rejects_an_overflow_row_under_an_inline_source(self):
-        g = CuckooGraph(GraphParams())
-        g.insert_edge(1, 2)
-        g._adj_dl.append([1, 3])
-        with pytest.raises(AssertionError, match="inline node 1"):
-            g.check_invariants()
+    def test_each_chain_keeps_its_own_overflow_entries(self):
+        # the edge cap is shared by the level: every chain's list counts
+        # toward it, and a lookup scans only the source's own list
+        g = CuckooGraph(tiny_params())
+        lists = {}
+        for u, v in generate_synthetic("zipf", 400, 3000, 3):
+            g.insert_edge(u, v)
+            lists = {cell.node: cell.chain.spill_k for cell in g._iter_cells()
+                     if cell.chain is not None and cell.chain.spill_k}
+            if len(lists) > 1:
+                break
+        assert len(lists) > 1
+        assert g.stats().adj_dl_len == sum(map(len, lists.values()))
+        for u, keys in lists.items():
+            for v in keys:
+                assert g.query_edge(u, v) is True
+            assert g.query_edge(u, 10**6) is False
+        g.check_invariants()
 
-    def test_audit_rejects_an_overflow_row_without_a_stored_owner(self):
-        g = CuckooGraph(GraphParams())
-        g.insert_edge(1, 2)
-        g._adj_dl.append([99, 3])
-        with pytest.raises(AssertionError, match="unstored node 99"):
+    def test_demotion_releases_the_chains_overflow_entries(self):
+        g = CuckooGraph(tiny_params())
+        v = 0
+        while g.stats().adj_dl_len == 0:
+            v += 1
+            g.insert_edge(0, v)
+        for x in range(1, v + 1):
+            g.delete_edge(0, x)
             g.check_invariants()
+        assert g.adjacency_lengths(0) is None
+        assert g.stats().adj_dl_len == 0
 
 
 def _chained_node_5(weighted=False):
@@ -188,7 +205,7 @@ def _chained_node_5(weighted=False):
     for v in range(40):
         g.insert_edge(5, v)
     cell = g._find_cell(5)
-    assert cell.chain is not None and not g._adj_dl
+    assert cell.chain is not None and not cell.chain.spill_k
     g.check_invariants()
     return g, cell
 
@@ -215,6 +232,24 @@ class TestAudit:
         g, _ = _chained_node_5()
         g.adj_counters.entries += 1
         with pytest.raises(AssertionError, match="level entry count drift"):
+            g.check_invariants()
+
+    def test_rejects_a_spilled_key_that_also_sits_in_a_table(self):
+        g, cell = _chained_node_5()
+        v = next(e[0] for e in cell.chain.tables[0].entries())
+        before = g.stats().counters
+        cell.chain.spill((v, None), g.params.denylist_cap)
+        with pytest.raises(AssertionError, match=f"spilled key {v} also sits"):
+            g.check_invariants()
+        # the audit looked the key up without charging a probe
+        after = g.stats().counters
+        assert after["adj"]["bucket_probes"] == before["adj"]["bucket_probes"]
+
+    @pytest.mark.parametrize("level", ["node", "adj"])
+    def test_rejects_overflow_count_drift(self, level):
+        g, _ = _chained_node_5()
+        getattr(g, f"{level}_counters").overflow += 1
+        with pytest.raises(AssertionError, match="level overflow count drift"):
             g.check_invariants()
 
     def test_rejects_a_node_cell_under_a_foreign_key(self):
@@ -390,14 +425,14 @@ class TestWeighted:
             insert(x, 1000 + x)
         u = 0
         while (g.stats().node_dl_len == 0
-               or any(cell.node == hub for cell in g._node_dl)):
+               or hub in g._node_chain.spill_k):
             u += 1
             insert(u, 1000 + u)
             sources.append(u)
         assert g.adjacency_lengths(hub) is not None
-        spilled = sorted(row[1] for row in g._adj_dl if row[0] == hub)
+        spilled = sorted(g._find_cell(hub).chain.spill_k)
         tabled = sorted(x for x, _ in g.successors(hub) if x not in spilled)
-        crowded = g._node_dl[0].node
+        crowded = g._node_chain.spill_k[0]
         plain = next(x for x in sources
                      if x != crowded and _location(g, x, 1000 + x) == "inline")
         cases = [("adj_dl", (hub, spilled[0])),
@@ -430,12 +465,12 @@ class TestWeighted:
 
 def _location(g, u, v):
     """Where edge u->v is stored: node_dl, inline, adj_dl or adj_table."""
-    if any(cell.node == u for cell in g._node_dl):
+    if u in g._node_chain.spill_k:
         assert g.stats().node_dl_len > 0
         return "node_dl"
     if g.adjacency_lengths(u) is None:
         return "inline"
-    if any(row[:2] == [u, v] for row in g._adj_dl):
+    if v in g._find_cell(u).chain.spill_k:
         assert g.stats().adj_dl_len > 0
         return "adj_dl"
     return "adj_table"
