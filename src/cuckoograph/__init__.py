@@ -1,11 +1,10 @@
 """Resizable two-level cuckoo-hash store for dynamic directed graphs."""
 
-from .graph import (CapacityExhausted, CuckooGraph, DeleteResult, GraphParams,
-                    GraphStats, InsertResult)
+from .graph import (CuckooGraph, DeleteResult, GraphParams, GraphStats,
+                    InsertResult)
 from .oracle import OracleGraph
 
 __all__ = [
-    "CapacityExhausted",
     "CuckooGraph",
     "DeleteResult",
     "GraphParams",

@@ -4,12 +4,21 @@ All tasks are read-only and deterministic: ties break on ascending node
 id, frontier neighbours expand in sorted order. Tasks that operate on a
 subgraph first rank nodes by total degree (out-degree plus in-degree)
 and induce the graph on the top slice.
+
+The ranking reads degree counts only: one ``out_lists`` walk, with the
+in-degrees counted over the joined destination lists, and no successor
+set per node. The induced subgraph reads the successors of the kept
+nodes alone. Kernels that need the whole graph (SCC, PageRank,
+betweenness, clustering) take an ``adjacency_view`` snapshot.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 TASKS = ("bfs", "sssp", "tc", "cc", "pr", "bc", "lcc")
 
@@ -56,34 +65,56 @@ def adjacency_view(graph):
     return adj
 
 
-def total_degrees(adj) -> dict:
-    """Out-degree plus in-degree of every node of an ``adjacency_view``."""
-    deg = {u: len(vs) for u, vs in adj.items()}
-    for vs in adj.values():
-        for v in vs:
-            deg[v] += 1
+def total_degrees(graph) -> dict:
+    """Out-degree plus in-degree of every endpoint node.
+
+    One ``out_lists`` walk: out-degrees are the list lengths, in-degrees
+    one ``Counter`` over the joined destination ids. No successor set is
+    built.
+    """
+    deg = {}
+    lists = []
+    for u, dests in graph.out_lists():
+        deg[u] = len(dests)
+        lists.append(dests)
+    ids = itertools.chain.from_iterable(lists)
+    if graph.params.weighted:
+        ids = map(itemgetter(0), ids)
+    for v, n in Counter(ids).items():
+        deg[v] = deg.get(v, 0) + n
     return deg
 
 
 def select_top_degree(graph, k: int) -> list:
-    """The k nodes with the largest total degree, ties broken by id."""
-    adj = adjacency_view(graph)
-    if k > len(adj):
-        raise ValueError(f"asked for {k} nodes, graph has only {len(adj)}")
-    deg = total_degrees(adj)
-    ranked = sorted(adj, key=lambda n: (-deg[n], n))
-    return ranked[:k]
+    """The k nodes with the largest total degree, ties broken by id.
+
+    Raises ValueError when the graph has fewer than k endpoint nodes.
+    """
+    deg = total_degrees(graph)
+    if k > len(deg):
+        raise ValueError(f"asked for {k} nodes, graph has only {len(deg)}")
+    return heapq.nsmallest(k, deg, key=lambda n: (-deg[n], n))
 
 
 def extract_subgraph(graph, nodes):
-    """New store of the same kind, induced on the given node set."""
+    """New store of the same kind, induced on the given node set.
+
+    Reads the successors of the kept nodes only, in ascending id order,
+    and inserts the destinations that are kept too, with their weights.
+    """
     from .graph import CuckooGraph
 
     keep = set(nodes)
     sub = CuckooGraph(graph.params)
-    for edge in graph.iter_edges():
-        if edge[0] in keep and edge[1] in keep:
-            sub.insert_edge(*edge)
+    weighted = graph.params.weighted
+    for u in sorted(keep):
+        if weighted:
+            for v, w in graph.successors(u):
+                if v in keep:
+                    sub.insert_edge(u, v, w)
+        else:
+            for v in graph.successors(u) & keep:
+                sub.insert_edge(u, v)
     return sub
 
 

@@ -236,25 +236,22 @@ class TableChain:
 
     # -- overflow list -----------------------------------------------------
 
-    def spill(self, entry, cap) -> bool:
+    def spill(self, entry, cap):
         """Keep a homeless ``(key, payload)`` in the overflow list.
 
         ``cap`` bounds the entries of all the level's lists together. At
         the cap the chain grows first (which drains its list) and retries
-        the entry in the newest table; whatever is still homeless then is
-        kept if the level is under its cap again. Returns False when it
-        was not: the entry (or one it displaced) is left out.
+        the entry in the newest table. That table starts empty, so the
+        first entry tried in it lands: the drain's first, or the retried
+        entry when the list was empty. The level is then under its cap,
+        and whatever is still homeless is kept.
         """
-        st = self.counters
-        if st.overflow >= cap:
+        if self.counters.overflow >= cap:
             self.advance()
             entry = self._to_newest(*entry)
             if entry is None:
-                return True
-            if st.overflow >= cap:
-                return False
+                return
         self._keep(*entry)
-        return True
 
     def unspill(self, i):
         """Remove the i-th overflow entry; the rest keep their order."""

@@ -52,10 +52,6 @@ TABLE_HEADER_BYTES = 48
 _flatten = itertools.chain.from_iterable
 
 
-class CapacityExhausted(RuntimeError):
-    """Raised when an overflow list is full and forced growth also failed."""
-
-
 class InsertResult(NamedTuple):
     status: str            # inserted | duplicate | incremented
     weight: Optional[int]
@@ -221,15 +217,11 @@ class CuckooGraph:
     # -- overflow lists -----------------------------------------------------
 
     def _push_node_dl(self, entry):
-        if not self._node_chain.spill(entry, self.params.denylist_cap):
-            raise CapacityExhausted(
-                f"node overflow list full and forced growth failed for node {entry[0]}")
+        self._node_chain.spill(entry, self.params.denylist_cap)
         self._ldl_peak = max(self._ldl_peak, self.node_counters.overflow)
 
     def _push_adj_dl(self, cell, entry):
-        if not cell.chain.spill(entry, self.params.denylist_cap):
-            raise CapacityExhausted(
-                f"edge overflow list full and forced growth failed under node {cell.node}")
+        cell.chain.spill(entry, self.params.denylist_cap)
         self._sdl_peak = max(self._sdl_peak, self.adj_counters.overflow)
 
     def _spilled(self, chain, key):

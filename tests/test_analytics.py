@@ -23,6 +23,11 @@ def random_edges(seed, nodes=60, count=180):
     return {(rnd.randrange(nodes), rnd.randrange(nodes)) for _ in range(count)}
 
 
+def weighted_edges(seed):
+    rnd = random.Random(seed)
+    return [(u, v, rnd.randrange(1, 9)) for u, v in sorted(random_edges(seed))]
+
+
 def count_reads(g, monkeypatch):
     """Count g's successors calls and all key hashing; log every cell read."""
     calls = {"successors": 0, "pair": 0}
@@ -88,10 +93,24 @@ class TestSelection:
             want[u].add(v)
         assert adj == want
 
+    def test_tie_at_the_kth_degree_takes_the_smaller_id(self):
+        # degrees 7: 3, 30: 2, 20: 2, 10: 1; 30 was inserted first
+        g, ref = build_pair([(7, 30), (30, 20), (7, 20), (7, 10)])
+        assert analytics.select_top_degree(g, 2) == [7, 20]
+        assert analytics.select_top_degree(g, 3) == [7, 20, 30]
+        assert analytics.select_top_degree(g, 2) == oracle.top_degree(ref, 2)
+
     def test_oversized_k_rejected(self):
         g, _ = build_pair(PATH)
+        assert analytics.select_top_degree(g, 3) == [2, 1, 3]
+        for k in (4, 99):
+            with pytest.raises(ValueError):
+                analytics.select_top_degree(g, k)
+
+    def test_empty_graph_has_no_top_node(self):
+        g, _ = build_pair([])
         with pytest.raises(ValueError):
-            analytics.select_top_degree(g, 99)
+            analytics.select_top_degree(g, 1)
 
 
 class TestSubgraph:
@@ -115,6 +134,17 @@ class TestSubgraph:
         keep = set(range(0, 40))
         sub = analytics.extract_subgraph(g, keep)
         assert set(sub.iter_edges()) == oracle.subgraph(ref, keep).edge_set()
+
+    def test_reads_only_the_kept_stored_sources(self, monkeypatch):
+        # the hub 0 keeps its destinations in a chain, 1 and 2 inline;
+        # 100 and 101 are sinks and 999 is in no edge
+        g, _ = build_pair(random_edges(3) | {(0, v) for v in range(100, 140)})
+        keep = {0, 1, 2, 100, 101, 999}
+        calls, read = count_reads(g, monkeypatch)
+        sub = analytics.extract_subgraph(g, keep)
+        assert calls["successors"] == len(keep)
+        assert read == [0]   # the one kept chained source, read once
+        assert {(0, 100), (0, 101)} <= set(sub.iter_edges())
 
 
 class TestTasks:
@@ -187,6 +217,24 @@ class TestDifferential:
         g, ref = build_pair(random_edges(seed))
         for src in analytics.select_top_degree(g, 5):
             assert analytics.bfs(g, src) == oracle.bfs(ref, src)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_top_degree(self, seed, weighted):
+        edges = weighted_edges(seed) if weighted else random_edges(seed)
+        g, ref = build_pair(edges, weighted)
+        for k in (1, 5, 20):
+            assert analytics.select_top_degree(g, k) == oracle.top_degree(ref, k)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_subgraph(self, seed, weighted):
+        edges = weighted_edges(seed) if weighted else random_edges(seed)
+        g, ref = build_pair(edges, weighted)
+        top = analytics.select_top_degree(g, 20)
+        sub = analytics.extract_subgraph(g, top)
+        want = oracle.subgraph(ref, top).edge_set()
+        assert set(sub.iter_edges()) == want
+        assert sub.params.weighted == weighted
+        sub.check_invariants()
 
     def test_sssp(self, seed):
         g, ref = build_pair(random_edges(seed))

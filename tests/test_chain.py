@@ -71,12 +71,23 @@ def fill(chain, keys):
     return failed
 
 
+def held(chain, key):
+    """Where the chain keeps key: "list", the index of its table, or None."""
+    if key in chain.spill_k:
+        return "list"
+    for i, t in enumerate(chain.tables):
+        if any(k == key for k, _ in t.entries()):
+            return i
+    return None
+
+
 def add(chain, k):
     """Insert k as the graph does: a homeless entry goes to the chain's list."""
     h1, h2 = pair(chain, k)
     homeless = chain.insert(k, h1, h2, None)
     if homeless is not None:
-        assert chain.spill(homeless, CAP)
+        chain.spill(homeless, CAP)
+        assert held(chain, homeless[0]) is not None
 
 
 def remove(chain, k):
@@ -451,7 +462,7 @@ class TestOverflowList:
             chain, stats = make_chain(payloads=payloads)
             assert chain.spill_k == ()
             assert chain.spill_v == (() if payloads else None)
-            assert chain.spill((7, "p7" if payloads else None), CAP)
+            chain.spill((7, "p7" if payloads else None), CAP)
             assert chain.spill_k == [7]
             assert chain.spill_v == (["p7"] if payloads else None)
             assert stats.overflow == 1
@@ -485,8 +496,9 @@ class TestOverflowList:
     def test_spill_at_the_cap_grows_the_chain_instead(self):
         chain, stats = make_chain(base=8, d=2)
         fill(chain, range(10))
-        assert chain.spill((100, None), 1)
-        assert chain.spill((101, None), 1)
+        chain.spill((100, None), 1)
+        assert held(chain, 100) == "list"
+        chain.spill((101, None), 1)
         # the grow drained 100 into the new table, which then took 101
         assert chain.step == 1
         assert chain.spill_k == ()
@@ -496,10 +508,12 @@ class TestOverflowList:
     def test_the_cap_is_shared_by_every_chain_of_a_level(self):
         chain, stats = make_chain(base=8, d=2)
         other = TableChain(8, 0.9, 0.5, chain.make_table)
-        assert other.spill((100, None), 2)
-        assert chain.spill((101, None), 2)
-        assert chain.spill((102, None), 2)   # at the cap: this chain grows
+        other.spill((100, None), 2)
+        chain.spill((101, None), 2)
+        assert (held(other, 100), held(chain, 101)) == ("list", "list")
+        chain.spill((102, None), 2)   # at the cap: this chain grows
         assert (chain.step, other.step) == (1, 0)
+        assert (held(chain, 101), held(chain, 102)) == (1, 1)
         assert (chain.spill_k, other.spill_k) == ((), [100])
         assert stats.overflow == 1
         other.dispose()
