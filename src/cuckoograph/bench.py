@@ -52,8 +52,6 @@ class Workload:
     seed: int = 0
     top_k: int = 10
     delete_order: str = "insertion"
-    # accepted so that existing callers keep working; it has no effect
-    mem_interval: int = 100_000
 
     def __post_init__(self):
         if not self.phases:

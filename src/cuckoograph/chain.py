@@ -124,7 +124,7 @@ class TableChain:
         self.tables = [make_table(max(MIN_TABLE_LEN, base_len))]
         # empty until the first spill; spill_v stays None without payloads
         self.spill_k = ()
-        self.spill_v = None if self.tables[0].v1 is None else ()
+        self.spill_v = None if self.tables[0].vals is None else ()
 
     # -- metrics ---------------------------------------------------------
 
@@ -278,14 +278,15 @@ class TableChain:
         for t in self.tables:
             t.check_invariants()
         keys, vals = self.spill_k, self.spill_v
-        assert (vals is None) == (self.tables[0].v1 is None), \
+        assert (vals is None) == (self.tables[0].vals is None), \
             "overflow payloads do not match the tables"
         assert vals is None or len(vals) == len(keys), "overflow payloads not parallel"
         assert len(set(keys)) == len(keys), "key spilled twice"
         for key, t in itertools.product(keys, self.tables):
-            h1, h2 = t._hash.pair(key)
-            assert key not in t.k1[h1 & t.mask_major] + t.k2[h2 & t.mask_minor], \
-                f"spilled key {key} also sits in a table"
+            for b in t.buckets(key):
+                ks, _, first, filled = t.bucket(b)
+                assert key not in ks[first:first + filled], \
+                    f"spilled key {key} also sits in a table"
 
     # -- internals ---------------------------------------------------------
 

@@ -1,36 +1,66 @@
 """Two-array cuckoo hash table with multi-cell buckets and bounded eviction.
 
-A bucket is a list of keys, and a table whose level has payloads keeps a
-payload list parallel to each key list: the ``NodeCell`` itself in a node
-table, the weight in a weighted adjacency table. An unweighted adjacency
-table keeps keys only. No entry carries its hashes and no entry is a
-tuple of its own, so a stored key costs one list cell (two with a
-payload) and the garbage collector sees no per-entry object. Callers that
-already hashed a key pass both hashes to ``insert``; a key displaced by
-the kick walk, or moved by a chain's merge, contraction or drain, is
-rehashed with the table's ``HashPair`` (as MemC3 works out a displaced
-item's other bucket). Membership scans run on the key lists, on the C side
-of the interpreter.
+A table has ``len_major + len_minor`` buckets of ``d`` cells: the major
+array's buckets first, then the minor array's, so bucket ``b`` of the
+minor array is bucket ``len_major + b`` of the table. Each table keeps
+its buckets in one of two layouts, fixed by the level it serves:
+
+- ``CELLS`` (node tables): a bucket is a list of keys, with a parallel
+  list of payloads, the ``NodeCell`` of each key. The keys are the same
+  int objects as the cells' ``node`` fields, so storing them again in an
+  array would save only one pointer per source (3.4 B/edge on the
+  sparse-inline workload), while the slice probe an array needs cost
+  10-14% on every operation there, where node probes are most of the work
+  (and where acceptance criterion 10 sets its insert-throughput floor).
+- ``KEYS`` and ``WEIGHTS`` (adjacency tables): flat. All keys sit in one
+  ``array('Q')`` of ``(len_major + len_minor) * d`` cells, bucket ``b`` in
+  cells ``b * d`` onwards, with a ``bytearray`` holding each bucket's fill
+  count; the filled cells come first. A weighted table keeps its weights
+  in a parallel ``array('Q')``. A destination id or weight then costs 8
+  bytes, not an int object plus a list cell: on the zipf workloads these
+  tables held about half of the heap. Both bucket arrays share one key
+  array and one fill array, because most adjacency tables have only a few
+  buckets, so the arrays' object headers weigh as much as their cells.
+
+No entry carries its hashes and no entry is an object of its own, so the
+garbage collector sees no per-entry object. Callers that already hashed a
+key pass both hashes to ``insert``; a key displaced by the kick walk, or
+moved by a chain's merge, contraction or drain, is rehashed with the
+table's ``HashPair`` (as MemC3 works out a displaced item's other
+bucket). Membership scans run on the C side of the interpreter: ``in`` on
+a key list, or on a slice of the key array.
 
 Array lengths are powers of two, so the modular bucket index reduces to a
 bitmask with identical semantics.
 
 ``find_slot`` is the one lookup, for both graph levels: it probes the two
 candidate buckets of each table in a list, oldest first, and returns the
-slot ``(table, key_bucket, payload_bucket, index)`` of the hit, with no
-payload bucket in a keys-only table. The slot is the handle callers edit
-in place; a chain's overflow entries have the same shape, ``(None, keys,
-payloads, index)``, and the graph's inline destinations ``(None, None,
-inline, index)``.
+slot ``(table, keys, payloads, index)`` of the hit. In a ``CELLS`` table
+``keys`` and ``payloads`` are the bucket's lists; in a flat table they are
+the table's arrays (payloads None without weights) and ``index`` is the
+cell. The slot is the handle callers edit in place; a chain's overflow
+entries have the same shape, ``(None, keys, payloads, index)``, and the
+graph's inline destinations ``(None, None, inline, index)``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 
 _flatten = itertools.chain.from_iterable
+
+# bucket layouts: list buckets with payload lists, or flat key (and weight) arrays
+CELLS, KEYS, WEIGHTS = "cells", "keys", "weights"
+
+
+@functools.cache
+def _fill_masks(d: int) -> tuple:
+    """``masks[n]``: one byte per cell of a bucket holding ``n`` keys, 1 if live."""
+    return tuple(b"\x01" * n + b"\x00" * (d - n) for n in range(d + 1))
 
 
 def is_pow2(n: int) -> bool:
@@ -65,7 +95,9 @@ class TableShape:
         return (self.len_major + self.len_minor) * self.cells_per_bucket
 
     @classmethod
+    @functools.cache
     def for_length(cls, length: int, cells_per_bucket: int) -> "TableShape":
+        """The shape of a table of ``length`` buckets; one object per geometry."""
         if length < 2 or length % 2:
             raise ValueError(f"table length must be even and >= 2, got {length}")
         return cls(length, length // 2, cells_per_bucket)
@@ -127,32 +159,38 @@ class CuckooTable:
     uniformly random resident of the first candidate; every displaced
     key is rehashed and retries in its alternate array. After
     ``max_kicks`` evictions the final homeless ``(key, payload)`` is handed
-    back to the caller instead of being dropped. With ``payloads`` false
-    the table keeps keys only (``v1``/``v2`` are None) and every payload
-    reads as None.
+    back to the caller instead of being dropped. ``layout`` is ``CELLS``,
+    ``KEYS`` or ``WEIGHTS`` (see the module docstring); in a ``KEYS`` table
+    ``vals`` is None and every payload reads as None. ``fill`` holds the
+    bucket fill counts of a flat table and is None in a ``CELLS`` one.
     """
 
-    __slots__ = ("shape", "d", "cap", "mask_major", "mask_minor",
-                 "k1", "v1", "k2", "v2", "count", "max_kicks",
+    __slots__ = ("shape", "d", "cap", "mask_major", "mask_minor", "len_major",
+                 "keys", "vals", "fill", "count", "max_kicks",
                  "_hash", "_rng", "_stats")
 
     def __init__(self, shape: TableShape, rng: random.Random,
-                 stats: LevelCounters, max_kicks: int, hash_pair,
-                 payloads: bool):
+                 stats: LevelCounters, max_kicks: int, hash_pair, layout: str):
         if max_kicks < 1:
             raise ValueError("max_kicks must be >= 1")
+        if layout not in (CELLS, KEYS, WEIGHTS):
+            raise ValueError(f"unknown bucket layout {layout!r}")
         self.shape = shape
         self.d = shape.cells_per_bucket
         self.cap = shape.capacity
         self.mask_major = shape.len_major - 1
         self.mask_minor = shape.len_minor - 1
-        self.k1 = [[] for _ in range(shape.len_major)]
-        self.k2 = [[] for _ in range(shape.len_minor)]
-        if payloads:
-            self.v1 = [[] for _ in range(shape.len_major)]
-            self.v2 = [[] for _ in range(shape.len_minor)]
+        self.len_major = shape.len_major
+        buckets = shape.len_major + shape.len_minor
+        if layout == CELLS:
+            # copied to exact size: a comprehension's list keeps spare cells
+            self.keys = [[] for _ in range(buckets)].copy()
+            self.vals = [[] for _ in range(buckets)].copy()
+            self.fill = None
         else:
-            self.v1 = self.v2 = None
+            self.keys = array("Q", bytes(8 * self.cap))
+            self.vals = array("Q", bytes(8 * self.cap)) if layout == WEIGHTS else None
+            self.fill = bytearray(buckets)
         self.count = 0
         self.max_kicks = max_kicks
         self._hash = hash_pair
@@ -167,9 +205,11 @@ class CuckooTable:
         self._stats.entries -= self.count
         self._stats.tables -= 1
         self.count = 0
-        self.k1 = self.k2 = []
-        if self.v1 is not None:
-            self.v1 = self.v2 = []
+        self.keys = self.keys[:0]
+        if self.vals is not None:
+            self.vals = self.vals[:0]
+        if self.fill is not None:
+            self.fill = self.fill[:0]
 
     # -- mutation --------------------------------------------------------
 
@@ -183,37 +223,42 @@ class CuckooTable:
         """
         st = self._stats
         st.insert_events += 1
-        d = self.d
         st.bucket_probes += 1
-        i = h1 & self.mask_major
-        ks = self.k1[i]
-        if len(ks) < d:
-            ks.append(key)
-            if self.v1 is not None:
-                self.v1[i].append(payload)
-            self.count += 1
-            st.entries += 1
-            st.placements += 1
-            return None
-        st.bucket_probes += 1
-        i2 = h2 & self.mask_minor
-        ks = self.k2[i2]
-        if len(ks) < d:
-            ks.append(key)
-            if self.v2 is not None:
-                self.v2[i2].append(payload)
-            self.count += 1
-            st.entries += 1
-            st.placements += 1
-            return None
-        return self._walk(key, payload, i)
+        b = h1 & self.mask_major
+        if not self._put(b, key, payload):
+            st.bucket_probes += 1
+            if not self._put(self.len_major + (h2 & self.mask_minor), key,
+                             payload):
+                return self._walk(key, payload, b)
+        self.count += 1
+        st.entries += 1
+        st.placements += 1
+        return None
 
-    def _walk(self, key, payload, i):
-        """Displacement walk from the full major bucket ``i``; see ``insert``."""
+    def _put(self, b, key, payload):
+        """Append to bucket ``b`` if it has a free cell; True when placed."""
+        fill = self.fill
+        if fill is None:
+            ks = self.keys[b]
+            if len(ks) >= self.d:
+                return False
+            ks.append(key)
+            self.vals[b].append(payload)
+            return True
+        n = fill[b]
+        if n >= self.d:
+            return False
+        c = b * self.d + n
+        self.keys[c] = key
+        if self.vals is not None:
+            self.vals[c] = payload
+        fill[b] = n + 1
+        return True
+
+    def _walk(self, key, payload, b):
+        """Displacement walk from the full major bucket ``b``; see ``insert``."""
         st = self._stats
-        k1, v1, k2, v2 = self.k1, self.v1, self.k2, self.v2
-        kb = k1[i]
-        vb = None if v1 is None else v1[i]
+        keys, vals, flat = self.keys, self.vals, self.fill is not None
         in_major = True
         kicks = 0
         d = self.d
@@ -221,6 +266,10 @@ class CuckooTable:
         max_kicks = self.max_kicks
         while True:
             j = rng.randrange(d)
+            if flat:
+                kb, vb, j = keys, vals, b * d + j
+            else:
+                kb, vb = keys[b], vals[b]
             key, kb[j] = kb[j], key
             if vb is not None:
                 payload, vb[j] = vb[j], payload
@@ -231,18 +280,11 @@ class CuckooTable:
             in_major = not in_major
             h1, h2 = self._hash.pair(key)
             if in_major:
-                i = h1 & self.mask_major
-                kb = k1[i]
-                vb = None if v1 is None else v1[i]
+                b = h1 & self.mask_major
             else:
-                i = h2 & self.mask_minor
-                kb = k2[i]
-                vb = None if v2 is None else v2[i]
+                b = self.len_major + (h2 & self.mask_minor)
             st.bucket_probes += 1
-            if len(kb) < d:
-                kb.append(key)
-                if vb is not None:
-                    vb.append(payload)
+            if self._put(b, key, payload):
                 st.placements += 1
                 self.count += 1
                 st.entries += 1
@@ -254,41 +296,88 @@ class CuckooTable:
                 return key, payload
 
     def clear_slot(self, kb, vb, j):
-        """Free one already-located cell (swap-remove, order is irrelevant)."""
-        kb[j] = kb[-1]
-        kb.pop()
-        if vb is not None:
+        """Free one already-located cell: the bucket's last filled cell
+        moves into it (order within a bucket is irrelevant)."""
+        fill = self.fill
+        if fill is None:
+            kb[j] = kb[-1]
+            kb.pop()
             vb[j] = vb[-1]
             vb.pop()
+        else:
+            b = j // self.d
+            n = fill[b] - 1
+            last = b * self.d + n
+            kb[j] = kb[last]
+            if vb is not None:
+                vb[j] = vb[last]
+            fill[b] = n
         self.count -= 1
         self._stats.entries -= 1
 
+    # -- reading ---------------------------------------------------------
+
+    def stored_keys(self):
+        """Iterate every stored key, bucket by bucket, in cell order."""
+        if self.fill is None:
+            return _flatten(self.keys)
+        return itertools.compress(self.keys, self._live())
+
     def entries(self):
         """Iterate every stored ``(key, payload)``; the table is left unchanged."""
-        keys = _flatten(self.k1 + self.k2)
-        if self.v1 is None:
-            return zip(keys, itertools.repeat(None))
-        return zip(keys, _flatten(self.v1 + self.v2))
+        if self.fill is None:
+            return zip(_flatten(self.keys), _flatten(self.vals))
+        if self.vals is None:
+            return zip(self.stored_keys(), itertools.repeat(None))
+        live = self._live()
+        return zip(itertools.compress(self.keys, live),
+                   itertools.compress(self.vals, live))
+
+    def _live(self) -> bytes:
+        """One byte per cell of a flat table, 1 where the cell is filled."""
+        return b"".join(map(_fill_masks(self.d).__getitem__, self.fill))
+
+    def buckets(self, key):
+        """The two candidate buckets a fresh ``pair(key)`` selects."""
+        h1, h2 = self._hash.pair(key)
+        return h1 & self.mask_major, self.len_major + (h2 & self.mask_minor)
+
+    def bucket(self, b):
+        """Bucket ``b`` as ``(keys, payloads, first, filled)``: its keys are
+        ``keys[first:first + filled]``, each payload at the same index of
+        ``payloads`` (None in a ``KEYS`` table)."""
+        if self.fill is None:
+            return self.keys[b], self.vals[b], 0, len(self.keys[b])
+        return self.keys, self.vals, b * self.d, self.fill[b]
 
     def check_invariants(self):
         """Audit the layout by rehashing every key; raises AssertionError.
 
-        Each key sits in the bucket a fresh ``pair(key)`` selects, no
-        bucket holds more than ``d`` keys, payload lists (when kept) are
-        parallel to the key lists, and ``count`` is the number of keys.
+        Each key sits in a bucket a fresh ``pair(key)`` selects, on the
+        side its bucket belongs to; no bucket holds more than ``d`` keys;
+        payloads (when kept) are parallel to the keys; and ``count`` is the
+        number of keys.
         """
         n = 0
-        for which, mask, keys, vals in ((0, self.mask_major, self.k1, self.v1),
-                                        (1, self.mask_minor, self.k2, self.v2)):
-            assert (vals is None) == (self.v1 is None), "payload arrays differ"
-            for bi, kb in enumerate(keys):
-                assert len(kb) <= self.d, "bucket over capacity"
-                if vals is not None:
-                    assert len(vals[bi]) == len(kb), "payload list not parallel"
-                for key in kb:
-                    assert self._hash.pair(key)[which] & mask == bi, \
-                        f"key {key} outside its candidate bucket"
-                n += len(kb)
+        flat = self.fill is not None
+        if flat:
+            assert len(self.fill) == self.len_major + self.shape.len_minor, \
+                "fill counts do not match the buckets"
+            assert len(self.keys) == self.cap, "key array does not match the cells"
+            assert self.vals is None or len(self.vals) == self.cap, \
+                "weight array not parallel"
+        else:
+            assert len(self.keys) == len(self.vals), "payload lists not parallel"
+        for b in range(self.len_major + self.shape.len_minor):
+            keys, vals, first, filled = self.bucket(b)
+            assert filled <= self.d, f"bucket {b} over capacity"
+            if not flat:
+                assert len(vals) == filled, "payload list not parallel"
+            side = 0 if b < self.len_major else 1
+            for key in keys[first:first + filled]:
+                assert self.buckets(key)[side] == b, \
+                    f"key {key} outside its candidate bucket"
+            n += filled
         assert n == self.count, "table count drift"
 
 
@@ -297,24 +386,41 @@ def find_slot(tables, key, h1, h2):
 
     Probes at most two buckets per table, oldest table first, and charges
     every probe to the level's ``bucket_probes``. Returns the slot
-    ``(table, key_bucket, payload_bucket, index)``, the payload bucket None
-    in a keys-only table, or None on a miss.
+    ``(table, keys, payloads, index)`` (see the module docstring), or None
+    on a miss. All tables of a level share a layout, so the branch on it is
+    taken once per call.
     """
     probes = 0
-    for t in tables:
-        probes += 1
-        i = h1 & t.mask_major
-        ks = t.k1[i]
-        if key in ks:
-            t._stats.bucket_probes += probes
-            vs = t.v1
-            return t, ks, None if vs is None else vs[i], ks.index(key)
-        probes += 1
-        i = h2 & t.mask_minor
-        ks = t.k2[i]
-        if key in ks:
-            t._stats.bucket_probes += probes
-            vs = t.v2
-            return t, ks, None if vs is None else vs[i], ks.index(key)
+    if tables[0].fill is None:
+        for t in tables:
+            probes += 1
+            b = h1 & t.mask_major
+            ks = t.keys[b]
+            if key in ks:
+                t._stats.bucket_probes += probes
+                return t, ks, t.vals[b], ks.index(key)
+            probes += 1
+            b = t.len_major + (h2 & t.mask_minor)
+            ks = t.keys[b]
+            if key in ks:
+                t._stats.bucket_probes += probes
+                return t, ks, t.vals[b], ks.index(key)
+    else:
+        d = tables[0].d
+        for t in tables:
+            probes += 1
+            b = h1 & t.mask_major
+            lo = b * d
+            ks = t.keys[lo:lo + t.fill[b]]
+            if key in ks:
+                t._stats.bucket_probes += probes
+                return t, t.keys, t.vals, lo + ks.index(key)
+            probes += 1
+            b = t.len_major + (h2 & t.mask_minor)
+            lo = b * d
+            ks = t.keys[lo:lo + t.fill[b]]
+            if key in ks:
+                t._stats.bucket_probes += probes
+                return t, t.keys, t.vals, lo + ks.index(key)
     tables[-1]._stats.bucket_probes += probes
     return None

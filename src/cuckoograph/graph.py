@@ -15,22 +15,26 @@ for a node's cell, then that cell's adjacency chain for a destination;
 a chain's overflow list is scanned only after its tables missed, and a
 source whose destinations sit inline has no list to scan.
 Whatever a lookup locates, node cell or edge, comes back as one slot shape,
-``(table, key_bucket, payload_bucket, index)``: an overflow entry has the
-slot ``(None, keys, payloads, index)`` of its chain's lists, and an inline
-destination ``(None, None, inline, index)``. Tables keep no per-entry
-object: a node table's payload is the ``NodeCell``, a weighted adjacency
-table's the weight int, and an unweighted adjacency table has keys only;
-overflow lists keep the same payloads. The inline slots are an immutable
-tuple, of ids or of ``(v, w)`` pairs when weighted, that every insert,
-delete and weight write replaces; an all-int tuple is one object the
-garbage collector stops tracking.
+``(table, keys, payloads, index)``: a node table's bucket lists, or an
+adjacency table's key and weight arrays and the cell's index in them; an
+overflow entry has the slot ``(None, keys, payloads, index)`` of its
+chain's lists, and an inline destination ``(None, None, inline, index)``.
+Tables keep no per-entry object. A node table's payload is the
+``NodeCell``, in list buckets (see ``cuckoo_table``). Adjacency tables are
+flat: destination ids in one ``array('Q')`` per table, and the weights,
+when weighted, in a parallel one, so a destination there costs 8 bytes
+(16 weighted), and a weight, like an id, must be below 2**64. Overflow
+lists keep the same payloads in Python lists. The inline slots are an
+immutable tuple, of ids or of ``(v, w)`` pairs when weighted, that every
+insert, delete and weight write replaces; an all-int tuple is one object
+the garbage collector stops tracking.
 
 A cell's destinations are read in one place, ``_dests``: its inline
-slots, or its chain's key lists (zipped with the weight lists when
-weighted) followed by the chain's overflow list. ``out_lists`` walks the
-node chain once, feeding every cell to that reader; iteration, the
-analytics snapshot and the audit read through it, so none re-probes a
-node it has walked past.
+slots, or its chain's live cells (read on the C side, zipped with the
+weights when weighted) followed by the chain's overflow list.
+``out_lists`` walks the node chain once, feeding every cell to that
+reader; iteration, the analytics snapshot and the audit read through it,
+so none re-probes a node it has walked past.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .chain import MAX_TABLES, TableChain
-from .cuckoo_table import CuckooTable, LevelCounters, TableShape, find_slot, is_pow2
+from .cuckoo_table import (CELLS, KEYS, WEIGHTS, CuckooTable, LevelCounters,
+                           TableShape, find_slot, is_pow2)
 from .hashing import HashPair, mix64
 from .workload import write_edge_file
 
@@ -186,10 +191,11 @@ class CuckooGraph:
         self.node_counters = LevelCounters()
         self.adj_counters = LevelCounters()
         self._make_adj_table = partial(self._make_table, self.adj_counters,
-                                       self._adj_hash, self._weighted)
+                                       self._adj_hash,
+                                       WEIGHTS if self._weighted else KEYS)
         self._node_chain = TableChain(
             params.node_table_len, params.expand_at, params.contract_at,
-            partial(self._make_table, self.node_counters, self._node_hash, True))
+            partial(self._make_table, self.node_counters, self._node_hash, CELLS))
         self._node_count = 0
         self._edge_count = 0
         self._inline_edges = 0
@@ -203,11 +209,11 @@ class CuckooGraph:
 
     # -- table / chain factories ------------------------------------------
 
-    def _make_table(self, counters, hash_pair, payloads, length):
+    def _make_table(self, counters, hash_pair, layout, length):
         """One table of either level, charged to that level's counters."""
         shape = TableShape.for_length(length, self.params.cells_per_bucket)
         return CuckooTable(shape, self._rng, counters, self.params.kick_budget,
-                           hash_pair, payloads)
+                           hash_pair, layout)
 
     def _new_adj_chain(self, owner):
         p = self.params
@@ -285,8 +291,8 @@ class CuckooGraph:
 
     def insert_edge(self, u: int, v: int, weight: int = 1) -> InsertResult:
         """Insert the directed edge u->v; duplicates increment w in weighted mode."""
-        if weight < 1:
-            raise ValueError("weight must be >= 1")
+        if weight < 1 or weight >> 64:
+            raise ValueError(f"weight must be in [1, 2**64), got {weight}")
         if (u | v) >> 64:
             raise ValueError(f"node ids must be in [0, 2**64), got {u}, {v}")
         cell, _, slot, _, uh, vh = self._locate_edge(u, v)
@@ -294,6 +300,9 @@ class CuckooGraph:
             if not self._weighted:
                 return _DUPLICATE
             w = _weight(slot) + weight
+            if w >> 64:
+                raise ValueError(f"weight of {u}->{v} would reach 2**64: "
+                                 f"{w - weight} + {weight}")
             _write_weight(cell, slot, w)
             return InsertResult("incremented", w)
         if cell is None:
@@ -469,8 +478,8 @@ class CuckooGraph:
             assert cell.node == u, f"cell of node {cell.node} under key {u}"
             assert u not in seen_nodes, f"node {u} stored twice"
             seen_nodes[u] = cell
-        assert all(t.v1 is not None for t in node_chain.tables), \
-            "node table without cells"
+        assert all(t.fill is None and t.vals is not None
+                   for t in node_chain.tables), "node table without cells"
         _check_level(self.node_counters, [node_chain], cap)
         assert len(seen_nodes) == self._node_count, "node count drift"
         total_edges = 0
@@ -485,9 +494,10 @@ class CuckooGraph:
             else:
                 assert not cell.inline, f"chained node {u} keeps inline slots"
                 chain.check_invariants()
-                assert all((t.v1 is not None) == self._weighted
+                assert all(t.fill is not None
+                           and (t.vals is not None) == self._weighted
                            for t in chain.tables), \
-                    f"weight lists do not match the mode under node {u}"
+                    f"adjacency layout does not match the mode under node {u}"
                 adj_chains.append(chain)
             ids = {d[0] for d in dests} if self._weighted else set(dests)
             assert len(ids) == len(dests), f"duplicate destination under node {u}"
@@ -501,8 +511,7 @@ class CuckooGraph:
 
     def _iter_cells(self):
         for t in self._node_chain.tables:
-            yield from _flatten(t.v1)
-            yield from _flatten(t.v2)
+            yield from _flatten(t.vals)
         yield from self._node_chain.spill_v
 
     def _place_node_cell(self, cell, h1, h2):
@@ -553,10 +562,10 @@ class CuckooGraph:
         if chain is None:
             return list(cell.inline)
         if self._weighted:
-            return ([e for t in chain.tables for e in t.entries()]
-                    + list(zip(chain.spill_k, chain.spill_v)))
-        buckets = [b for t in chain.tables for b in (t.k1, t.k2)]
-        return [*_flatten(_flatten(buckets)), *chain.spill_k]
+            return [*_flatten(t.entries() for t in chain.tables),
+                    *zip(chain.spill_k, chain.spill_v)]
+        return [*_flatten(t.stored_keys() for t in chain.tables),
+                *chain.spill_k]
 
     def _clear_cell(self, cell, cslot):
         """Drop an emptied cell, and its chain, through the slot its lookup found."""
@@ -570,8 +579,8 @@ class CuckooGraph:
 
 
 def _weight(slot):
-    """The weight at an edge slot: a table or overflow payload, else an
-    inline pair's second field."""
+    """The weight at an edge slot: a table cell's or overflow entry's
+    payload, else an inline pair's second field."""
     _, keys, items, i = slot
     return items[i] if keys is not None else items[i][1]
 

@@ -282,7 +282,6 @@ def test_criterion_10_throughput_smoke():
         path = "/tmp/cuckoograph_smoke_edges.txt"
         generate_synthetic("sparse", 200_000, 1_000_000, seed=10, path=path)
         report = run(Workload(dataset=path, phases=("insert",),
-                              mem_interval=200_000,
                               params=GraphParams.from_seed(10)))
         mops = report.phases[0].mops
         print(f"    insert throughput {mops:.3f} Mops on 1e6 synthetic edges")

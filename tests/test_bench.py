@@ -123,16 +123,6 @@ class TestRun:
         assert mixed.ops == 5000
         assert mixed.placements > 0
 
-    def test_mem_interval_is_accepted_and_has_no_effect(self, tmp_path):
-        path, _ = self.make_dataset(tmp_path)
-        plain = run(Workload(dataset=str(path), phases=("insert",)))
-        sampled = run(Workload(dataset=str(path), phases=("insert",),
-                               mem_interval=10))
-        assert len(plain.phases) == len(sampled.phases) == 1
-        strip = lambda p: (p.phase, p.ops, p.bytes, p.placements,
-                           p.evictions, p.movements)
-        assert strip(plain.phases[0]) == strip(sampled.phases[0])
-
     def test_task_phase_digest(self, tmp_path):
         path, _ = self.make_dataset(tmp_path)
         r1 = run(Workload(dataset=str(path), phases=("insert", "task:bfs:5")))

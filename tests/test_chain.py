@@ -3,7 +3,8 @@ import random
 import pytest
 
 from cuckoograph.chain import TableChain, lengths_for_step
-from cuckoograph.cuckoo_table import CuckooTable, LevelCounters, TableShape, find_slot
+from cuckoograph.cuckoo_table import (CELLS, KEYS, CuckooTable, LevelCounters,
+                                      TableShape, find_slot)
 from cuckoograph.hashing import HashPair
 
 HP = HashPair(11, 22)
@@ -46,13 +47,13 @@ class RecordingChain(TableChain):
 
 
 def make_chain(base=8, d=2, g=0.9, lam=0.5, kicks=50, rng_seed=3, hp=HP,
-               cls=TableChain, payloads=False):
+               cls=TableChain, layout=KEYS):
     stats = LevelCounters()
     rng = random.Random(rng_seed)
 
     def factory(length):
         return CuckooTable(TableShape.for_length(length, d), rng, stats, kicks,
-                           hp, payloads)
+                           hp, layout)
 
     return cls(base, g, lam, factory), stats
 
@@ -459,7 +460,7 @@ class TestContract:
 class TestOverflowList:
     def test_lists_are_allocated_on_the_first_spill(self):
         for payloads in (False, True):
-            chain, stats = make_chain(payloads=payloads)
+            chain, stats = make_chain(layout=CELLS if payloads else KEYS)
             assert chain.spill_k == ()
             assert chain.spill_v == (() if payloads else None)
             chain.spill((7, "p7" if payloads else None), CAP)
@@ -469,7 +470,7 @@ class TestOverflowList:
             chain.check_invariants()
 
     def test_unspill_keeps_the_order_and_the_count(self):
-        chain, stats = make_chain(payloads=True)
+        chain, stats = make_chain(layout=CELLS)
         for k in (5, 6, 7):
             chain.spill((k, -k), CAP)
         chain.unspill(1)
@@ -477,7 +478,7 @@ class TestOverflowList:
         assert stats.overflow == 2
 
     def test_grow_drains_the_list_in_order_into_the_newest_table(self):
-        chain, stats = make_chain(base=8, d=2, payloads=True)
+        chain, stats = make_chain(base=8, d=2, layout=CELLS)
         fill(chain, range(10))
         # two keys sharing a major bucket of the new length-4 table land
         # in it in list order
@@ -487,7 +488,7 @@ class TestOverflowList:
         event = chain.advance()
         assert (chain.spill_k, chain.spill_v) == ((), ())
         newest = chain.tables[-1]
-        assert (newest.k1[0], newest.v1[0]) == ([b, a], [-b, -a])
+        assert newest.bucket(0) == ([b, a], [-b, -a], 0, 2)
         assert sorted(newest.entries()) == sorted((k, -k) for k in (a, b, 99))
         assert stats.overflow == 0
         assert stats.moved == event.moved + 3
@@ -532,7 +533,7 @@ class TestOverflowList:
         assert stats.move_failures == 0
 
     def test_audit_rejects_a_broken_list(self):
-        chain, _ = make_chain(payloads=True)
+        chain, _ = make_chain(layout=CELLS)
         fill(chain, range(5))
         chain.spill((100, 1), CAP)
         chain.check_invariants()
@@ -568,7 +569,8 @@ class TestProbeAccounting:
             assert keys
             for key in keys:
                 h1, h2 = HP.pair(key)
-                in_major = key in t.k1[h1 & t.mask_major]
+                keys, _, first, filled = t.bucket(h1 & t.mask_major)
+                in_major = key in keys[first:first + filled]
                 before = stats.bucket_probes
                 slot = find_slot(chain.tables, key, h1, h2)
                 assert slot[0] is t and slot[1][slot[3]] == key

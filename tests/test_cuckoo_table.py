@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from cuckoograph.cuckoo_table import CuckooTable, LevelCounters, TableShape, find_slot
+from cuckoograph.cuckoo_table import (CELLS, KEYS, WEIGHTS, CuckooTable, LevelCounters,
+                                      TableShape, find_slot)
 from cuckoograph.hashing import HashPair
 
 
 def make_table(length=4, d=2, seeds=(1, 2), rng_seed=7, max_kicks=50,
-               payloads=True):
+               layout=CELLS):
     stats = LevelCounters()
     hp = HashPair(*seeds)
     t = CuckooTable(TableShape.for_length(length, d), random.Random(rng_seed),
-                    stats, max_kicks, hp, payloads)
+                    stats, max_kicks, hp, layout)
     return t, stats, hp
 
 
@@ -48,6 +49,14 @@ class TestShape:
         shape = TableShape.for_length(2, 8)
         assert shape.capacity == 24
         assert shape.length == 2
+
+    def test_one_shape_per_geometry(self):
+        assert TableShape.for_length(8, 4) is TableShape.for_length(8, 4)
+        assert TableShape.for_length(8, 4) != TableShape.for_length(8, 2)
+
+    def test_unknown_layout_rejected(self):
+        with pytest.raises(ValueError, match="layout"):
+            make_table(layout=True)
 
 
 class TestInsertLookup:
@@ -86,7 +95,7 @@ class TestInsertLookup:
         filled = _fill_to_capacity(t, hp)
         # exhaustive check: genuinely no empty cell remains
         assert t.count == t.shape.capacity == 6
-        assert all(len(b) == t.d for b in t.k1 + t.k2)
+        assert all(t.bucket(b)[3] == t.d for b in range(3))
         newcomer = max(filled) + 1
         before = t.count
         t.max_kicks = 1
@@ -133,27 +142,20 @@ class TestDrainAndDeterminism:
         assert sorted(t.entries()) == [(1, 10), (3, 30), (4, 40)]
 
     def test_drain_matches_shadow_after_random_ops(self):
-        t, _, hp = make_table(length=64, d=4, max_kicks=100)
-        shadow = set()
-        rnd = random.Random(123)
-        for _ in range(1000):
-            k = rnd.randrange(500)
-            if k in shadow:
-                assert remove(t, hp, k)
-                shadow.discard(k)
-            else:
-                evicted = ins(t, hp, k)
-                shadow.add(k)
-                if evicted is not None:
-                    shadow.discard(evicted[0])
-        assert {e[0] for e in t.entries()} == shadow
-        assert t.count == len(shadow)
+        _check_random_ops_against_a_shadow(CELLS)
+
+    @pytest.mark.parametrize("layout", [KEYS, WEIGHTS])
+    def test_flat_drain_matches_shadow_after_random_ops(self, layout):
+        _check_random_ops_against_a_shadow(layout)
 
     def test_entries_live_in_a_candidate_bucket(self):
-        _check_eviction_heavy_fill(payloads=True)
+        _check_eviction_heavy_fill(CELLS)
 
     def test_keys_only_entries_live_in_a_candidate_bucket(self):
-        _check_eviction_heavy_fill(payloads=False)
+        _check_eviction_heavy_fill(KEYS)
+
+    def test_weighted_entries_live_in_a_candidate_bucket(self):
+        _check_eviction_heavy_fill(WEIGHTS)
 
     def test_same_seeds_same_layout(self):
         layouts = []
@@ -161,8 +163,31 @@ class TestDrainAndDeterminism:
             t, _, hp = make_table(length=8, d=2, rng_seed=99)
             for k in range(30):
                 ins(t, hp, k)
-            layouts.append((t.k1, t.v1, t.k2, t.v2))
+            layouts.append((t.keys, t.vals))
         assert layouts[0] == layouts[1]
+
+    @pytest.mark.parametrize("layout", [KEYS, WEIGHTS])
+    def test_flat_tables_place_as_list_buckets_do(self, layout):
+        # same keys, same kick walks: every bucket holds the same keys in
+        # the same cell order, through inserts and swap-removes alike
+        tables = [make_table(length=8, d=2, rng_seed=99, max_kicks=20,
+                             layout=lay) for lay in (CELLS, layout)]
+        rnd = random.Random(5)
+        for _ in range(300):
+            k = rnd.randrange(60)
+            payload = None if layout == KEYS else k + 1
+            outs = [ins(t, hp, k, payload=payload)
+                    if find_slot([t], k, *hp.pair(k)) is None
+                    else remove(t, hp, k) for t, _, hp in tables]
+            assert outs[0] == outs[1]
+        (lists, stats, _), (flat, _, _) = tables
+        assert stats.evictions > 0 and stats.kicks_exhausted > 0
+        for b in range(12):
+            ks, vs, _, _ = lists.bucket(b)
+            fks, fvs, first, filled = flat.bucket(b)
+            assert list(fks[first:first + filled]) == ks
+            if fvs is not None:
+                assert list(fvs[first:first + filled]) == vs
 
     def test_kick_budget_bounds_evictions(self):
         t, stats, hp = make_table(length=2, d=2, max_kicks=5)
@@ -194,13 +219,18 @@ class TestAudit:
         t.check_invariants()
 
     def test_key_outside_its_bucket_is_caught(self):
-        t, _, hp = make_table(length=16, d=2, payloads=False)
+        _check_key_outside_its_bucket_is_caught(KEYS)
+
+    def test_list_bucket_key_outside_its_bucket_is_caught(self):
+        _check_key_outside_its_bucket_is_caught(CELLS)
+
+    def test_flat_fill_count_over_d_is_caught(self):
+        t, _, hp = make_table(length=16, d=2, layout=KEYS)
         for k in range(20):
             ins(t, hp, k)
-        i, bucket = next((i, b) for i, b in enumerate(t.k1) if b)
-        bucket[0] = next(k for k in range(100, 1000)
-                         if hp.pair(k)[0] & t.mask_major != i)
-        with pytest.raises(AssertionError, match="candidate bucket"):
+        t.check_invariants()
+        t.fill[3] = t.d + 1
+        with pytest.raises(AssertionError, match="over capacity"):
             t.check_invariants()
 
     def test_payload_list_out_of_step_is_caught(self):
@@ -211,33 +241,74 @@ class TestAudit:
         with pytest.raises(AssertionError, match="not parallel"):
             t.check_invariants()
 
+    def test_weight_array_out_of_step_is_caught(self):
+        t, _, hp = make_table(length=16, d=2, layout=WEIGHTS)
+        ins(t, hp, 7, payload=70)
+        slot = find_slot([t], 7, *hp.pair(7))
+        slot[2].append(71)
+        with pytest.raises(AssertionError, match="not parallel"):
+            t.check_invariants()
 
-def _check_eviction_heavy_fill(payloads):
+
+def _check_key_outside_its_bucket_is_caught(layout):
+    """A key written into a bucket its hashes do not select fails the audit."""
+    t, _, hp = make_table(length=16, d=2, layout=layout)
+    for k in range(20):
+        ins(t, hp, k)
+    b = next(b for b in range(16) if t.bucket(b)[3])
+    keys, _, first, _ = t.bucket(b)
+    keys[first] = next(k for k in range(100, 1000)
+                       if hp.pair(k)[0] & t.mask_major != b)
+    with pytest.raises(AssertionError, match="candidate bucket"):
+        t.check_invariants()
+
+
+def _check_random_ops_against_a_shadow(layout):
+    """1000 random inserts and removes; the entries match a plain set."""
+    t, _, hp = make_table(length=64, d=4, max_kicks=100, layout=layout)
+    shadow = set()
+    rnd = random.Random(123)
+    for _ in range(1000):
+        k = rnd.randrange(500)
+        if k in shadow:
+            assert remove(t, hp, k)
+            shadow.discard(k)
+        else:
+            evicted = ins(t, hp, k, payload=k + 1)
+            shadow.add(k)
+            if evicted is not None:
+                shadow.discard(evicted[0])
+    assert {e[0] for e in t.entries()} == shadow
+    assert t.count == len(shadow)
+
+
+def _check_eviction_heavy_fill(layout):
     """Fill 2-cell buckets to 46 of 48 cells, then rehash every stored key.
 
     Most keys were moved by a kick walk, which rehashes the victims
     itself; a fresh ``HashPair`` must select the bucket each key sits in.
     """
-    t, stats, hp = make_table(length=16, d=2, payloads=payloads,
-                              max_kicks=500)
+    t, stats, hp = make_table(length=16, d=2, layout=layout, max_kicks=500)
     stored = {}
     for k in range(46):
-        homeless = ins(t, hp, k, payload=-k if payloads else None)
-        stored[k] = -k if payloads else None
+        payload = None if layout == KEYS else k + 1
+        homeless = ins(t, hp, k, payload=payload)
+        stored[k] = payload
         if homeless is not None:
             del stored[homeless[0]]
     assert stats.evictions > 46
     fresh = HashPair(1, 2)
-    for i, bucket in enumerate(t.k1):
-        for key in bucket:
-            assert fresh.pair(key)[0] & t.mask_major == i
-    for i, bucket in enumerate(t.k2):
-        for key in bucket:
-            assert fresh.pair(key)[1] & t.mask_minor == i
+    for b in range(24):
+        keys, _, first, filled = t.bucket(b)
+        for key in keys[first:first + filled]:
+            if b < 16:
+                assert fresh.pair(key)[0] & t.mask_major == b
+            else:
+                assert fresh.pair(key)[1] & t.mask_minor == b - 16
     # each payload stayed with its key through every kick
     assert sorted(t.entries()) == sorted(stored.items())
-    if not payloads:
-        assert t.v1 is None and t.v2 is None
+    assert list(t.stored_keys()) == [k for k, _ in t.entries()]
+    assert (t.vals is None) == (layout == KEYS)
     t.check_invariants()
 
 

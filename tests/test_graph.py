@@ -1,6 +1,9 @@
 import gc
+import hashlib
+import json
 import random
 import types
+from array import array
 from functools import partial
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 
 from cuckoograph import CuckooGraph, GraphParams, OracleGraph, analytics, oracle
 from cuckoograph.graph import NodeCell
-from cuckoograph.workload import generate_synthetic
+from cuckoograph.workload import generate_synthetic, mixed_ops
 
 
 def tiny_params(**over):
@@ -214,17 +217,20 @@ class TestAudit:
     def test_rejects_an_adjacency_key_outside_its_bucket(self):
         g, cell = _chained_node_5()
         t = cell.chain.tables[0]
-        i, bucket = next((i, b) for i, b in enumerate(t.k1) if b)
+        b = next(b for b in range(t.len_major) if t.bucket(b)[3])
+        keys, _, first, _ = t.bucket(b)
         # a fresh id whose hash selects another major bucket
-        bucket[0] = next(k for k in range(1000, 2000)
-                         if g._adj_hash.pair(k)[0] & t.mask_major != i)
+        keys[first] = next(k for k in range(1000, 2000)
+                           if g._adj_hash.pair(k)[0] & t.mask_major != b)
         with pytest.raises(AssertionError, match="candidate bucket"):
             g.check_invariants()
 
     def test_rejects_a_weight_list_out_of_step(self):
         g, cell = _chained_node_5(weighted=True)
         t = cell.chain.tables[0]
-        next(b for b in t.v1 if b).pop()
+        _, weights, _, _ = t.bucket(next(b for b in range(t.len_major)
+                                         if t.bucket(b)[3]))
+        weights.pop()
         with pytest.raises(AssertionError, match="not parallel"):
             g.check_invariants()
 
@@ -256,9 +262,10 @@ class TestAudit:
         g, _ = _chained_node_5()
         g.insert_edge(6, 1)
         t = g._node_chain.tables[0]
-        slot = next((kb, vb) for kb, vb in zip(t.k1 + t.k2, t.v1 + t.v2)
-                    if 6 in kb)
-        slot[1][slot[0].index(6)] = g._find_cell(5)
+        # a node table's bucket is a key list with a parallel cell list
+        keys, cells, _, _ = next(t.bucket(b) for b in t.buckets(6)
+                                 if 6 in t.bucket(b)[0])
+        cells[keys.index(6)] = g._find_cell(5)
         with pytest.raises(AssertionError, match="under key 6"):
             g.check_invariants()
 
@@ -299,11 +306,17 @@ class TestLayout:
         assert len(others) <= 8, others[:10]
         chained = [c for c in cells if c.chain is not None]
         assert chained
+        # adjacency tables keep ids in arrays: no int object and no list
+        # per entry or per bucket, and no weights when unweighted
         for c in chained:
             for t in c.chain.tables:
-                assert t.v1 is None and t.v2 is None
+                assert type(t.keys) is array and t.vals is None
+                assert not any(type(o) is list for o in gc.get_referents(t))
+        inline_dests = sum(len(c.inline) for c in cells)
+        ints = sum(1 for o in objs if type(o) is int)
+        assert ints <= sources + inline_dests + 16
         for t in g._node_chain.tables:
-            assert all(type(x) is NodeCell for b in t.v1 + t.v2 for x in b)
+            assert all(type(x) is NodeCell for b in t.vals for x in b)
         # all-int inline tuples are untracked, and no entry owns an object
         tracked = sum(1 for o in objs if gc.is_tracked(o))
         assert tracked / sources < 7.5
@@ -450,6 +463,37 @@ class TestWeighted:
             g.check_invariants()
         assert set(g.iter_edges()) == ref.edge_set()
 
+    def test_weights_stay_below_2_64(self):
+        # one edge inline, one in an adjacency table; a weight or a sum
+        # that reaches 2**64 is rejected and leaves the stored weight as is
+        top = (1 << 64) - 1
+        g = CuckooGraph(GraphParams(weighted=True))
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            g.insert_edge(1, 2, top + 1)
+        assert g.stats().edges == 0
+        for v in range(10):
+            g.insert_edge(1, v)
+        g.insert_edge(2, 0)
+        for (u, v), where in (((2, 0), "inline"), ((1, 5), "adj_table")):
+            assert _location(g, u, v) == where
+            assert g.insert_edge(u, v, top - 2) == ("incremented", top - 1)
+            with pytest.raises(ValueError, match="2\\*\\*64"):
+                g.insert_edge(u, v, 2)
+            assert g.query_edge(u, v) == top - 1
+            assert g.insert_edge(u, v) == ("incremented", top)
+            with pytest.raises(ValueError, match="2\\*\\*64"):
+                g.insert_edge(u, v)
+            assert g.query_edge(u, v) == top
+            assert g.delete_edge(u, v) == ("decremented", top - 1)
+        assert g.stats().edges == 11
+        g.check_invariants()
+
+    def test_unweighted_rejects_weights_of_2_64(self):
+        g = CuckooGraph(GraphParams())
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            g.insert_edge(1, 2, 1 << 64)
+        assert g.stats().edges == 0
+
     def test_agreement_with_unweighted_on_duplicate_free_input(self):
         rnd = random.Random(0)
         edges = {(rnd.randrange(30), rnd.randrange(30)) for _ in range(80)}
@@ -510,6 +554,30 @@ class TestDeterminism:
                     g.delete_edge(u, v)
             snaps.append((sorted(g.iter_edges()), g.stats()))
         assert snaps[0] == snaps[1]
+
+    # SHA-256 over stats().counters and the iter_edges() order, pinned
+    # when adjacency tables moved from list buckets to flat arrays: a
+    # storage change that moves any placement, probe or kick changes it
+    PLACEMENT_DIGESTS = {
+        (3, False): "dc4cdff07525c01524338b33320e40b2c7a565ad1803bbc8c112531022faae34",
+        (3, True): "bec3b814b50f8a2f19962b942a0af892e04ef58345728627953de5ca767038ec",
+        (11, False): "14d86061e9b755a2820216ad48dbfb8d9b19405a35e70a1a9feb2e7a941974db",
+        (11, True): "3c0ec3e406681a3cc60a3102afc58e2f36caf76bcdab830489f86aa18a82c8ec",
+    }
+
+    @pytest.mark.parametrize("seed, weighted", sorted(PLACEMENT_DIGESTS))
+    def test_placement_digest_is_pinned(self, seed, weighted):
+        g = CuckooGraph(GraphParams.from_seed(seed, weighted=weighted))
+        for u, v in generate_synthetic("zipf", 3000, 15000, seed):
+            g.insert_edge(u, v)
+        ops = {"i": g.insert_edge, "q": g.query_edge, "d": g.delete_edge}
+        for op, u, v in mixed_ops(20_000, (0.4, 0.3, 0.3), 3000, seed):
+            ops[op](u, v)
+        h = hashlib.sha256(json.dumps(g.stats().counters,
+                                      sort_keys=True).encode())
+        for e in g.iter_edges():
+            h.update(repr(e).encode())
+        assert h.hexdigest() == self.PLACEMENT_DIGESTS[seed, weighted]
 
     def test_export_is_sorted_edge_set(self, tmp_path):
         g = CuckooGraph(GraphParams())

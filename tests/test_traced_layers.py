@@ -1,10 +1,12 @@
-"""The benchmark's tracer wraps program functions by name: a rename must
-fail here instead of silently dropping a layer from the traced split."""
+"""The benchmark's tracer wraps program functions by name and reads some
+of their fields: a rename must fail here instead of silently dropping a
+layer, or a field, from the traced split."""
 
 import importlib.util
 from pathlib import Path
 
-from cuckoograph import CuckooGraph
+from cuckoograph import CuckooGraph, GraphParams, cuckoo_table
+from cuckoograph.chain import ChainEvent, TableChain
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -16,8 +18,38 @@ def load_targets():
     return module.targets(CuckooGraph)
 
 
+def _graph_with_a_chained_node():
+    g = CuckooGraph(GraphParams())
+    for v in range(40):
+        g.insert_edge(5, v)
+    cell = g._find_cell(5)
+    assert cell.chain is not None
+    return g, cell
+
+
 def test_every_traced_attribute_exists_but_the_retired_flush():
     # the pending queues and their flush were deleted with the fail sinks
     missing = {attr for _, owner, attr, *_ in load_targets()
                if getattr(owner, attr, None) is None}
     assert missing == {"_flush_pending"}
+
+
+def test_every_table_of_both_levels_runs_the_traced_insert():
+    # the tracer wraps CuckooTable.insert; a table class of its own for
+    # one level would drop that level's inserts from the traced split
+    g, cell = _graph_with_a_chained_node()
+    tables = g._node_chain.tables + cell.chain.tables
+    assert {type(t).insert for t in tables} == {cuckoo_table.CuckooTable.insert}
+
+
+def test_the_fields_the_tracer_reads_exist():
+    g, cell = _graph_with_a_chained_node()
+    assert cell.node == 5 and isinstance(cell.chain, TableChain)
+    chain = cell.chain
+    assert chain.owner == 5 and g._node_chain.owner is None
+    assert chain.lengths() == tuple(t.shape.length for t in chain.tables)
+    event = chain.advance()
+    assert isinstance(event, ChainEvent)
+    assert event.kind in ("enabled", "merged")
+    assert isinstance(event.moved, int) and isinstance(event.rebuilt, bool)
+    assert len(event.failed) >= 0
