@@ -18,7 +18,6 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 
 TASKS = ("bfs", "sssp", "tc", "cc", "pr", "bc", "lcc")
 
@@ -44,10 +43,9 @@ class TaskSpec:
 
 
 def _succ_ids(graph, u):
-    s = graph.successors(u)
     if graph.params.weighted:
-        return {v for v, _ in s}
-    return s
+        return graph.successor_ids(u)   # ids read once, no (v, w) set
+    return graph.successors(u)
 
 
 def adjacency_view(graph):
@@ -55,10 +53,7 @@ def adjacency_view(graph):
 
     Built from one ``out_lists`` walk of the store: no node is looked up.
     """
-    weighted = graph.params.weighted
-    adj = {}
-    for u, dests in graph.out_lists():
-        adj[u] = {v for v, _ in dests} if weighted else set(dests)
+    adj = {u: set(dests) for u, dests in graph.out_lists(ids=True)}
     sinks = {v for vs in adj.values() for v in vs if v not in adj}
     for v in sinks:
         adj[v] = set()
@@ -68,19 +63,16 @@ def adjacency_view(graph):
 def total_degrees(graph) -> dict:
     """Out-degree plus in-degree of every endpoint node.
 
-    One ``out_lists`` walk: out-degrees are the list lengths, in-degrees
-    one ``Counter`` over the joined destination ids. No successor set is
-    built.
+    One ``out_lists`` walk of ids: out-degrees are the list lengths,
+    in-degrees one ``Counter`` over the joined lists. No successor set and,
+    in weighted mode, no ``(v, w)`` pair is built.
     """
     deg = {}
     lists = []
-    for u, dests in graph.out_lists():
+    for u, dests in graph.out_lists(ids=True):
         deg[u] = len(dests)
         lists.append(dests)
-    ids = itertools.chain.from_iterable(lists)
-    if graph.params.weighted:
-        ids = map(itemgetter(0), ids)
-    for v, n in Counter(ids).items():
+    for v, n in Counter(itertools.chain.from_iterable(lists)).items():
         deg[v] = deg.get(v, 0) + n
     return deg
 

@@ -5,13 +5,16 @@ array's buckets first, then the minor array's, so bucket ``b`` of the
 minor array is bucket ``len_major + b`` of the table. Each table keeps
 its buckets in one of two layouts, fixed by the level it serves:
 
-- ``CELLS`` (node tables): a bucket is a list of keys, with a parallel
-  list of payloads, the ``NodeCell`` of each key. The keys are the same
-  int objects as the cells' ``node`` fields, so storing them again in an
-  array would save only one pointer per source (3.4 B/edge on the
-  sparse-inline workload), while the slice probe an array needs cost
-  10-14% on every operation there, where node probes are most of the work
-  (and where acceptance criterion 10 sets its insert-throughput floor).
+- ``ROWS`` (node tables): a bucket is a list of keys; the payloads, the
+  graph's row id of each source, sit unboxed in one ``array('Q')`` of
+  ``(len_major + len_minor) * d`` cells, key ``i`` of bucket ``b`` with
+  its row in cell ``b * d + i``. The keys stay in lists because the node
+  level is probed on every operation: a flat probe (``key in
+  keys[lo:hi]``) costs about 460 ns against 117 ns for ``key in list``,
+  and a query on the sparse-inline workload probes 2.49 node buckets, so
+  flat node keys would add about 0.85 us to an operation of about 5.5 us.
+  This layout takes 21.45 B/edge there (heap pass, seed 1), and a heap
+  model puts flat keys at about 17, which is not worth that time.
 - ``KEYS`` and ``WEIGHTS`` (adjacency tables): flat. All keys sit in one
   ``array('Q')`` of ``(len_major + len_minor) * d`` cells, bucket ``b`` in
   cells ``b * d`` onwards, with a ``bytearray`` holding each bucket's fill
@@ -22,25 +25,29 @@ its buckets in one of two layouts, fixed by the level it serves:
   array and one fill array, because most adjacency tables have only a few
   buckets, so the arrays' object headers weigh as much as their cells.
 
-No entry carries its hashes and no entry is an object of its own, so the
-garbage collector sees no per-entry object. Callers that already hashed a
-key pass both hashes to ``insert``; a key displaced by the kick walk, or
-moved by a chain's merge, contraction or drain, is rehashed with the
-table's ``HashPair`` (as MemC3 works out a displaced item's other
-bucket). Membership scans run on the C side of the interpreter: ``in`` on
-a key list, or on a slice of the key array.
+Payloads, where kept, are in an ``array('Q')`` in both layouts, so a
+payload is an int below 2**64. No entry carries its hashes and no entry
+is an object of its own, so the garbage collector sees no per-entry
+object. Callers that already hashed a key pass both hashes to
+``insert``; a key displaced by the kick walk, or moved by a chain's merge,
+contraction or drain, is rehashed with the table's ``HashPair`` (as MemC3
+works out a displaced item's other bucket). Membership scans run on the C
+side of the interpreter: ``in`` on a key list, or on a slice of the key
+array.
 
 Array lengths are powers of two, so the modular bucket index reduces to a
 bitmask with identical semantics.
 
 ``find_slot`` is the one lookup, for both graph levels: it probes the two
 candidate buckets of each table in a list, oldest first, and returns the
-slot ``(table, keys, payloads, index)`` of the hit. In a ``CELLS`` table
-``keys`` and ``payloads`` are the bucket's lists; in a flat table they are
-the table's arrays (payloads None without weights) and ``index`` is the
-cell. The slot is the handle callers edit in place; a chain's overflow
-entries have the same shape, ``(None, keys, payloads, index)``, and the
-graph's inline destinations ``(None, None, inline, index)``.
+slot ``(table, keys, payloads, index)`` of the hit. ``payloads`` is the
+table's payload array (None in a ``KEYS`` table) and ``index`` the hit's
+cell in it. In a flat table ``keys`` is the key array, indexed by the same
+cell; in a ``ROWS`` table it is the bucket's key list, where the key sits
+at ``index % d``. The slot is the handle callers edit in place; a chain's
+overflow entries have the shape ``(None, keys, payloads, index)`` of its
+parallel lists, and the graph's inline destinations ``(None, None,
+slots, index)`` of its slot column (see ``graph``).
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ from dataclasses import dataclass
 
 _flatten = itertools.chain.from_iterable
 
-# bucket layouts: list buckets with payload lists, or flat key (and weight) arrays
-CELLS, KEYS, WEIGHTS = "cells", "keys", "weights"
+# bucket layouts: key lists with a row array, or flat key (and weight) arrays
+ROWS, KEYS, WEIGHTS = "rows", "keys", "weights"
 
 
 @functools.cache
@@ -159,10 +166,11 @@ class CuckooTable:
     uniformly random resident of the first candidate; every displaced
     key is rehashed and retries in its alternate array. After
     ``max_kicks`` evictions the final homeless ``(key, payload)`` is handed
-    back to the caller instead of being dropped. ``layout`` is ``CELLS``,
+    back to the caller instead of being dropped. ``layout`` is ``ROWS``,
     ``KEYS`` or ``WEIGHTS`` (see the module docstring); in a ``KEYS`` table
     ``vals`` is None and every payload reads as None. ``fill`` holds the
-    bucket fill counts of a flat table and is None in a ``CELLS`` one.
+    bucket fill counts of a flat table and is None in a ``ROWS`` one, whose
+    key lists carry their own lengths.
     """
 
     __slots__ = ("shape", "d", "cap", "mask_major", "mask_minor", "len_major",
@@ -173,7 +181,7 @@ class CuckooTable:
                  stats: LevelCounters, max_kicks: int, hash_pair, layout: str):
         if max_kicks < 1:
             raise ValueError("max_kicks must be >= 1")
-        if layout not in (CELLS, KEYS, WEIGHTS):
+        if layout not in (ROWS, KEYS, WEIGHTS):
             raise ValueError(f"unknown bucket layout {layout!r}")
         self.shape = shape
         self.d = shape.cells_per_bucket
@@ -182,15 +190,14 @@ class CuckooTable:
         self.mask_minor = shape.len_minor - 1
         self.len_major = shape.len_major
         buckets = shape.len_major + shape.len_minor
-        if layout == CELLS:
+        if layout == ROWS:
             # copied to exact size: a comprehension's list keeps spare cells
             self.keys = [[] for _ in range(buckets)].copy()
-            self.vals = [[] for _ in range(buckets)].copy()
             self.fill = None
         else:
             self.keys = array("Q", bytes(8 * self.cap))
-            self.vals = array("Q", bytes(8 * self.cap)) if layout == WEIGHTS else None
             self.fill = bytearray(buckets)
+        self.vals = array("Q", bytes(8 * self.cap)) if layout != KEYS else None
         self.count = 0
         self.max_kicks = max_kicks
         self._hash = hash_pair
@@ -240,10 +247,11 @@ class CuckooTable:
         fill = self.fill
         if fill is None:
             ks = self.keys[b]
-            if len(ks) >= self.d:
+            n = len(ks)
+            if n >= self.d:
                 return False
             ks.append(key)
-            self.vals[b].append(payload)
+            self.vals[b * self.d + n] = payload
             return True
         n = fill[b]
         if n >= self.d:
@@ -266,13 +274,14 @@ class CuckooTable:
         max_kicks = self.max_kicks
         while True:
             j = rng.randrange(d)
+            c = b * d + j
             if flat:
-                kb, vb, j = keys, vals, b * d + j
+                key, keys[c] = keys[c], key
             else:
-                kb, vb = keys[b], vals[b]
-            key, kb[j] = kb[j], key
-            if vb is not None:
-                payload, vb[j] = vb[j], payload
+                kb = keys[b]
+                key, kb[j] = kb[j], key
+            if vals is not None:
+                payload, vals[c] = vals[c], payload
             st.placements += 1
             st.evictions += 1
             kicks += 1
@@ -296,14 +305,16 @@ class CuckooTable:
                 return key, payload
 
     def clear_slot(self, kb, vb, j):
-        """Free one already-located cell: the bucket's last filled cell
-        moves into it (order within a bucket is irrelevant)."""
+        """Free one already-located cell (a slot's last three fields): the
+        bucket's last filled cell moves into it (order within a bucket is
+        irrelevant)."""
         fill = self.fill
         if fill is None:
-            kb[j] = kb[-1]
+            first = j - j % self.d
+            last = len(kb) - 1
+            kb[j - first] = kb[last]
             kb.pop()
-            vb[j] = vb[-1]
-            vb.pop()
+            vb[j] = vb[first + last]
         else:
             b = j // self.d
             n = fill[b] - 1
@@ -325,17 +336,15 @@ class CuckooTable:
 
     def entries(self):
         """Iterate every stored ``(key, payload)``; the table is left unchanged."""
-        if self.fill is None:
-            return zip(_flatten(self.keys), _flatten(self.vals))
         if self.vals is None:
             return zip(self.stored_keys(), itertools.repeat(None))
-        live = self._live()
-        return zip(itertools.compress(self.keys, live),
-                   itertools.compress(self.vals, live))
+        return zip(self.stored_keys(),
+                   itertools.compress(self.vals, self._live()))
 
     def _live(self) -> bytes:
-        """One byte per cell of a flat table, 1 where the cell is filled."""
-        return b"".join(map(_fill_masks(self.d).__getitem__, self.fill))
+        """One byte per cell, 1 where the cell is filled."""
+        fills = self.fill if self.fill is not None else map(len, self.keys)
+        return b"".join(map(_fill_masks(self.d).__getitem__, fills))
 
     def buckets(self, key):
         """The two candidate buckets a fresh ``pair(key)`` selects."""
@@ -345,9 +354,12 @@ class CuckooTable:
     def bucket(self, b):
         """Bucket ``b`` as ``(keys, payloads, first, filled)``: its keys are
         ``keys[first:first + filled]``, each payload at the same index of
-        ``payloads`` (None in a ``KEYS`` table)."""
+        ``payloads`` (None in a ``KEYS`` table). A ``ROWS`` bucket comes as
+        its key list and a copy of its filled payload cells."""
         if self.fill is None:
-            return self.keys[b], self.vals[b], 0, len(self.keys[b])
+            ks = self.keys[b]
+            lo = b * self.d
+            return ks, self.vals[lo:lo + len(ks)], 0, len(ks)
         return self.keys, self.vals, b * self.d, self.fill[b]
 
     def check_invariants(self):
@@ -359,20 +371,17 @@ class CuckooTable:
         number of keys.
         """
         n = 0
-        flat = self.fill is not None
-        if flat:
-            assert len(self.fill) == self.len_major + self.shape.len_minor, \
-                "fill counts do not match the buckets"
+        buckets = self.len_major + self.shape.len_minor
+        if self.fill is not None:
+            assert len(self.fill) == buckets, "fill counts do not match the buckets"
             assert len(self.keys) == self.cap, "key array does not match the cells"
-            assert self.vals is None or len(self.vals) == self.cap, \
-                "weight array not parallel"
         else:
-            assert len(self.keys) == len(self.vals), "payload lists not parallel"
-        for b in range(self.len_major + self.shape.len_minor):
-            keys, vals, first, filled = self.bucket(b)
+            assert len(self.keys) == buckets, "key lists do not match the buckets"
+        assert self.vals is None or len(self.vals) == self.cap, \
+            "payload array not parallel"
+        for b in range(buckets):
+            keys, _, first, filled = self.bucket(b)
             assert filled <= self.d, f"bucket {b} over capacity"
-            if not flat:
-                assert len(vals) == filled, "payload list not parallel"
             side = 0 if b < self.len_major else 1
             for key in keys[first:first + filled]:
                 assert self.buckets(key)[side] == b, \
@@ -391,6 +400,7 @@ def find_slot(tables, key, h1, h2):
     taken once per call.
     """
     probes = 0
+    d = tables[0].d
     if tables[0].fill is None:
         for t in tables:
             probes += 1
@@ -398,15 +408,14 @@ def find_slot(tables, key, h1, h2):
             ks = t.keys[b]
             if key in ks:
                 t._stats.bucket_probes += probes
-                return t, ks, t.vals[b], ks.index(key)
+                return t, ks, t.vals, b * d + ks.index(key)
             probes += 1
             b = t.len_major + (h2 & t.mask_minor)
             ks = t.keys[b]
             if key in ks:
                 t._stats.bucket_probes += probes
-                return t, ks, t.vals[b], ks.index(key)
+                return t, ks, t.vals, b * d + ks.index(key)
     else:
-        d = tables[0].d
         for t in tables:
             probes += 1
             b = h1 & t.mask_major

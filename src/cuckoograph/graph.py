@@ -1,38 +1,57 @@
 """Two-level cuckoo-hash store for dynamic directed graphs.
 
-Source nodes live in a chain of node tables; each node's cell stores its
-destinations either inline (a handful of slots) or in the node's own
-chain of adjacency tables. Placement failures after the kick budget go
-to the overflow list of the chain that failed them: the node chain's
-list keeps node cells, an adjacency chain's list keeps that node's
-destinations. A chain drains its list whenever it grows, and a push over
-the level's cap forces the chain to grow instead (``TableChain.spill``).
-Structural moves inside a chain (merges and contractions) never lose an
-entry, so nothing else needs re-placing.
+Source nodes live in a chain of node tables; each source's destinations
+sit either inline (a handful of slots) or in the source's own chain of
+adjacency tables. Placement failures after the kick budget go to the
+overflow list of the chain that failed them: the node chain's list keeps
+sources, an adjacency chain's list keeps that source's destinations. A
+chain drains its list whenever it grows, and a push over the level's cap
+forces the chain to grow instead (``TableChain.spill``). Structural moves
+inside a chain (merges and contractions) never lose an entry, so nothing
+else needs re-placing.
+
+Rows and columns. Every stored source has a row id, and its per-source
+state lives in graph-level columns indexed by row, not in an object:
+
+- ``_slots``, one ``array('Q')`` of ``2 * MAX_TABLES`` values per row: the
+  inline destinations, ids, or ``v, w`` pairs when weighted, in insertion
+  order (a delete shifts the later ones down);
+- ``_fill``, a ``bytearray``: the row's inline destinations, at most
+  ``inline_capacity``; 0 once the source was promoted;
+- ``_free``, an ``array('Q')`` of the rows freed by deleted sources, reused
+  last in, first out.
+
+A node table's payload is the row id, unboxed in the table's row array
+(the ``ROWS`` layout of ``cuckoo_table``; node keys stay in list buckets,
+for the probe speed given there), and the node chain's overflow list
+keeps row ids too. Only a source whose inline slots overflowed owns an
+object: a ``Promoted`` record with its adjacency chain and count, in
+``_promoted`` under the source's id. A source with inline destinations
+thus costs its key, its table cells and its row, and the garbage
+collector sees nothing of it.
 
 Both levels look keys up with ``cuckoo_table.find_slot``: the node chain
-for a node's cell, then that cell's adjacency chain for a destination;
+for a source's row, then that source's adjacency chain for a destination;
 a chain's overflow list is scanned only after its tables missed, and a
-source whose destinations sit inline has no list to scan.
-Whatever a lookup locates, node cell or edge, comes back as one slot shape,
-``(table, keys, payloads, index)``: a node table's bucket lists, or an
-adjacency table's key and weight arrays and the cell's index in them; an
+source whose destinations sit inline has no list to scan. Whatever a
+lookup locates, source or edge, comes back as one slot shape, ``(table,
+keys, payloads, index)``: a node table's bucket list and row array, or an
+adjacency table's key and weight arrays, with the cell's index. An
 overflow entry has the slot ``(None, keys, payloads, index)`` of its
-chain's lists, and an inline destination ``(None, None, inline, index)``.
-Tables keep no per-entry object. A node table's payload is the
-``NodeCell``, in list buckets (see ``cuckoo_table``). Adjacency tables are
-flat: destination ids in one ``array('Q')`` per table, and the weights,
-when weighted, in a parallel one, so a destination there costs 8 bytes
-(16 weighted), and a weight, like an id, must be below 2**64. Overflow
-lists keep the same payloads in Python lists. The inline slots are an
-immutable tuple, of ids or of ``(v, w)`` pairs when weighted, that every
-insert, delete and weight write replaces; an all-int tuple is one object
-the garbage collector stops tracking.
+chain's lists, and an inline destination ``(None, None, slots, index)``,
+``index`` being the id's place in ``_slots`` (its weight follows it).
+Adjacency tables are flat: destination ids in one ``array('Q')`` per
+table, and the weights, when weighted, in a parallel one, so a
+destination there costs 8 bytes (16 weighted), and a weight, like an id,
+must be below 2**64.
 
-A cell's destinations are read in one place, ``_dests``: its inline
+``GraphStats.bytes_total`` still models cells (a node cell as a key plus
+``2 * MAX_TABLES`` slots), not the arrays' real sizes.
+
+A source's destinations are read in one place, ``_dests``: its inline
 slots, or its chain's live cells (read on the C side, zipped with the
 weights when weighted) followed by the chain's overflow list.
-``out_lists`` walks the node chain once, feeding every cell to that
+``out_lists`` walks the node chain once, feeding every row to that
 reader; iteration, the analytics snapshot and the audit read through it,
 so none re-probes a node it has walked past.
 """
@@ -41,18 +60,21 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
 from .chain import MAX_TABLES, TableChain
-from .cuckoo_table import (CELLS, KEYS, WEIGHTS, CuckooTable, LevelCounters,
+from .cuckoo_table import (KEYS, ROWS, WEIGHTS, CuckooTable, LevelCounters,
                            TableShape, find_slot, is_pow2)
 from .hashing import HashPair, mix64
 from .workload import write_edge_file
 
 NODE_BYTES = 8
 TABLE_HEADER_BYTES = 48
+SLOTS = 2 * MAX_TABLES          # inline slot values per row
+_BLANK_ROW = array("Q", bytes(8 * SLOTS))
 
 _flatten = itertools.chain.from_iterable
 
@@ -133,21 +155,21 @@ class GraphParams:
         return 3 * NODE_BYTES if self.weighted else 2 * NODE_BYTES
 
 
-class NodeCell:
-    """One node-table cell: the source node plus its destination storage.
+class Promoted:
+    """A source whose inline slots overflowed: the only per-source object.
 
-    The cell itself is the payload of its node-table entry.
+    ``node`` is the source, ``row`` its row (whose inline fill stays 0
+    while the record lives), ``chain`` its adjacency chain and ``count``
+    its live destinations, all of them in that chain.
     """
 
-    __slots__ = ("node", "inline", "chain", "count")
+    __slots__ = ("node", "row", "chain", "count")
 
-    def __init__(self, node):
+    def __init__(self, node, row, count):
         self.node = node
-        # destination ids, or (v, w) pairs when weighted; a tuple that is
-        # replaced, never edited, so an all-int one stays untracked by gc
-        self.inline = ()
-        self.chain = None    # TableChain once the inline slots overflowed
-        self.count = 0       # live destinations, wherever they are stored
+        self.row = row
+        self.chain = None
+        self.count = count
 
 
 @dataclass(frozen=True)
@@ -183,6 +205,7 @@ class CuckooGraph:
         self.params = params
         self._weighted = params.weighted
         self._inline_cap = params.inline_capacity
+        self._width = 2 if self._weighted else 1   # slots per inline destination
         # mix64 is a bijection, so the four hash seeds are distinct
         base = mix64(params.seed)
         self._node_hash = HashPair(mix64(base + 1), mix64(base + 2))
@@ -195,7 +218,12 @@ class CuckooGraph:
                                        WEIGHTS if self._weighted else KEYS)
         self._node_chain = TableChain(
             params.node_table_len, params.expand_at, params.contract_at,
-            partial(self._make_table, self.node_counters, self._node_hash, CELLS))
+            partial(self._make_table, self.node_counters, self._node_hash, ROWS))
+        # the row columns (see the module docstring)
+        self._slots = array("Q")
+        self._fill = bytearray()
+        self._free = array("Q")
+        self._promoted = {}
         self._node_count = 0
         self._edge_count = 0
         self._inline_edges = 0
@@ -226,8 +254,8 @@ class CuckooGraph:
         self._node_chain.spill(entry, self.params.denylist_cap)
         self._ldl_peak = max(self._ldl_peak, self.node_counters.overflow)
 
-    def _push_adj_dl(self, cell, entry):
-        cell.chain.spill(entry, self.params.denylist_cap)
+    def _push_adj_dl(self, record, entry):
+        record.chain.spill(entry, self.params.denylist_cap)
         self._sdl_peak = max(self._sdl_peak, self.adj_counters.overflow)
 
     def _spilled(self, chain, key):
@@ -240,8 +268,8 @@ class CuckooGraph:
 
     # -- location helpers ---------------------------------------------------
 
-    def _find_cell(self, u):
-        """u's cell, or None."""
+    def _find_row(self, u):
+        """u's row, or None."""
         h1, h2 = self._node_hash.pair(u)
         slot = find_slot(self._node_chain.tables, u, h1, h2)
         if slot is None:
@@ -253,12 +281,13 @@ class CuckooGraph:
     def _locate_edge(self, u, v):
         """Full two-step lookup.
 
-        Returns (cell, cell_slot, edge_slot, dl_scans, u_hashes, v_hashes);
+        Returns (row, record, row_slot, edge_slot, dl_scans, u_hashes,
+        v_hashes); record is None while u's destinations sit inline, and
         the hash pairs come back so mutating callers never rehash. Each
         level is one ``find_slot`` call, then, on a miss, a scan of that
         chain's overflow list (counted in ``dl_scans``); a source with
         inline destinations has no list. Routing the node level through
-        ``_find_cell`` as well cost about 2% of query throughput.
+        ``_find_row`` as well cost about 2% of query throughput.
         """
         uh = self._node_hash.pair(u)
         cslot = find_slot(self._node_chain.tables, u, uh[0], uh[1])
@@ -267,25 +296,26 @@ class CuckooGraph:
             scans = 1
             cslot = self._spilled(self._node_chain, u)
             if cslot is None:
-                return None, None, None, scans, uh, None
-        cell = cslot[2][cslot[3]]
-        if cell.chain is None:
-            inline = cell.inline
-            if self._weighted:
-                for i, item in enumerate(inline):
-                    if item[0] == v:
-                        return cell, cslot, (None, None, inline, i), scans, uh, None
-            elif v in inline:
-                return (cell, cslot, (None, None, inline, inline.index(v)),
+                return None, None, None, None, scans, uh, None
+        row = cslot[2][cslot[3]]
+        n = self._fill[row]
+        if n:
+            s = row * SLOTS
+            width = self._width
+            ids = self._slots[s:s + width * n:width]
+            if v in ids:
+                return (row, None, cslot,
+                        (None, None, self._slots, s + width * ids.index(v)),
                         scans, uh, None)
-            return cell, cslot, None, scans, uh, None
+            return row, None, cslot, None, scans, uh, None
+        record = self._promoted[u]
+        chain = record.chain
         vh = self._adj_hash.pair(v)
-        chain = cell.chain
         slot = find_slot(chain.tables, v, vh[0], vh[1])
         if slot is None:
             scans += 1
             slot = self._spilled(chain, v)
-        return cell, cslot, slot, scans, uh, vh
+        return row, record, cslot, slot, scans, uh, vh
 
     # -- public operations ---------------------------------------------------
 
@@ -295,7 +325,7 @@ class CuckooGraph:
             raise ValueError(f"weight must be in [1, 2**64), got {weight}")
         if (u | v) >> 64:
             raise ValueError(f"node ids must be in [0, 2**64), got {u}, {v}")
-        cell, _, slot, _, uh, vh = self._locate_edge(u, v)
+        row, record, _, slot, _, uh, vh = self._locate_edge(u, v)
         if slot is not None:
             if not self._weighted:
                 return _DUPLICATE
@@ -303,22 +333,29 @@ class CuckooGraph:
             if w >> 64:
                 raise ValueError(f"weight of {u}->{v} would reach 2**64: "
                                  f"{w - weight} + {weight}")
-            _write_weight(cell, slot, w)
+            _write_weight(slot, w)
             return InsertResult("incremented", w)
-        if cell is None:
-            cell = NodeCell(u)
-            self._place_node_cell(cell, uh[0], uh[1])
+        if row is None:
+            row = self._new_row()
+            homeless = self._node_chain.insert(u, uh[0], uh[1], row)
+            if homeless is not None:
+                self._push_node_dl(homeless)
             self._node_count += 1
-        if cell.chain is None:
-            if len(cell.inline) < self._inline_cap:
-                cell.inline += ((v, weight),) if self._weighted else (v,)
+        if record is None:
+            n = self._fill[row]
+            if n < self._inline_cap:
+                s = row * SLOTS + self._width * n
+                self._slots[s] = v
+                if self._weighted:
+                    self._slots[s + 1] = weight
+                self._fill[row] = n + 1
                 self._inline_edges += 1
             else:
-                self._promote(cell)
-                self._chain_add(cell, v, weight, vh)
-        else:
-            self._chain_add(cell, v, weight, vh)
-        cell.count += 1
+                record = Promoted(u, row, n)
+                self._promote(record)
+        if record is not None:
+            self._chain_add(record, v, weight, vh)
+            record.count += 1
         self._edge_count += 1
         return InsertResult("inserted", weight) if self._weighted else _INSERTED
 
@@ -326,7 +363,7 @@ class CuckooGraph:
         """Membership test; returns the weight (or None) in weighted mode."""
         np0 = self.node_counters.bucket_probes
         ap0 = self.adj_counters.bucket_probes
-        _, _, slot, scans, _, _ = self._locate_edge(u, v)
+        _, _, _, slot, scans, _, _ = self._locate_edge(u, v)
         np_ = self.node_counters.bucket_probes - np0
         ap = self.adj_counters.bucket_probes - ap0
         if np_ > self._max_q_node_probes:
@@ -343,53 +380,68 @@ class CuckooGraph:
 
     def delete_edge(self, u: int, v: int) -> DeleteResult:
         """Delete u->v; weighted mode decrements w and removes only at zero."""
-        cell, cslot, slot, _, _, _ = self._locate_edge(u, v)
+        row, record, cslot, slot, _, _, _ = self._locate_edge(u, v)
         if slot is None:
             return _ABSENT
-        hit_table, _, items, i = slot
         if self._weighted:
             w = _weight(slot)
             if w > 1:
-                _write_weight(cell, slot, w - 1)
+                _write_weight(slot, w - 1)
                 return DeleteResult("decremented", w - 1)
-        if cell.chain is None:
-            cell.inline = items[:i] + items[i + 1:]
-            self._inline_edges -= 1
-        else:
-            _remove(slot, cell.chain)
-        cell.count -= 1
         self._edge_count -= 1
-        if cell.count == 0:
-            self._clear_cell(cell, cslot)
-        elif cell.chain is not None:
-            chain = cell.chain
+        if record is None:
+            # shift the later inline destinations down: slot order is kept
+            width = self._width
+            n = self._fill[row] - 1
+            i = slot[3]
+            end = row * SLOTS + width * (n + 1)
+            self._slots[i:end - width] = self._slots[i + width:end]
+            self._fill[row] = n
+            self._inline_edges -= 1
+            if n == 0:
+                self._clear_row(row, cslot)
+            return _DELETED
+        chain = record.chain
+        _remove(slot, chain)
+        record.count -= 1
+        if record.count == 0:
+            chain.dispose()
+            del self._promoted[record.node]
+            self._clear_row(row, cslot)
+        else:
+            hit_table = slot[0]
             if hit_table is not None and chain.should_contract():
                 chain.contract(hit_table)
-            self._maybe_demote(cell)
+            self._maybe_demote(record)
         return _DELETED
 
     def successors(self, u: int):
         """All v with edge u->v, as a set (of (v, w) pairs in weighted mode)."""
-        cell = self._find_cell(u)
-        if cell is None:
+        row = self._find_row(u)
+        if row is None:
             return set()
-        if cell.chain is None:
-            return set(cell.inline)   # no list copy: BFS calls this per node
-        return set(self._dests(cell))
+        return set(self._dests(u, row))
 
-    def out_lists(self):
+    def successor_ids(self, u: int):
+        """All v with edge u->v, as a set of ids in either mode."""
+        row = self._find_row(u)
+        if row is None:
+            return set()
+        return set(self._dests(u, row, ids=True))
+
+    def out_lists(self, ids=False):
         """Iterate (u, destinations) once per stored source, in one walk.
 
         Destinations come as a fresh list of ids, or of (v, w) pairs in
-        weighted mode; no node is hashed or probed.
+        weighted mode unless ``ids``; no node is hashed or probed.
         """
         dests = self._dests
-        for cell in self._iter_cells():
-            yield cell.node, dests(cell)
+        for u, row in self._iter_rows():
+            yield u, dests(u, row, ids)
 
     def nodes(self):
         """Iterate every stored source node."""
-        return (cell.node for cell in self._iter_cells())
+        return (u for u, _ in self._iter_rows())
 
     def iter_edges(self):
         """Iterate distinct edges as (u, v) or (u, v, w) tuples."""
@@ -455,15 +507,12 @@ class CuckooGraph:
 
     def adjacency_lengths(self, u):
         """Chain table lengths for u, or None while destinations sit inline."""
-        cell = self._find_cell(u)
-        if cell is None or cell.chain is None:
-            return None
-        return cell.chain.lengths()
+        record = self._promoted.get(u)
+        return None if record is None else record.chain.lengths()
 
     def chain_load_rates(self):
         """Load rate of the node chain and of every adjacency chain."""
-        adj = [cell.chain.load_rate()
-               for cell in self._iter_cells() if cell.chain is not None]
+        adj = [r.chain.load_rate() for r in self._promoted.values()]
         return self._node_chain.load_rate(), adj
 
     def check_invariants(self):
@@ -471,28 +520,21 @@ class CuckooGraph:
         cap = self.params.denylist_cap
         node_chain = self._node_chain
         node_chain.check_invariants()
-        seen_nodes = {}
-        entries = [e for t in node_chain.tables for e in t.entries()]
-        entries += zip(node_chain.spill_k, node_chain.spill_v)
-        for u, cell in entries:
-            assert cell.node == u, f"cell of node {cell.node} under key {u}"
-            assert u not in seen_nodes, f"node {u} stored twice"
-            seen_nodes[u] = cell
         assert all(t.fill is None and t.vals is not None
-                   for t in node_chain.tables), "node table without cells"
+                   for t in node_chain.tables), "node table without rows"
         _check_level(self.node_counters, [node_chain], cap)
-        assert len(seen_nodes) == self._node_count, "node count drift"
+        self._check_rows()
         total_edges = 0
         inline_total = 0
         adj_chains = []
         for u, dests in self.out_lists():
-            cell = seen_nodes[u]
-            chain = cell.chain
-            if chain is None:
-                assert len(cell.inline) <= self._inline_cap, "inline overflow"
-                inline_total += cell.count
+            record = self._promoted.get(u)
+            if record is None:
+                count = len(dests)
+                inline_total += count
             else:
-                assert not cell.inline, f"chained node {u} keeps inline slots"
+                count = record.count
+                chain = record.chain
                 chain.check_invariants()
                 assert all(t.fill is not None
                            and (t.vals is not None) == self._weighted
@@ -501,77 +543,132 @@ class CuckooGraph:
                 adj_chains.append(chain)
             ids = {d[0] for d in dests} if self._weighted else set(dests)
             assert len(ids) == len(dests), f"duplicate destination under node {u}"
-            assert len(dests) == cell.count, f"cell count drift for node {u}"
-            total_edges += cell.count
+            assert len(dests) == count, f"count drift for node {u}"
+            total_edges += count
         _check_level(self.adj_counters, adj_chains, cap)
         assert total_edges == self._edge_count, "edge count drift"
         assert inline_total == self._inline_edges, "inline count drift"
+        # the per-query maxima of stats().counters
+        assert self._max_q_node_probes <= 2 * MAX_TABLES, \
+            "a query probed more than 2 node buckets per table"
+        assert self._max_q_adj_probes <= 2 * MAX_TABLES, \
+            "a query probed more than 2 adjacency buckets per table"
+        assert self._max_q_dl_scans <= 2, \
+            "a query scanned more than one overflow list per level"
+
+    def _check_rows(self):
+        """Every live row has one reference, no free row has any, every
+        promoted row its record, and the columns match the row count."""
+        rows = len(self._fill)
+        free = set(self._free)
+        assert len(free) == len(self._free), "a row is freed twice"
+        assert len(self._slots) == SLOTS * rows, "slot column off the row count"
+        owners = {}
+        nodes = set()
+        for u, row in self._iter_rows():
+            assert u not in nodes, f"node {u} stored twice"
+            nodes.add(u)
+            assert row < rows, f"node {u} names row {row}, past the last row"
+            assert row not in free, f"free row {row} referenced by node {u}"
+            assert row not in owners, \
+                f"row {row} referenced twice, by nodes {owners[row]} and {u}"
+            owners[row] = u
+            n = self._fill[row]
+            assert n <= self._inline_cap, \
+                f"row {row} of node {u} over the inline capacity"
+            record = self._promoted.get(u)
+            assert n or record is not None, f"row {row} of node {u} is empty"
+            assert not (n and record), f"promoted node {u} keeps inline slots"
+        assert len(owners) + len(free) == rows, "a row is neither live nor free"
+        assert len(owners) == self._node_count, "node count drift"
+        for u, record in self._promoted.items():
+            assert record.node == u, f"record of node {record.node} under node {u}"
+            assert owners.get(record.row) == u, \
+                f"record of node {u} names row {record.row}, not its own"
+            assert record.chain is not None, f"record of node {u} without a chain"
 
     # -- internals ----------------------------------------------------------
 
-    def _iter_cells(self):
+    def _iter_rows(self):
+        """(node, row) of every stored source: table by table, then the
+        node chain's overflow list."""
         for t in self._node_chain.tables:
-            yield from _flatten(t.vals)
-        yield from self._node_chain.spill_v
+            yield from t.entries()
+        yield from zip(self._node_chain.spill_k, self._node_chain.spill_v)
 
-    def _place_node_cell(self, cell, h1, h2):
-        homeless = self._node_chain.insert(cell.node, h1, h2, cell)
-        if homeless is not None:
-            self._push_node_dl(homeless)
+    def _new_row(self):
+        """A row for a new source: the last one freed, else a fresh one."""
+        if self._free:
+            return self._free.pop()
+        self._fill.append(0)
+        self._slots += _BLANK_ROW
+        return len(self._fill) - 1
 
-    def _chain_add(self, cell, v, weight, vh=None):
+    def _chain_add(self, record, v, weight, vh=None):
         if vh is None:
             vh = self._adj_hash.pair(v)
-        homeless = cell.chain.insert(v, vh[0], vh[1],
-                                     weight if self._weighted else None)
+        homeless = record.chain.insert(v, vh[0], vh[1],
+                                       weight if self._weighted else None)
         if homeless is not None:
-            self._push_adj_dl(cell, homeless)
+            self._push_adj_dl(record, homeless)
 
-    def _promote(self, cell):
-        """Move an overflowing inline slot set into a fresh adjacency chain."""
-        items = cell.inline
-        cell.inline = ()
-        cell.chain = self._new_adj_chain(cell.node)
+    def _promote(self, record):
+        """Move a full row's inline destinations into a fresh adjacency chain."""
+        items = self._dests(record.node, record.row)
+        self._fill[record.row] = 0
+        self._promoted[record.node] = record
+        record.chain = self._new_adj_chain(record.node)
         self._inline_edges -= len(items)
         self._movements += len(items)
         for item in items:
-            self._chain_add(cell, *(item if self._weighted else (item, None)))
+            self._chain_add(record, *(item if self._weighted else (item, None)))
 
-    def _maybe_demote(self, cell):
-        chain = cell.chain
-        if chain is None or not chain.at_floor():
-            return
-        if cell.count > self._inline_cap:
+    def _maybe_demote(self, record):
+        """Move a small chain's destinations back into the row's inline slots."""
+        chain = record.chain
+        if not chain.at_floor() or record.count > self._inline_cap:
             return
         if chain.entry_count() >= chain.contract_at * chain.capacity():
             return
-        items = self._dests(cell)
+        items = self._dests(record.node, record.row)
         chain.dispose()
-        cell.chain = None
-        cell.inline = tuple(items)
+        record.chain = None
+        del self._promoted[record.node]
+        s = record.row * SLOTS
+        self._slots[s:s + self._width * len(items)] = array(
+            "Q", _flatten(items) if self._weighted else items)
+        self._fill[record.row] = len(items)
         self._inline_edges += len(items)
         self._movements += len(items)
 
-    def _dests(self, cell):
-        """The one reader of a cell's destinations, as a fresh list.
+    def _dests(self, u, row, ids=False):
+        """The one reader of a source's destinations, as a fresh list.
 
-        Ids, or (v, w) pairs when weighted: the inline slots, or the chain
-        tables followed by the chain's overflow list.
+        Ids, or (v, w) pairs when weighted and not ``ids``: the row's
+        inline slots, or u's chain tables followed by the chain's overflow
+        list.
         """
-        chain = cell.chain
-        if chain is None:
-            return list(cell.inline)
-        if self._weighted:
+        n = self._fill[row]
+        pairs = self._weighted and not ids
+        if n:
+            s = row * SLOTS
+            if not pairs:
+                width = self._width
+                return self._slots[s:s + width * n:width].tolist()
+            values = self._slots[s:s + 2 * n]
+            return list(zip(values[::2], values[1::2]))
+        chain = self._promoted[u].chain
+        if pairs:
             return [*_flatten(t.entries() for t in chain.tables),
                     *zip(chain.spill_k, chain.spill_v)]
         return [*_flatten(t.stored_keys() for t in chain.tables),
                 *chain.spill_k]
 
-    def _clear_cell(self, cell, cslot):
-        """Drop an emptied cell, and its chain, through the slot its lookup found."""
-        if cell.chain is not None:
-            cell.chain.dispose()
+    def _clear_row(self, row, cslot):
+        """Drop an emptied source through the slot its lookup found, and
+        free its row."""
         _remove(cslot, self._node_chain)
+        self._free.append(row)
         self._node_count -= 1
         table = cslot[0]
         if table is not None and self._node_chain.should_contract():
@@ -580,17 +677,14 @@ class CuckooGraph:
 
 def _weight(slot):
     """The weight at an edge slot: a table cell's or overflow entry's
-    payload, else an inline pair's second field."""
+    payload, else the inline slot after the id."""
     _, keys, items, i = slot
-    return items[i] if keys is not None else items[i][1]
+    return items[i] if keys is not None else items[i + 1]
 
 
-def _write_weight(cell, slot, w):
+def _write_weight(slot, w):
     _, keys, items, i = slot
-    if keys is not None:
-        items[i] = w
-    else:
-        cell.inline = items[:i] + ((items[i][0], w),) + items[i + 1:]
+    items[i if keys is not None else i + 1] = w
 
 
 def _remove(slot, chain):

@@ -29,7 +29,7 @@ def weighted_edges(seed):
 
 
 def count_reads(g, monkeypatch):
-    """Count g's successors calls and all key hashing; log every cell read."""
+    """Count g's successors calls and all key hashing; log every source read."""
     calls = {"successors": 0, "pair": 0}
     read = []
     successors, dests, pair = g.successors, g._dests, HashPair.pair
@@ -42,9 +42,9 @@ def count_reads(g, monkeypatch):
         calls["pair"] += 1
         return pair(self, key)
 
-    def logged_dests(cell):
-        read.append(cell.node)
-        return dests(cell)
+    def logged_dests(u, row, ids=False):
+        read.append(u)
+        return dests(u, row, ids)
 
     g.successors = counted_successors
     g._dests = logged_dests
@@ -143,7 +143,7 @@ class TestSubgraph:
         calls, read = count_reads(g, monkeypatch)
         sub = analytics.extract_subgraph(g, keep)
         assert calls["successors"] == len(keep)
-        assert read == [0]   # the one kept chained source, read once
+        assert read == [0, 1, 2]   # each kept stored source, read once
         assert {(0, 100), (0, 101)} <= set(sub.iter_edges())
 
 
@@ -155,6 +155,26 @@ class TestTasks:
     def test_bfs_chain(self):
         g, _ = build_pair(PATH)
         assert analytics.bfs(g, 1) == [1, 2, 3]
+
+    def test_weighted_and_unweighted_bfs_agree(self, monkeypatch):
+        # hub 0 keeps its destinations in a chain, the others inline
+        edges = sorted(random_edges(5) | {(0, v) for v in range(100, 140)})
+        plain, _ = build_pair(edges)
+        weighted, _ = build_pair([(u, v, 1 + (u + v) % 5) for u, v in edges],
+                                 weighted=True)
+        sources = analytics.select_top_degree(plain, 5)
+        assert sources == analytics.select_top_degree(weighted, 5)
+        for u in sources:
+            assert (weighted.successor_ids(u)
+                    == {v for v, _ in weighted.successors(u)}
+                    == plain.successors(u))
+        calls, _ = count_reads(weighted, monkeypatch)
+        for src in sources:
+            assert analytics.bfs(weighted, src) == analytics.bfs(plain, src)
+            assert (analytics.triangle_count(weighted, src)
+                    == analytics.triangle_count(plain, src))
+        # the weighted walk read ids only: no (v, w) successor set
+        assert calls["successors"] == 0
 
     def test_sssp_chain_and_unreachable(self):
         g, _ = build_pair(PATH)

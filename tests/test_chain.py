@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cuckoograph.chain import TableChain, lengths_for_step
-from cuckoograph.cuckoo_table import (CELLS, KEYS, CuckooTable, LevelCounters,
+from cuckoograph.cuckoo_table import (KEYS, ROWS, CuckooTable, LevelCounters,
                                       TableShape, find_slot)
 from cuckoograph.hashing import HashPair
 
@@ -64,9 +64,10 @@ def pair(chain, k):
 
 def fill(chain, keys):
     failed = []
+    rows = chain.tables[0].vals is not None
     for k in keys:
         h1, h2 = pair(chain, k)
-        ev = chain.insert(k, h1, h2, None)
+        ev = chain.insert(k, h1, h2, k if rows else None)
         if ev is not None:
             failed.append(ev)
     return failed
@@ -460,36 +461,37 @@ class TestContract:
 class TestOverflowList:
     def test_lists_are_allocated_on_the_first_spill(self):
         for payloads in (False, True):
-            chain, stats = make_chain(layout=CELLS if payloads else KEYS)
+            chain, stats = make_chain(layout=ROWS if payloads else KEYS)
             assert chain.spill_k == ()
             assert chain.spill_v == (() if payloads else None)
-            chain.spill((7, "p7" if payloads else None), CAP)
+            chain.spill((7, 70 if payloads else None), CAP)
             assert chain.spill_k == [7]
-            assert chain.spill_v == (["p7"] if payloads else None)
+            assert chain.spill_v == ([70] if payloads else None)
             assert stats.overflow == 1
             chain.check_invariants()
 
     def test_unspill_keeps_the_order_and_the_count(self):
-        chain, stats = make_chain(layout=CELLS)
+        chain, stats = make_chain(layout=ROWS)
         for k in (5, 6, 7):
-            chain.spill((k, -k), CAP)
+            chain.spill((k, k + 1), CAP)
         chain.unspill(1)
-        assert (chain.spill_k, chain.spill_v) == ([5, 7], [-5, -7])
+        assert (chain.spill_k, chain.spill_v) == ([5, 7], [6, 8])
         assert stats.overflow == 2
 
     def test_grow_drains_the_list_in_order_into_the_newest_table(self):
-        chain, stats = make_chain(base=8, d=2, layout=CELLS)
+        chain, stats = make_chain(base=8, d=2, layout=ROWS)
         fill(chain, range(10))
         # two keys sharing a major bucket of the new length-4 table land
         # in it in list order
         a, b = [k for k in range(100, 1000) if HP.pair(k)[0] & 3 == 0][:2]
         for k in (b, a, 99):
-            chain.spill((k, -k), CAP)
+            chain.spill((k, k + 1), CAP)
         event = chain.advance()
         assert (chain.spill_k, chain.spill_v) == ((), ())
         newest = chain.tables[-1]
-        assert newest.bucket(0) == ([b, a], [-b, -a], 0, 2)
-        assert sorted(newest.entries()) == sorted((k, -k) for k in (a, b, 99))
+        keys, rows, first, filled = newest.bucket(0)
+        assert (keys, list(rows), first, filled) == ([b, a], [b + 1, a + 1], 0, 2)
+        assert sorted(newest.entries()) == sorted((k, k + 1) for k in (a, b, 99))
         assert stats.overflow == 0
         assert stats.moved == event.moved + 3
         chain.check_invariants()
@@ -533,7 +535,7 @@ class TestOverflowList:
         assert stats.move_failures == 0
 
     def test_audit_rejects_a_broken_list(self):
-        chain, _ = make_chain(layout=CELLS)
+        chain, _ = make_chain(layout=ROWS)
         fill(chain, range(5))
         chain.spill((100, 1), CAP)
         chain.check_invariants()

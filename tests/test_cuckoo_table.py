@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from cuckoograph.cuckoo_table import (CELLS, KEYS, WEIGHTS, CuckooTable, LevelCounters,
+from cuckoograph.cuckoo_table import (KEYS, ROWS, WEIGHTS, CuckooTable, LevelCounters,
                                       TableShape, find_slot)
 from cuckoograph.hashing import HashPair
 
 
 def make_table(length=4, d=2, seeds=(1, 2), rng_seed=7, max_kicks=50,
-               layout=CELLS):
+               layout=ROWS):
     stats = LevelCounters()
     hp = HashPair(*seeds)
     t = CuckooTable(TableShape.for_length(length, d), random.Random(rng_seed),
@@ -16,7 +16,7 @@ def make_table(length=4, d=2, seeds=(1, 2), rng_seed=7, max_kicks=50,
     return t, stats, hp
 
 
-def ins(t, hp, key, payload=None):
+def ins(t, hp, key, payload=0):
     h1, h2 = hp.pair(key)
     return t.insert(key, h1, h2, payload)
 
@@ -62,9 +62,9 @@ class TestShape:
 class TestInsertLookup:
     def test_insert_into_empty_places_first_try(self):
         t, stats, hp = make_table()
-        assert ins(t, hp, 42, "p") is None
+        assert ins(t, hp, 42, 7) is None
         assert stats.placements == 1
-        assert find(t, hp, 42) == "p"
+        assert find(t, hp, 42) == 7
 
     def test_lookup_absent_in_empty(self):
         t, _, hp = make_table()
@@ -116,7 +116,7 @@ class TestRemove:
 
     def test_insert_then_remove(self):
         t, _, hp = make_table()
-        ins(t, hp, 5, payload="p")
+        ins(t, hp, 5, payload=7)
         assert remove(t, hp, 5)
         assert find(t, hp, 5) is None
 
@@ -142,14 +142,14 @@ class TestDrainAndDeterminism:
         assert sorted(t.entries()) == [(1, 10), (3, 30), (4, 40)]
 
     def test_drain_matches_shadow_after_random_ops(self):
-        _check_random_ops_against_a_shadow(CELLS)
+        _check_random_ops_against_a_shadow(ROWS)
 
     @pytest.mark.parametrize("layout", [KEYS, WEIGHTS])
     def test_flat_drain_matches_shadow_after_random_ops(self, layout):
         _check_random_ops_against_a_shadow(layout)
 
     def test_entries_live_in_a_candidate_bucket(self):
-        _check_eviction_heavy_fill(CELLS)
+        _check_eviction_heavy_fill(ROWS)
 
     def test_keys_only_entries_live_in_a_candidate_bucket(self):
         _check_eviction_heavy_fill(KEYS)
@@ -171,14 +171,16 @@ class TestDrainAndDeterminism:
         # same keys, same kick walks: every bucket holds the same keys in
         # the same cell order, through inserts and swap-removes alike
         tables = [make_table(length=8, d=2, rng_seed=99, max_kicks=20,
-                             layout=lay) for lay in (CELLS, layout)]
+                             layout=lay) for lay in (ROWS, layout)]
         rnd = random.Random(5)
         for _ in range(300):
             k = rnd.randrange(60)
-            payload = None if layout == KEYS else k + 1
-            outs = [ins(t, hp, k, payload=payload)
+            outs = [ins(t, hp, k, payload=k + 1)
                     if find_slot([t], k, *hp.pair(k)) is None
                     else remove(t, hp, k) for t, _, hp in tables]
+            if layout == KEYS:
+                # a keys-only table hands back no payload of its own
+                outs = [o[0] if isinstance(o, tuple) else o for o in outs]
             assert outs[0] == outs[1]
         (lists, stats, _), (flat, _, _) = tables
         assert stats.evictions > 0 and stats.kicks_exhausted > 0
@@ -187,7 +189,7 @@ class TestDrainAndDeterminism:
             fks, fvs, first, filled = flat.bucket(b)
             assert list(fks[first:first + filled]) == ks
             if fvs is not None:
-                assert list(fvs[first:first + filled]) == vs
+                assert list(fvs[first:first + filled]) == list(vs)
 
     def test_kick_budget_bounds_evictions(self):
         t, stats, hp = make_table(length=2, d=2, max_kicks=5)
@@ -222,7 +224,7 @@ class TestAudit:
         _check_key_outside_its_bucket_is_caught(KEYS)
 
     def test_list_bucket_key_outside_its_bucket_is_caught(self):
-        _check_key_outside_its_bucket_is_caught(CELLS)
+        _check_key_outside_its_bucket_is_caught(ROWS)
 
     def test_flat_fill_count_over_d_is_caught(self):
         t, _, hp = make_table(length=16, d=2, layout=KEYS)
@@ -235,9 +237,9 @@ class TestAudit:
 
     def test_payload_list_out_of_step_is_caught(self):
         t, _, hp = make_table(length=16, d=2)
-        ins(t, hp, 7, payload="p")
+        ins(t, hp, 7, payload=70)
         slot = find_slot([t], 7, *hp.pair(7))
-        slot[2].append("stray")
+        slot[2].append(71)
         with pytest.raises(AssertionError, match="not parallel"):
             t.check_invariants()
 

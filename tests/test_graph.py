@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import sys
 import types
 from array import array
 from functools import partial
@@ -13,7 +14,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
 from cuckoograph import CuckooGraph, GraphParams, OracleGraph, analytics, oracle
-from cuckoograph.graph import NodeCell
+from cuckoograph.chain import MAX_TABLES
+from cuckoograph.cuckoo_table import find_slot
+from cuckoograph.graph import Promoted
 from cuckoograph.workload import generate_synthetic, mixed_ops
 
 
@@ -146,10 +149,14 @@ class TestDenylists:
             if g._node_chain.spill_k:
                 break
         assert g.stats().node_dl_len > 0
-        overflowed = g._node_chain.spill_v[0]
-        assert isinstance(overflowed, NodeCell)
-        for v in g.successors(overflowed.node):
-            assert g.query_edge(overflowed.node, v) is True
+        # the overflow list keeps the source and its row id, nothing more
+        node, row = g._node_chain.spill_k[0], g._node_chain.spill_v[0]
+        assert type(row) is int and g._find_row(node) == row
+        assert g.successors(node)
+        for v in g.successors(node):
+            assert g.query_edge(node, v) is True
+        # node 0's chain stays attached to it wherever its row sits
+        assert g.successors(0) == set(range(10))
         # every edge is still reachable no matter where its cell lives
         for u in crowd:
             assert g.query_edge(u, 1000 + u) is True
@@ -177,8 +184,8 @@ class TestDenylists:
         lists = {}
         for u, v in generate_synthetic("zipf", 400, 3000, 3):
             g.insert_edge(u, v)
-            lists = {cell.node: cell.chain.spill_k for cell in g._iter_cells()
-                     if cell.chain is not None and cell.chain.spill_k}
+            lists = {u: r.chain.spill_k for u, r in g._promoted.items()
+                     if r.chain.spill_k}
             if len(lists) > 1:
                 break
         assert len(lists) > 1
@@ -207,16 +214,16 @@ def _chained_node_5(weighted=False):
     g = CuckooGraph(GraphParams(weighted=weighted))
     for v in range(40):
         g.insert_edge(5, v)
-    cell = g._find_cell(5)
-    assert cell.chain is not None and not cell.chain.spill_k
+    record = g._promoted[5]
+    assert not record.chain.spill_k
     g.check_invariants()
-    return g, cell
+    return g, record
 
 
 class TestAudit:
     def test_rejects_an_adjacency_key_outside_its_bucket(self):
-        g, cell = _chained_node_5()
-        t = cell.chain.tables[0]
+        g, record = _chained_node_5()
+        t = record.chain.tables[0]
         b = next(b for b in range(t.len_major) if t.bucket(b)[3])
         keys, _, first, _ = t.bucket(b)
         # a fresh id whose hash selects another major bucket
@@ -226,8 +233,8 @@ class TestAudit:
             g.check_invariants()
 
     def test_rejects_a_weight_list_out_of_step(self):
-        g, cell = _chained_node_5(weighted=True)
-        t = cell.chain.tables[0]
+        g, record = _chained_node_5(weighted=True)
+        t = record.chain.tables[0]
         _, weights, _, _ = t.bucket(next(b for b in range(t.len_major)
                                          if t.bucket(b)[3]))
         weights.pop()
@@ -241,10 +248,10 @@ class TestAudit:
             g.check_invariants()
 
     def test_rejects_a_spilled_key_that_also_sits_in_a_table(self):
-        g, cell = _chained_node_5()
-        v = next(e[0] for e in cell.chain.tables[0].entries())
+        g, record = _chained_node_5()
+        v = next(e[0] for e in record.chain.tables[0].entries())
         before = g.stats().counters
-        cell.chain.spill((v, None), g.params.denylist_cap)
+        record.chain.spill((v, None), g.params.denylist_cap)
         with pytest.raises(AssertionError, match=f"spilled key {v} also sits"):
             g.check_invariants()
         # the audit looked the key up without charging a probe
@@ -261,13 +268,76 @@ class TestAudit:
     def test_rejects_a_node_cell_under_a_foreign_key(self):
         g, _ = _chained_node_5()
         g.insert_edge(6, 1)
-        t = g._node_chain.tables[0]
-        # a node table's bucket is a key list with a parallel cell list
-        keys, cells, _, _ = next(t.bucket(b) for b in t.buckets(6)
-                                 if 6 in t.bucket(b)[0])
-        cells[keys.index(6)] = g._find_cell(5)
-        with pytest.raises(AssertionError, match="under key 6"):
+        # node 6's table cell names node 5's row: that row now has two
+        # references, and node 6's own row none
+        _set_row(g, 6, g._find_row(5))
+        with pytest.raises(AssertionError, match="referenced twice"):
             g.check_invariants()
+
+    def test_rejects_a_row_reference_past_the_rows(self):
+        g, _ = _chained_node_5()
+        g.insert_edge(6, 1)
+        _set_row(g, 6, len(g._fill))
+        with pytest.raises(AssertionError, match="past the last row"):
+            g.check_invariants()
+
+    def test_rejects_a_promoted_row_under_a_foreign_record(self):
+        g, record = _chained_node_5()
+        g.insert_edge(6, 1)
+        record.row = g._find_row(6)
+        with pytest.raises(AssertionError, match="promoted node 5|not its own"):
+            g.check_invariants()
+
+    def test_rejects_a_fill_count_over_the_inline_capacity(self):
+        g, _ = _chained_node_5()
+        g.insert_edge(6, 1)
+        g._fill[g._find_row(6)] = g.params.inline_capacity + 1
+        with pytest.raises(AssertionError, match="over the inline capacity"):
+            g.check_invariants()
+
+    def test_rejects_inline_slots_on_a_promoted_row(self):
+        g, record = _chained_node_5()
+        g._fill[record.row] = 1
+        with pytest.raises(AssertionError, match="promoted node 5 keeps inline"):
+            g.check_invariants()
+
+    def test_rejects_a_live_row_on_the_free_list(self):
+        g, _ = _chained_node_5()
+        g.insert_edge(6, 1)
+        g._free.append(g._find_row(6))
+        with pytest.raises(AssertionError, match="free row .* referenced by node 6"):
+            g.check_invariants()
+
+    def test_rejects_a_freed_row_left_off_the_free_list(self):
+        g, _ = _chained_node_5()
+        g.insert_edge(6, 1)
+        g.delete_edge(6, 1)
+        assert len(g._free) == 1
+        g.check_invariants()
+        g._free.pop()
+        with pytest.raises(AssertionError, match="neither live nor free"):
+            g.check_invariants()
+
+    @pytest.mark.parametrize("counter, bound", [
+        ("_max_q_node_probes", 2 * MAX_TABLES),
+        ("_max_q_adj_probes", 2 * MAX_TABLES),
+        ("_max_q_dl_scans", 2),
+    ])
+    def test_rejects_query_maxima_over_their_bounds(self, counter, bound):
+        g, _ = _chained_node_5()
+        g.query_edge(5, 7)
+        g.query_edge(5, 10**6)
+        setattr(g, counter, bound)
+        g.check_invariants()
+        setattr(g, counter, bound + 1)
+        with pytest.raises(AssertionError, match="a query"):
+            g.check_invariants()
+
+
+def _set_row(g, u, row):
+    """Point u's node-table cell at another row, bypassing the store."""
+    slot = find_slot(g._node_chain.tables, u, *g._node_hash.pair(u))
+    slot[2][slot[3]] = row
 
 
 _OPAQUE = (type, types.ModuleType, types.FunctionType,
@@ -287,6 +357,10 @@ def _reachable(root):
     return list(seen.values())
 
 
+def _heap_bytes(objs):
+    return sum(sys.getsizeof(o) for o in objs)
+
+
 class TestLayout:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_zipf_graph_reaches_no_per_entry_objects(self, seed):
@@ -296,30 +370,60 @@ class TestLayout:
         gc.collect()
         objs = _reachable(g)
         sources = g.stats().nodes
-        cells = [o for o in objs if type(o) is NodeCell]
-        assert len(cells) == sources
-        # the only tuples are the cells' inline slots, plus a few of the
-        # graph's own (seed pairs, factory arguments): no table entry is one
-        inline = {id(c.inline) for c in cells}
-        assert all(type(c.inline) is tuple for c in cells)
-        others = [o for o in objs if type(o) is tuple and id(o) not in inline]
-        assert len(others) <= 8, others[:10]
-        chained = [c for c in cells if c.chain is not None]
-        assert chained
+        # only promoted sources own an object, each in the record map
+        records = [o for o in objs if type(o) is Promoted]
+        assert records and len(records) == len(g._promoted) < sources
+        assert all(r.chain is not None for r in records)
+        # no table entry and no inline destination is a tuple: the only
+        # tuples are a few of the graph's own (seed pairs, factory arguments)
+        tuples = [o for o in objs if type(o) is tuple]
+        assert len(tuples) <= 8, tuples[:10]
         # adjacency tables keep ids in arrays: no int object and no list
         # per entry or per bucket, and no weights when unweighted
-        for c in chained:
-            for t in c.chain.tables:
+        for r in records:
+            for t in r.chain.tables:
                 assert type(t.keys) is array and t.vals is None
                 assert not any(type(o) is list for o in gc.get_referents(t))
-        inline_dests = sum(len(c.inline) for c in cells)
+        # node tables keep rows unboxed: the ints are the source ids (in
+        # key lists), the promoted records' rows, and a few of the graph's
         ints = sum(1 for o in objs if type(o) is int)
-        assert ints <= sources + inline_dests + 16
+        assert ints <= sources + len(records) + 16
         for t in g._node_chain.tables:
-            assert all(type(x) is NodeCell for b in t.vals for x in b)
-        # all-int inline tuples are untracked, and no entry owns an object
+            assert type(t.vals) is array and type(t.keys) is list
+        # no entry owns a tracked object
         tracked = sum(1 for o in objs if gc.is_tracked(o))
         assert tracked / sources < 7.5
+        assert _heap_bytes(objs) <= 2 * g.stats().bytes_total
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sparse_graph_reaches_no_per_source_object(self, weighted):
+        # every out-degree at or just under the inline capacity, as on the
+        # sparse-inline workload: no source is promoted, and the node tables
+        # are loaded enough for the accounted bytes to be tight
+        g = CuckooGraph(GraphParams.from_seed(3, weighted=weighted))
+        cap = g.params.inline_capacity
+        rnd = random.Random(3)
+        dests = set()
+        for u in range(10000):
+            for v in rnd.sample(range(10**9, 2 * 10**9), rnd.randint(cap - 1, cap)):
+                g.insert_edge(u * 7919, v)
+                dests.add(v)
+        gc.collect()
+        objs = _reachable(g)
+        sources = g.stats().nodes
+        assert sources == 10000 and not g._promoted
+        assert not any(type(o) is Promoted for o in objs)
+        assert sum(1 for o in objs if type(o) is tuple) <= 8
+        # the ints are the source ids and the graph's own (parameters and
+        # level counters): no destination, weight or row id is an object
+        ints = [o for o in objs if type(o) is int]
+        assert len(ints) <= sources + 40
+        assert not any(o in dests for o in ints)
+        # tracked objects are the node tables' bucket lists and the graph's
+        tracked = sum(1 for o in objs if gc.is_tracked(o))
+        buckets = sum(len(t.keys) for t in g._node_chain.tables)
+        assert tracked <= buckets + 64
+        assert _heap_bytes(objs) <= 2 * g.stats().bytes_total
 
 
 class TestDeletion:
@@ -443,7 +547,7 @@ class TestWeighted:
             insert(u, 1000 + u)
             sources.append(u)
         assert g.adjacency_lengths(hub) is not None
-        spilled = sorted(g._find_cell(hub).chain.spill_k)
+        spilled = sorted(g._promoted[hub].chain.spill_k)
         tabled = sorted(x for x, _ in g.successors(hub) if x not in spilled)
         crowded = g._node_chain.spill_k[0]
         plain = next(x for x in sources
@@ -514,7 +618,7 @@ def _location(g, u, v):
         return "node_dl"
     if g.adjacency_lengths(u) is None:
         return "inline"
-    if v in g._find_cell(u).chain.spill_k:
+    if v in g._promoted[u].chain.spill_k:
         assert g.stats().adj_dl_len > 0
         return "adj_dl"
     return "adj_table"

@@ -19,12 +19,13 @@ def load_targets():
 
 
 def _graph_with_a_chained_node():
+    """Node 5 promoted: its record is what _promote and _maybe_demote get."""
     g = CuckooGraph(GraphParams())
     for v in range(40):
         g.insert_edge(5, v)
-    cell = g._find_cell(5)
-    assert cell.chain is not None
-    return g, cell
+    record = g._promoted[5]
+    assert record.chain is not None
+    return g, record
 
 
 def test_every_traced_attribute_exists_but_the_retired_flush():
@@ -37,15 +38,15 @@ def test_every_traced_attribute_exists_but_the_retired_flush():
 def test_every_table_of_both_levels_runs_the_traced_insert():
     # the tracer wraps CuckooTable.insert; a table class of its own for
     # one level would drop that level's inserts from the traced split
-    g, cell = _graph_with_a_chained_node()
-    tables = g._node_chain.tables + cell.chain.tables
+    g, record = _graph_with_a_chained_node()
+    tables = g._node_chain.tables + record.chain.tables
     assert {type(t).insert for t in tables} == {cuckoo_table.CuckooTable.insert}
 
 
 def test_the_fields_the_tracer_reads_exist():
-    g, cell = _graph_with_a_chained_node()
-    assert cell.node == 5 and isinstance(cell.chain, TableChain)
-    chain = cell.chain
+    g, record = _graph_with_a_chained_node()
+    assert record.node == 5 and isinstance(record.chain, TableChain)
+    chain = record.chain
     assert chain.owner == 5 and g._node_chain.owner is None
     assert chain.lengths() == tuple(t.shape.length for t in chain.tables)
     event = chain.advance()
