@@ -42,12 +42,6 @@ class TaskSpec:
             raise ValueError("pr_damping must be in (0, 1)")
 
 
-def _succ_ids(graph, u):
-    if graph.params.weighted:
-        return graph.successor_ids(u)   # ids read once, no (v, w) set
-    return graph.successors(u)
-
-
 def adjacency_view(graph):
     """Successor-id sets for every endpoint node (plain dict snapshot).
 
@@ -118,7 +112,7 @@ def bfs(graph, source) -> list:
     while frontier:
         nxt = []
         for x in frontier:
-            for y in sorted(_succ_ids(graph, x)):
+            for y in sorted(graph.successors(x, ids=True)):
                 if y not in seen:
                     seen.add(y)
                     order.append(y)
@@ -154,17 +148,17 @@ def triangle_count(graph, node, count_paths: bool = False) -> int:
     With ``count_paths`` every 2-hop witness path is queried separately,
     so closers reachable through several mid nodes count once per path.
     """
-    firsts = _succ_ids(graph, node)
+    firsts = graph.successors(node, ids=True)
     count = 0
     if count_paths:
         for mid in firsts:
-            for s in _succ_ids(graph, mid):
+            for s in graph.successors(mid, ids=True):
                 if _edge_present(graph, s, node):
                     count += 1
         return count
     two_hop = set()
     for mid in firsts:
-        two_hop |= _succ_ids(graph, mid)
+        two_hop |= graph.successors(mid, ids=True)
     for s in two_hop:
         if _edge_present(graph, s, node):
             count += 1

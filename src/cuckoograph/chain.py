@@ -83,7 +83,7 @@ def lengths_for_step(step: int, base_len: int) -> tuple[int, ...]:
 
 
 def _materialized(step: int, base_len: int) -> tuple[int, ...]:
-    # real tables cannot go below the minimum 2:1 shape
+    # a real table needs a minor bucket: length MIN_TABLE_LEN at least
     return tuple(max(MIN_TABLE_LEN, ln) for ln in lengths_for_step(step, base_len))
 
 
@@ -134,7 +134,7 @@ class TableChain:
         return self.tables[0]._stats
 
     def lengths(self) -> tuple[int, ...]:
-        return tuple(t.shape.length for t in self.tables)
+        return tuple(t.len_major for t in self.tables)
 
     def entry_count(self) -> int:
         return sum(t.count for t in self.tables)
@@ -146,7 +146,7 @@ class TableChain:
         return self.entry_count() / self.capacity()
 
     def at_floor(self) -> bool:
-        return len(self.tables) == 1 and self.tables[0].shape.length <= max(
+        return len(self.tables) == 1 and self.tables[0].len_major <= max(
             MIN_TABLE_LEN, self.base_len)
 
     # -- triggers ----------------------------------------------------------
@@ -222,7 +222,7 @@ class TableChain:
         kind = "removed" if len(self.tables) >= 2 else "halved"
         survivors = [t for t in self.tables if t is not hit_table]
         drained, homeless = [], []
-        if tuple(t.shape.length for t in survivors) == target:
+        if tuple(t.len_major for t in survivors) == target:
             drained = list(hit_table.entries())
             hit_table.dispose()
             homeless = self._transfer(drained, survivors, _shares(n, survivors))
@@ -331,7 +331,7 @@ class TableChain:
     def _row_for(self, n: int) -> int:
         """Smallest schedule step whose tables hold n entries at the grow threshold."""
         t = self.tables[0]
-        cells_per_len = t.cap / t.shape.length
+        cells_per_len = t.cap / t.len_major
         step = 0
         while n > self.expand_at * cells_per_len * sum(
                 _materialized(step, self.base_len)):

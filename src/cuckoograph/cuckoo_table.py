@@ -1,29 +1,31 @@
 """Two-array cuckoo hash table with multi-cell buckets and bounded eviction.
 
-A table has ``len_major + len_minor`` buckets of ``d`` cells: the major
-array's buckets first, then the minor array's, so bucket ``b`` of the
-minor array is bucket ``len_major + b`` of the table. Each table keeps
-its buckets in one of two layouts, fixed by the level it serves:
+A table of length ``n`` (a power of two, at least 2; the constructor
+checks it) has ``n`` major buckets and ``n / 2`` minor ones of ``d``
+cells, ``cap`` cells in all: the major array's buckets first, then the
+minor array's, so bucket ``b`` of the minor array is bucket ``n + b`` of
+the table. A table's length is its ``len_major``. Each table keeps its
+buckets in one of two layouts, fixed by the level it serves:
 
 - ``ROWS`` (node tables): a bucket is a list of keys; the payloads, the
   graph's row id of each source, sit unboxed in one ``array('Q')`` of
-  ``(len_major + len_minor) * d`` cells, key ``i`` of bucket ``b`` with
-  its row in cell ``b * d + i``. The keys stay in lists because the node
-  level is probed on every operation: a flat probe (``key in
-  keys[lo:hi]``) costs about 460 ns against 117 ns for ``key in list``,
-  and a query on the sparse-inline workload probes 2.49 node buckets, so
-  flat node keys would add about 0.85 us to an operation of about 5.5 us.
-  This layout takes 21.45 B/edge there (heap pass, seed 1), and a heap
-  model puts flat keys at about 17, which is not worth that time.
+  ``cap`` cells, key ``i`` of bucket ``b`` with its row in cell ``b * d +
+  i``. The keys stay in lists because the node level is probed on every
+  operation: a flat probe (``key in keys[lo:hi]``) costs about 460 ns
+  against 117 ns for ``key in list``, and a query on the sparse-inline
+  workload probes 2.49 node buckets, so flat node keys would add about
+  0.85 us to an operation of about 5.5 us. This layout takes 21.45 B/edge
+  there (heap pass, seed 1), and a heap model puts flat keys at about 17,
+  which is not worth that time.
 - ``KEYS`` and ``WEIGHTS`` (adjacency tables): flat. All keys sit in one
-  ``array('Q')`` of ``(len_major + len_minor) * d`` cells, bucket ``b`` in
-  cells ``b * d`` onwards, with a ``bytearray`` holding each bucket's fill
-  count; the filled cells come first. A weighted table keeps its weights
-  in a parallel ``array('Q')``. A destination id or weight then costs 8
-  bytes, not an int object plus a list cell: on the zipf workloads these
-  tables held about half of the heap. Both bucket arrays share one key
-  array and one fill array, because most adjacency tables have only a few
-  buckets, so the arrays' object headers weigh as much as their cells.
+  ``array('Q')`` of ``cap`` cells, bucket ``b`` in cells ``b * d``
+  onwards, with a ``bytearray`` holding each bucket's fill count (so ``d``
+  is at most 255); the filled cells come first. A weighted table keeps its
+  weights in a parallel ``array('Q')``. A destination id or weight then
+  costs 8 bytes, not an int object plus a list cell: on the zipf workloads
+  these tables held about half of the heap. Both bucket arrays share one
+  key array and one fill array, because most adjacency tables have only a
+  few buckets, so the arrays' object headers weigh as much as their cells.
 
 Payloads, where kept, are in an ``array('Q')`` in both layouts, so a
 payload is an int below 2**64. No entry carries its hashes and no entry
@@ -56,7 +58,6 @@ import functools
 import itertools
 import random
 from array import array
-from dataclasses import dataclass
 
 _flatten = itertools.chain.from_iterable
 
@@ -72,42 +73,6 @@ def _fill_masks(d: int) -> tuple:
 
 def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-@dataclass(frozen=True)
-class TableShape:
-    """Bucket-array geometry: the major array has twice the buckets of the minor."""
-
-    len_major: int
-    len_minor: int
-    cells_per_bucket: int
-
-    def __post_init__(self):
-        if self.len_minor < 1 or self.len_major != 2 * self.len_minor:
-            raise ValueError(f"arrays must keep a 2:1 bucket ratio, got "
-                             f"{self.len_major}:{self.len_minor}")
-        if not is_pow2(self.len_major):
-            raise ValueError(f"bucket counts must be powers of two, got "
-                             f"{self.len_major}")
-        if self.cells_per_bucket < 1:
-            raise ValueError("cells_per_bucket must be >= 1")
-
-    @property
-    def length(self) -> int:
-        # reported table length = bucket count of the larger array
-        return self.len_major
-
-    @property
-    def capacity(self) -> int:
-        return (self.len_major + self.len_minor) * self.cells_per_bucket
-
-    @classmethod
-    @functools.cache
-    def for_length(cls, length: int, cells_per_bucket: int) -> "TableShape":
-        """The shape of a table of ``length`` buckets; one object per geometry."""
-        if length < 2 or length % 2:
-            raise ValueError(f"table length must be even and >= 2, got {length}")
-        return cls(length, length // 2, cells_per_bucket)
 
 
 class LevelCounters:
@@ -173,23 +138,27 @@ class CuckooTable:
     key lists carry their own lengths.
     """
 
-    __slots__ = ("shape", "d", "cap", "mask_major", "mask_minor", "len_major",
+    __slots__ = ("d", "cap", "mask_major", "mask_minor", "len_major",
                  "keys", "vals", "fill", "count", "max_kicks",
                  "_hash", "_rng", "_stats")
 
-    def __init__(self, shape: TableShape, rng: random.Random,
+    def __init__(self, length: int, cells_per_bucket: int, rng: random.Random,
                  stats: LevelCounters, max_kicks: int, hash_pair, layout: str):
+        if length < 2 or not is_pow2(length):
+            raise ValueError(f"table length must be a power of two >= 2, "
+                             f"got {length}")
+        if cells_per_bucket < 1:
+            raise ValueError("cells_per_bucket must be >= 1")
         if max_kicks < 1:
             raise ValueError("max_kicks must be >= 1")
         if layout not in (ROWS, KEYS, WEIGHTS):
             raise ValueError(f"unknown bucket layout {layout!r}")
-        self.shape = shape
-        self.d = shape.cells_per_bucket
-        self.cap = shape.capacity
-        self.mask_major = shape.len_major - 1
-        self.mask_minor = shape.len_minor - 1
-        self.len_major = shape.len_major
-        buckets = shape.len_major + shape.len_minor
+        self.d = cells_per_bucket
+        self.len_major = length
+        self.mask_major = length - 1
+        self.mask_minor = length // 2 - 1
+        buckets = length + length // 2
+        self.cap = buckets * cells_per_bucket
         if layout == ROWS:
             # copied to exact size: a comprehension's list keeps spare cells
             self.keys = [[] for _ in range(buckets)].copy()
@@ -203,12 +172,12 @@ class CuckooTable:
         self._hash = hash_pair
         self._rng = rng
         self._stats = stats
-        stats.capacity_cells += shape.capacity
+        stats.capacity_cells += self.cap
         stats.tables += 1
 
     def dispose(self):
         """Release this table's contribution to the level accounting."""
-        self._stats.capacity_cells -= self.shape.capacity
+        self._stats.capacity_cells -= self.cap
         self._stats.entries -= self.count
         self._stats.tables -= 1
         self.count = 0
@@ -371,7 +340,7 @@ class CuckooTable:
         number of keys.
         """
         n = 0
-        buckets = self.len_major + self.shape.len_minor
+        buckets = self.cap // self.d
         if self.fill is not None:
             assert len(self.fill) == buckets, "fill counts do not match the buckets"
             assert len(self.keys) == self.cap, "key array does not match the cells"
@@ -398,6 +367,11 @@ def find_slot(tables, key, h1, h2):
     ``(table, keys, payloads, index)`` (see the module docstring), or None
     on a miss. All tables of a level share a layout, so the branch on it is
     taken once per call.
+
+    Each layout spells out its major and its minor probe: a loop over the
+    two buckets lost in 10 perfbench pairs each (2-core x86_64, Python
+    3.11), about 5% of query throughput, hits and misses on sparse-inline
+    (node tables) and misses on zipf-lifecycle (flat tables).
     """
     probes = 0
     d = tables[0].d

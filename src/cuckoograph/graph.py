@@ -21,6 +21,9 @@ state lives in graph-level columns indexed by row, not in an object:
 - ``_free``, an ``array('Q')`` of the rows freed by deleted sources, reused
   last in, first out.
 
+The columns keep their peak row count under partial churn; they are
+emptied only when the last source goes.
+
 A node table's payload is the row id, unboxed in the table's row array
 (the ``ROWS`` layout of ``cuckoo_table``; node keys stay in list buckets,
 for the probe speed given there), and the node chain's overflow list
@@ -33,13 +36,15 @@ collector sees nothing of it.
 Both levels look keys up with ``cuckoo_table.find_slot``: the node chain
 for a source's row, then that source's adjacency chain for a destination;
 a chain's overflow list is scanned only after its tables missed, and a
-source whose destinations sit inline has no list to scan. Whatever a
-lookup locates, source or edge, comes back as one slot shape, ``(table,
-keys, payloads, index)``: a node table's bucket list and row array, or an
-adjacency table's key and weight arrays, with the cell's index. An
-overflow entry has the slot ``(None, keys, payloads, index)`` of its
-chain's lists, and an inline destination ``(None, None, slots, index)``,
-``index`` being the id's place in ``_slots`` (its weight follows it).
+source whose destinations sit inline has no list to scan. The node level
+is one method, ``_node_slot``, shared by the edge lookup and
+``successors``. Whatever a lookup locates, source or edge, comes back as
+one slot shape, ``(table, keys, payloads, index)``: a node table's bucket
+list and row array, or an adjacency table's key and weight arrays, with
+the cell's index. An overflow entry has the slot ``(None, keys, payloads,
+index)`` of its chain's lists, and an inline destination ``(None, None,
+slots, index)``, ``index`` being the id's place in ``_slots`` (its weight
+follows it).
 Adjacency tables are flat: destination ids in one ``array('Q')`` per
 table, and the weights, when weighted, in a parallel one, so a
 destination there costs 8 bytes (16 weighted), and a weight, like an id,
@@ -51,9 +56,11 @@ must be below 2**64.
 A source's destinations are read in one place, ``_dests``: its inline
 slots, or its chain's live cells (read on the C side, zipped with the
 weights when weighted) followed by the chain's overflow list.
-``out_lists`` walks the node chain once, feeding every row to that
-reader; iteration, the analytics snapshot and the audit read through it,
-so none re-probes a node it has walked past.
+``successors(u, ids)`` reads one source through it, and ``out_lists(ids)``
+walks the node chain once, feeding every row to it; iteration, the
+analytics snapshot and the audit read through ``out_lists``, so none
+re-probes a node it has walked past. With ``ids`` both give destination
+ids in weighted mode too, and build no ``(v, w)`` pair.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ from typing import NamedTuple, Optional
 
 from .chain import MAX_TABLES, TableChain
 from .cuckoo_table import (KEYS, ROWS, WEIGHTS, CuckooTable, LevelCounters,
-                           TableShape, find_slot, is_pow2)
+                           find_slot, is_pow2)
 from .hashing import HashPair, mix64
 from .workload import write_edge_file
 
@@ -114,8 +121,10 @@ class GraphParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cells_per_bucket < 1:
-            raise ValueError("cells_per_bucket must be >= 1")
+        # a flat bucket counts its filled cells in one byte
+        if not 1 <= self.cells_per_bucket <= 255:
+            raise ValueError("cells_per_bucket must be in [1, 255], got "
+                             f"{self.cells_per_bucket}")
         if not (0.0 < self.expand_at < 1.0):
             raise ValueError("expand_at must be in (0, 1)")
         # chains contract to the smallest row holding their entries at
@@ -239,9 +248,8 @@ class CuckooGraph:
 
     def _make_table(self, counters, hash_pair, layout, length):
         """One table of either level, charged to that level's counters."""
-        shape = TableShape.for_length(length, self.params.cells_per_bucket)
-        return CuckooTable(shape, self._rng, counters, self.params.kick_budget,
-                           hash_pair, layout)
+        return CuckooTable(length, self.params.cells_per_bucket, self._rng,
+                           counters, self.params.kick_budget, hash_pair, layout)
 
     def _new_adj_chain(self, owner):
         p = self.params
@@ -268,15 +276,12 @@ class CuckooGraph:
 
     # -- location helpers ---------------------------------------------------
 
-    def _find_row(self, u):
-        """u's row, or None."""
-        h1, h2 = self._node_hash.pair(u)
-        slot = find_slot(self._node_chain.tables, u, h1, h2)
-        if slot is None:
-            slot = self._spilled(self._node_chain, u)
-            if slot is None:
-                return None
-        return slot[2][slot[3]]
+    def _node_slot(self, u, uh):
+        """The one node lookup: the slot of source u (hashes ``uh``) in the
+        node tables, else in the node chain's overflow list; None when u is
+        not stored."""
+        return (find_slot(self._node_chain.tables, u, uh[0], uh[1])
+                or self._spilled(self._node_chain, u))
 
     def _locate_edge(self, u, v):
         """Full two-step lookup.
@@ -285,18 +290,20 @@ class CuckooGraph:
         v_hashes); record is None while u's destinations sit inline, and
         the hash pairs come back so mutating callers never rehash. Each
         level is one ``find_slot`` call, then, on a miss, a scan of that
-        chain's overflow list (counted in ``dl_scans``); a source with
-        inline destinations has no list. Routing the node level through
-        ``_find_row`` as well cost about 2% of query throughput.
+        chain's overflow list (counted in ``dl_scans``: a node slot
+        outside the tables, or none, means the node list was scanned); a
+        source with inline destinations has no list. The node level goes
+        through ``_node_slot``; against a copy of it inlined here, 10
+        perfbench pairs on sparse-inline (2-core x86_64, Python 3.11) read
+        query hits 0.170 -> 0.169 Mops and misses 0.182 -> 0.177 (-2.7%:
+        the inlined copy won all 10 miss pairs, by less than the spread
+        between its own quartiles).
         """
         uh = self._node_hash.pair(u)
-        cslot = find_slot(self._node_chain.tables, u, uh[0], uh[1])
-        scans = 0
+        cslot = self._node_slot(u, uh)
         if cslot is None:
-            scans = 1
-            cslot = self._spilled(self._node_chain, u)
-            if cslot is None:
-                return None, None, None, None, scans, uh, None
+            return None, None, None, None, 1, uh, None
+        scans = 0 if cslot[0] is not None else 1
         row = cslot[2][cslot[3]]
         n = self._fill[row]
         if n:
@@ -415,19 +422,13 @@ class CuckooGraph:
             self._maybe_demote(record)
         return _DELETED
 
-    def successors(self, u: int):
-        """All v with edge u->v, as a set (of (v, w) pairs in weighted mode)."""
-        row = self._find_row(u)
-        if row is None:
+    def successors(self, u: int, ids=False):
+        """All v with edge u->v, as a set: of (v, w) pairs in weighted mode
+        unless ``ids``."""
+        slot = self._node_slot(u, self._node_hash.pair(u))
+        if slot is None:
             return set()
-        return set(self._dests(u, row))
-
-    def successor_ids(self, u: int):
-        """All v with edge u->v, as a set of ids in either mode."""
-        row = self._find_row(u)
-        if row is None:
-            return set()
-        return set(self._dests(u, row, ids=True))
+        return set(self._dests(u, slot[2][slot[3]], ids))
 
     def out_lists(self, ids=False):
         """Iterate (u, destinations) once per stored source, in one walk.
@@ -668,8 +669,13 @@ class CuckooGraph:
         """Drop an emptied source through the slot its lookup found, and
         free its row."""
         _remove(cslot, self._node_chain)
-        self._free.append(row)
         self._node_count -= 1
+        if self._node_count:
+            self._free.append(row)
+        else:
+            # the last source went: the columns start over
+            self._slots, self._fill = array("Q"), bytearray()
+            self._free = array("Q")
         table = cslot[0]
         if table is not None and self._node_chain.should_contract():
             self._node_chain.contract(table)

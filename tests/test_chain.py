@@ -4,7 +4,7 @@ import pytest
 
 from cuckoograph.chain import TableChain, lengths_for_step
 from cuckoograph.cuckoo_table import (KEYS, ROWS, CuckooTable, LevelCounters,
-                                      TableShape, find_slot)
+                                      find_slot)
 from cuckoograph.hashing import HashPair
 
 HP = HashPair(11, 22)
@@ -52,8 +52,7 @@ def make_chain(base=8, d=2, g=0.9, lam=0.5, kicks=50, rng_seed=3, hp=HP,
     rng = random.Random(rng_seed)
 
     def factory(length):
-        return CuckooTable(TableShape.for_length(length, d), rng, stats, kicks,
-                           hp, layout)
+        return CuckooTable(length, d, rng, stats, kicks, hp, layout)
 
     return cls(base, g, lam, factory), stats
 
@@ -142,7 +141,7 @@ class TestExpand:
 
     def test_exactly_at_threshold_expands(self):
         chain, _ = make_chain(base=8, d=2, g=0.5)
-        cap = chain.tables[0].shape.capacity  # 24
+        cap = chain.tables[0].cap  # 24
         fill(chain, range(cap // 2))
         assert (chain.step, chain.lengths()) == (0, (8,))
         # the newest table now sits exactly at the threshold: the next
@@ -156,7 +155,7 @@ class TestExpand:
         old, new = chain.tables
         # stuff the old table directly; the newest stays almost empty
         k = 0
-        while old.count < 0.9 * old.shape.capacity:
+        while old.count < 0.9 * old.cap:
             h1, h2 = HP.pair(k)
             old.insert(k, h1, h2, None)
             k += 1
@@ -553,9 +552,11 @@ class TestOverflowList:
 
 
 class TestProbeAccounting:
+    """Exact probe charges of ``find_slot``, on both bucket layouts."""
+
     @staticmethod
-    def _three_table_chain():
-        chain, stats = make_chain(base=8, d=8)
+    def _three_table_chain(layout):
+        chain, stats = make_chain(base=8, d=8, layout=layout)
         fill(chain, range(0, 20))
         chain.advance()
         fill(chain, range(100, 110))
@@ -565,24 +566,30 @@ class TestProbeAccounting:
         return chain, stats
 
     def test_hit_in_table_k_charges_2k_minus_1_or_2k(self):
-        chain, stats = self._three_table_chain()
-        for k, t in enumerate(chain.tables, start=1):
-            keys = [e[0] for e in t.entries()]
-            assert keys
-            for key in keys:
-                h1, h2 = HP.pair(key)
-                keys, _, first, filled = t.bucket(h1 & t.mask_major)
-                in_major = key in keys[first:first + filled]
-                before = stats.bucket_probes
-                slot = find_slot(chain.tables, key, h1, h2)
-                assert slot[0] is t and slot[1][slot[3]] == key
-                assert stats.bucket_probes - before == (2 * k - 1 if in_major else 2 * k)
+        for layout in (ROWS, KEYS):
+            chain, stats = self._three_table_chain(layout)
+            for k, t in enumerate(chain.tables, start=1):
+                keys = [e[0] for e in t.entries()]
+                assert keys
+                for key in keys:
+                    h1, h2 = HP.pair(key)
+                    ks, _, first, filled = t.bucket(h1 & t.mask_major)
+                    in_major = key in ks[first:first + filled]
+                    before = stats.bucket_probes
+                    slot = find_slot(chain.tables, key, h1, h2)
+                    # a ROWS slot holds the bucket's key list, where the
+                    # key sits at index % d; a flat slot the key array
+                    i = slot[3] % t.d if layout == ROWS else slot[3]
+                    assert slot[0] is t and slot[1][i] == key
+                    assert stats.bucket_probes - before == (
+                        2 * k - 1 if in_major else 2 * k)
 
     def test_miss_charges_two_probes_per_table(self):
-        chain, stats = self._three_table_chain()
-        for n in (1, 2, 3):
-            for key in range(1000, 1050):
-                h1, h2 = HP.pair(key)
-                before = stats.bucket_probes
-                assert find_slot(chain.tables[:n], key, h1, h2) is None
-                assert stats.bucket_probes - before == 2 * n
+        for layout in (ROWS, KEYS):
+            chain, stats = self._three_table_chain(layout)
+            for n in (1, 2, 3):
+                for key in range(1000, 1050):
+                    h1, h2 = HP.pair(key)
+                    before = stats.bucket_probes
+                    assert find_slot(chain.tables[:n], key, h1, h2) is None
+                    assert stats.bucket_probes - before == 2 * n

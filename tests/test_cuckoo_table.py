@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cuckoograph.cuckoo_table import (KEYS, ROWS, WEIGHTS, CuckooTable, LevelCounters,
-                                      TableShape, find_slot)
+                                      find_slot)
 from cuckoograph.hashing import HashPair
 
 
@@ -11,8 +11,8 @@ def make_table(length=4, d=2, seeds=(1, 2), rng_seed=7, max_kicks=50,
                layout=ROWS):
     stats = LevelCounters()
     hp = HashPair(*seeds)
-    t = CuckooTable(TableShape.for_length(length, d), random.Random(rng_seed),
-                    stats, max_kicks, hp, layout)
+    t = CuckooTable(length, d, random.Random(rng_seed), stats, max_kicks, hp,
+                    layout)
     return t, stats, hp
 
 
@@ -37,22 +37,21 @@ def remove(t, hp, key):
 
 
 class TestShape:
-    def test_ratio_enforced(self):
-        with pytest.raises(ValueError):
-            TableShape(3, 2, 4)
-        with pytest.raises(ValueError):
-            TableShape.for_length(3, 4)
-        with pytest.raises(ValueError):
-            TableShape.for_length(0, 4)
+    def test_bad_lengths_rejected(self):
+        # odd, zero, not a power of two, and 1 (no minor bucket)
+        for length in (3, 0, 6, 1):
+            with pytest.raises(ValueError, match="power of two >= 2"):
+                make_table(length=length)
+        with pytest.raises(ValueError, match="cells_per_bucket"):
+            make_table(d=0)
 
     def test_capacity(self):
-        shape = TableShape.for_length(2, 8)
-        assert shape.capacity == 24
-        assert shape.length == 2
-
-    def test_one_shape_per_geometry(self):
-        assert TableShape.for_length(8, 4) is TableShape.for_length(8, 4)
-        assert TableShape.for_length(8, 4) != TableShape.for_length(8, 2)
+        # a table of length n: n major buckets and n/2 minor ones
+        for layout in (ROWS, KEYS):
+            t, stats, _ = make_table(length=2, d=8, layout=layout)
+            assert t.cap == stats.capacity_cells == 24
+            assert t.len_major == 2
+            assert len(t.keys if layout == ROWS else t.fill) == 3
 
     def test_unknown_layout_rejected(self):
         with pytest.raises(ValueError, match="layout"):
@@ -94,7 +93,7 @@ class TestInsertLookup:
         t, stats, hp = make_table(length=2, d=2, max_kicks=200)
         filled = _fill_to_capacity(t, hp)
         # exhaustive check: genuinely no empty cell remains
-        assert t.count == t.shape.capacity == 6
+        assert t.count == t.cap == 6
         assert all(t.bucket(b)[3] == t.d for b in range(3))
         newcomer = max(filled) + 1
         before = t.count
@@ -350,12 +349,12 @@ def _same_major_bucket_pair(hp, length):
 def _fill_to_capacity(t, hp):
     filled = set()
     key = 0
-    while t.count < t.shape.capacity and key < 10000:
+    while t.count < t.cap and key < 10000:
         if key not in filled:
             evicted = ins(t, hp, key)
             filled.add(key)
             if evicted is not None:
                 filled.discard(evicted[0])
         key += 1
-    assert t.count == t.shape.capacity, "could not fill the table"
+    assert t.count == t.cap, "could not fill the table"
     return filled

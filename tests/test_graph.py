@@ -151,7 +151,7 @@ class TestDenylists:
         assert g.stats().node_dl_len > 0
         # the overflow list keeps the source and its row id, nothing more
         node, row = g._node_chain.spill_k[0], g._node_chain.spill_v[0]
-        assert type(row) is int and g._find_row(node) == row
+        assert type(row) is int and _row(g, node) == row
         assert g.successors(node)
         for v in g.successors(node):
             assert g.query_edge(node, v) is True
@@ -270,7 +270,7 @@ class TestAudit:
         g.insert_edge(6, 1)
         # node 6's table cell names node 5's row: that row now has two
         # references, and node 6's own row none
-        _set_row(g, 6, g._find_row(5))
+        _set_row(g, 6, _row(g, 5))
         with pytest.raises(AssertionError, match="referenced twice"):
             g.check_invariants()
 
@@ -284,14 +284,14 @@ class TestAudit:
     def test_rejects_a_promoted_row_under_a_foreign_record(self):
         g, record = _chained_node_5()
         g.insert_edge(6, 1)
-        record.row = g._find_row(6)
+        record.row = _row(g, 6)
         with pytest.raises(AssertionError, match="promoted node 5|not its own"):
             g.check_invariants()
 
     def test_rejects_a_fill_count_over_the_inline_capacity(self):
         g, _ = _chained_node_5()
         g.insert_edge(6, 1)
-        g._fill[g._find_row(6)] = g.params.inline_capacity + 1
+        g._fill[_row(g, 6)] = g.params.inline_capacity + 1
         with pytest.raises(AssertionError, match="over the inline capacity"):
             g.check_invariants()
 
@@ -304,7 +304,7 @@ class TestAudit:
     def test_rejects_a_live_row_on_the_free_list(self):
         g, _ = _chained_node_5()
         g.insert_edge(6, 1)
-        g._free.append(g._find_row(6))
+        g._free.append(_row(g, 6))
         with pytest.raises(AssertionError, match="free row .* referenced by node 6"):
             g.check_invariants()
 
@@ -332,6 +332,12 @@ class TestAudit:
         setattr(g, counter, bound + 1)
         with pytest.raises(AssertionError, match="a query"):
             g.check_invariants()
+
+
+def _row(g, u):
+    """u's row id, read through the store's node lookup."""
+    slot = g._node_slot(u, g._node_hash.pair(u))
+    return slot[2][slot[3]]
 
 
 def _set_row(g, u, row):
@@ -463,6 +469,23 @@ class TestDeletion:
         assert s.nodes == 0 and s.edges == 0
         assert g.node_chain_lengths() == (2,)
         assert s.adj_cells == 0
+        g.check_invariants()
+
+    def test_full_teardown_empties_the_row_columns(self):
+        g = CuckooGraph(GraphParams.from_seed(1))
+        edges = generate_synthetic("sparse", 20000, 100000, 1)
+        for u, v in edges:
+            g.insert_edge(u, v)
+        assert len(g._fill) == g.stats().nodes > 0
+        for u, v in edges:
+            assert g.delete_edge(u, v).status == "deleted"
+        # no row outlives the last source
+        assert len(g._slots) == len(g._fill) == len(g._free) == 0
+        g.check_invariants()
+        for u, v in edges[:50]:
+            g.insert_edge(u, v)
+        assert all(g.query_edge(u, v) for u, v in edges[:50])
+        assert len(g._fill) == g.stats().nodes
         g.check_invariants()
 
     @pytest.mark.parametrize("order", ["insertion", "reverse", "shuffled"])
@@ -957,6 +980,16 @@ class TestBounds:
         assert c["movements"] <= 3 * n
         assert c["sdl_peak"] < g.params.denylist_cap
         assert c["ldl_peak"] < g.params.denylist_cap
+
+    def test_cells_per_bucket_fits_the_fill_byte(self):
+        # a flat bucket counts its filled cells in one byte
+        with pytest.raises(ValueError, match="cells_per_bucket"):
+            GraphParams(cells_per_bucket=256)
+        g = CuckooGraph(GraphParams(cells_per_bucket=255))
+        for v in range(600):
+            g.insert_edge(1, v)
+        assert g.successors(1) == set(range(600))
+        g.check_invariants()
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

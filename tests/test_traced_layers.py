@@ -48,7 +48,7 @@ def test_the_fields_the_tracer_reads_exist():
     assert record.node == 5 and isinstance(record.chain, TableChain)
     chain = record.chain
     assert chain.owner == 5 and g._node_chain.owner is None
-    assert chain.lengths() == tuple(t.shape.length for t in chain.tables)
+    assert chain.lengths() == tuple(t.len_major for t in chain.tables)
     event = chain.advance()
     assert isinstance(event, ChainEvent)
     assert event.kind in ("enabled", "merged")
