@@ -103,9 +103,14 @@ def _parse_phase(spec, workload):
         ratios = tuple(float(x) for x in parts[1].split(","))
         if len(ratios) != 3:
             raise ValueError("mixed phase needs three ratios")
+        if not all(0.0 <= r <= 1.0 for r in ratios):
+            raise ValueError(f"mixed ratios must each be in [0, 1], got {spec!r}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise ValueError("mixed ratios must sum to 1")
-        return ("mixed", ratios, int(parts[2]))
+        count = int(parts[2])
+        if count < 1:
+            raise ValueError(f"mixed phase needs a COUNT of at least 1, got {spec!r}")
+        return ("mixed", ratios, count)
     if name == "task":
         if len(parts) not in (2, 3):
             raise ValueError(f"task phase needs task:NAME[:TOP_K], got {spec!r}")

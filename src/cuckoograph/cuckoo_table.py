@@ -32,7 +32,7 @@ payload is an int below 2**64. No entry carries its hashes and no entry
 is an object of its own, so the garbage collector sees no per-entry
 object. Callers that already hashed a key pass both hashes to
 ``insert``; a key displaced by the kick walk, or moved by a chain's merge,
-contraction or drain, is rehashed with the table's ``HashPair`` (as MemC3
+contraction or drain, is rehashed with the level's ``HashPair`` (as MemC3
 works out a displaced item's other bucket). Membership scans run on the C
 side of the interpreter: ``in`` on a key list, or on a slice of the key
 array.
@@ -40,23 +40,23 @@ array.
 Array lengths are powers of two, so the modular bucket index reduces to a
 bitmask with identical semantics.
 
-``find_slot`` is the one lookup, for both graph levels: it probes the two
-candidate buckets of each table in a list, oldest first, and returns the
-slot ``(table, keys, payloads, index)`` of the hit. ``payloads`` is the
-table's payload array (None in a ``KEYS`` table) and ``index`` the hit's
-cell in it. In a flat table ``keys`` is the key array, indexed by the same
-cell; in a ``ROWS`` table it is the bucket's key list, where the key sits
-at ``index % d``. The slot is the handle callers edit in place; a chain's
-overflow entries have the shape ``(None, keys, payloads, index)`` of its
-parallel lists, and the graph's inline destinations ``(None, None,
-slots, index)`` of its slot column (see ``graph``).
+The tables of a graph level share one ``Level`` (its settings and
+counters) and keep only their own geometry (``d``, ``cap``, masks,
+``len_major``) in slots of their own, for the probe path.
+
+A lookup is the chain's (``TableChain.find``); its table hit comes back as
+the slot ``(table, keys, payloads, index)``. ``payloads`` is the table's
+payload array (None in a ``KEYS`` table) and ``index`` the hit's cell in
+it. In a flat table ``keys`` is the key array, indexed by the same cell;
+in a ``ROWS`` table it is the bucket's key list, where the key sits at
+``index % d``. ``clear_slot`` frees such a cell. The audits read a key's
+candidate buckets (``buckets``) and one bucket's contents (``bucket``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random
 from array import array
 
 _flatten = itertools.chain.from_iterable
@@ -75,39 +75,52 @@ def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-class LevelCounters:
-    """Shared instrumentation for all tables of one level.
+class Level:
+    """What every table and chain of one graph level shares.
 
-    The ``kicks_*`` fields count displacement walks by their length: a walk
-    that settled after 1, 2-3, 4-15 or 16 and more kicks, or one that ran
-    out of its kick budget and handed an entry back. ``moved`` counts the
-    level's chain moves: every placement attempt of a merge or contraction,
-    and every overflow entry a grow drained into a table. ``overflow`` is
-    the number of entries in all the level's overflow lists, which share
-    one cap.
+    Settings: ``d`` cells per bucket, the kick budget ``max_kicks``, the
+    ``HashPair`` that places every key, the ``rng`` that picks kick
+    victims, the bucket ``layout``, and for the chains the ``base_len`` of
+    a fresh chain, the grow and floor thresholds ``expand_at`` and
+    ``contract_at``, and ``overflow_cap``, the cap on the entries of all the
+    level's overflow lists together.
+
+    Counters (``COUNTERS``): the ``kicks_*`` fields count displacement
+    walks by their length: a walk that settled after 1, 2-3, 4-15 or 16
+    and more kicks, or one that ran out of its kick budget and handed an
+    entry back. ``moved`` counts the level's chain moves: every placement
+    attempt of a merge or contraction, and every overflow entry a grow
+    drained into a table; ``move_failures`` the entries that pushed a move
+    up a row. ``overflow`` is the number of entries in all its lists.
     """
 
-    __slots__ = ("insert_events", "placements", "evictions", "bucket_probes",
-                 "entries", "capacity_cells", "tables", "move_failures",
-                 "moved", "overflow", "kicks_1", "kicks_2_3", "kicks_4_15", "kicks_16_up",
-                 "kicks_exhausted")
+    COUNTERS = ("insert_events", "placements", "evictions", "bucket_probes",
+                "entries", "capacity_cells", "tables", "move_failures",
+                "moved", "overflow", "kicks_1", "kicks_2_3", "kicks_4_15",
+                "kicks_16_up", "kicks_exhausted")
+    __slots__ = COUNTERS + ("d", "max_kicks", "hash", "rng", "layout",
+                            "base_len", "expand_at", "contract_at",
+                            "overflow_cap")
 
-    def __init__(self):
-        self.insert_events = 0
-        self.placements = 0
-        self.evictions = 0
-        self.bucket_probes = 0
-        self.entries = 0
-        self.capacity_cells = 0
-        self.tables = 0
-        self.move_failures = 0   # entries that pushed a structural move up a row
-        self.moved = 0
-        self.overflow = 0
-        self.kicks_1 = 0
-        self.kicks_2_3 = 0
-        self.kicks_4_15 = 0
-        self.kicks_16_up = 0
-        self.kicks_exhausted = 0
+    def __init__(self, *, cells_per_bucket, kick_budget, hash_pair, rng,
+                 layout, base_len, expand_at, contract_at, overflow_cap):
+        if cells_per_bucket < 1:
+            raise ValueError("cells_per_bucket must be >= 1")
+        if kick_budget < 1:
+            raise ValueError("kick_budget must be >= 1")
+        if layout not in (ROWS, KEYS, WEIGHTS):
+            raise ValueError(f"unknown bucket layout {layout!r}")
+        self.d = cells_per_bucket
+        self.max_kicks = kick_budget
+        self.hash = hash_pair
+        self.rng = rng
+        self.layout = layout
+        self.base_len = base_len
+        self.expand_at = expand_at
+        self.contract_at = contract_at
+        self.overflow_cap = overflow_cap
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def count_walk(self, kicks: int):
         """Count one displacement walk that settled after ``kicks`` kicks."""
@@ -121,7 +134,8 @@ class LevelCounters:
             self.kicks_16_up += 1
 
     def snapshot(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        """The counters by name."""
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
 
 class CuckooTable:
@@ -131,55 +145,47 @@ class CuckooTable:
     uniformly random resident of the first candidate; every displaced
     key is rehashed and retries in its alternate array. After
     ``max_kicks`` evictions the final homeless ``(key, payload)`` is handed
-    back to the caller instead of being dropped. ``layout`` is ``ROWS``,
-    ``KEYS`` or ``WEIGHTS`` (see the module docstring); in a ``KEYS`` table
-    ``vals`` is None and every payload reads as None. ``fill`` holds the
-    bucket fill counts of a flat table and is None in a ``ROWS`` one, whose
-    key lists carry their own lengths.
+    back to the caller instead of being dropped. The table takes its
+    level's ``d``, kick budget, ``HashPair``, victim generator and layout,
+    ``ROWS``, ``KEYS`` or ``WEIGHTS`` (see the module docstring); in a
+    ``KEYS`` table ``vals`` is None and every payload reads as None.
+    ``fill`` holds the bucket fill counts of a flat table and is None in a
+    ``ROWS`` one, whose key lists carry their own lengths.
     """
 
     __slots__ = ("d", "cap", "mask_major", "mask_minor", "len_major",
-                 "keys", "vals", "fill", "count", "max_kicks",
-                 "_hash", "_rng", "_stats")
+                 "keys", "vals", "fill", "count", "level")
 
-    def __init__(self, length: int, cells_per_bucket: int, rng: random.Random,
-                 stats: LevelCounters, max_kicks: int, hash_pair, layout: str):
+    def __init__(self, length: int, level: Level):
         if length < 2 or not is_pow2(length):
             raise ValueError(f"table length must be a power of two >= 2, "
                              f"got {length}")
-        if cells_per_bucket < 1:
-            raise ValueError("cells_per_bucket must be >= 1")
-        if max_kicks < 1:
-            raise ValueError("max_kicks must be >= 1")
-        if layout not in (ROWS, KEYS, WEIGHTS):
-            raise ValueError(f"unknown bucket layout {layout!r}")
-        self.d = cells_per_bucket
+        d = self.d = level.d
         self.len_major = length
         self.mask_major = length - 1
         self.mask_minor = length // 2 - 1
         buckets = length + length // 2
-        self.cap = buckets * cells_per_bucket
-        if layout == ROWS:
+        self.cap = buckets * d
+        if level.layout == ROWS:
             # copied to exact size: a comprehension's list keeps spare cells
             self.keys = [[] for _ in range(buckets)].copy()
             self.fill = None
         else:
             self.keys = array("Q", bytes(8 * self.cap))
             self.fill = bytearray(buckets)
-        self.vals = array("Q", bytes(8 * self.cap)) if layout != KEYS else None
+        self.vals = (array("Q", bytes(8 * self.cap))
+                     if level.layout != KEYS else None)
         self.count = 0
-        self.max_kicks = max_kicks
-        self._hash = hash_pair
-        self._rng = rng
-        self._stats = stats
-        stats.capacity_cells += self.cap
-        stats.tables += 1
+        self.level = level
+        level.capacity_cells += self.cap
+        level.tables += 1
 
     def dispose(self):
         """Release this table's contribution to the level accounting."""
-        self._stats.capacity_cells -= self.cap
-        self._stats.entries -= self.count
-        self._stats.tables -= 1
+        level = self.level
+        level.capacity_cells -= self.cap
+        level.entries -= self.count
+        level.tables -= 1
         self.count = 0
         self.keys = self.keys[:0]
         if self.vals is not None:
@@ -194,10 +200,10 @@ class CuckooTable:
 
         Returns None when the key (and any displaced residents) settled,
         else the one ``(key, payload)`` left homeless after the kick budget
-        (``max_kicks``) ran out. Every cell placement is counted in the
-        level's ``placements``.
+        (the level's ``max_kicks``) ran out. Every cell placement is
+        counted in the level's ``placements``.
         """
-        st = self._stats
+        st = self.level
         st.insert_events += 1
         st.bucket_probes += 1
         b = h1 & self.mask_major
@@ -234,13 +240,13 @@ class CuckooTable:
 
     def _walk(self, key, payload, b):
         """Displacement walk from the full major bucket ``b``; see ``insert``."""
-        st = self._stats
+        st = self.level
         keys, vals, flat = self.keys, self.vals, self.fill is not None
         in_major = True
         kicks = 0
         d = self.d
-        rng = self._rng
-        max_kicks = self.max_kicks
+        rng = st.rng
+        max_kicks = st.max_kicks
         while True:
             j = rng.randrange(d)
             c = b * d + j
@@ -256,7 +262,7 @@ class CuckooTable:
             kicks += 1
             # the victim leaves for its bucket in the other array
             in_major = not in_major
-            h1, h2 = self._hash.pair(key)
+            h1, h2 = st.hash.pair(key)
             if in_major:
                 b = h1 & self.mask_major
             else:
@@ -293,7 +299,7 @@ class CuckooTable:
                 vb[j] = vb[last]
             fill[b] = n
         self.count -= 1
-        self._stats.entries -= 1
+        self.level.entries -= 1
 
     # -- reading ---------------------------------------------------------
 
@@ -317,7 +323,7 @@ class CuckooTable:
 
     def buckets(self, key):
         """The two candidate buckets a fresh ``pair(key)`` selects."""
-        h1, h2 = self._hash.pair(key)
+        h1, h2 = self.level.hash.pair(key)
         return h1 & self.mask_major, self.len_major + (h2 & self.mask_minor)
 
     def bucket(self, b):
@@ -358,52 +364,3 @@ class CuckooTable:
             n += filled
         assert n == self.count, "table count drift"
 
-
-def find_slot(tables, key, h1, h2):
-    """Locate key in a list of tables sharing one level's counters.
-
-    Probes at most two buckets per table, oldest table first, and charges
-    every probe to the level's ``bucket_probes``. Returns the slot
-    ``(table, keys, payloads, index)`` (see the module docstring), or None
-    on a miss. All tables of a level share a layout, so the branch on it is
-    taken once per call.
-
-    Each layout spells out its major and its minor probe: a loop over the
-    two buckets lost in 10 perfbench pairs each (2-core x86_64, Python
-    3.11), about 5% of query throughput, hits and misses on sparse-inline
-    (node tables) and misses on zipf-lifecycle (flat tables).
-    """
-    probes = 0
-    d = tables[0].d
-    if tables[0].fill is None:
-        for t in tables:
-            probes += 1
-            b = h1 & t.mask_major
-            ks = t.keys[b]
-            if key in ks:
-                t._stats.bucket_probes += probes
-                return t, ks, t.vals, b * d + ks.index(key)
-            probes += 1
-            b = t.len_major + (h2 & t.mask_minor)
-            ks = t.keys[b]
-            if key in ks:
-                t._stats.bucket_probes += probes
-                return t, ks, t.vals, b * d + ks.index(key)
-    else:
-        for t in tables:
-            probes += 1
-            b = h1 & t.mask_major
-            lo = b * d
-            ks = t.keys[lo:lo + t.fill[b]]
-            if key in ks:
-                t._stats.bucket_probes += probes
-                return t, t.keys, t.vals, lo + ks.index(key)
-            probes += 1
-            b = t.len_major + (h2 & t.mask_minor)
-            lo = b * d
-            ks = t.keys[lo:lo + t.fill[b]]
-            if key in ks:
-                t._stats.bucket_probes += probes
-                return t, t.keys, t.vals, lo + ks.index(key)
-    tables[-1]._stats.bucket_probes += probes
-    return None

@@ -21,8 +21,8 @@ state lives in graph-level columns indexed by row, not in an object:
 - ``_free``, an ``array('Q')`` of the rows freed by deleted sources, reused
   last in, first out.
 
-The columns keep their peak row count under partial churn; they are
-emptied only when the last source goes.
+The columns keep their peak row count while any source is left; they
+are emptied only when the last source goes.
 
 A node table's payload is the row id, unboxed in the table's row array
 (the ``ROWS`` layout of ``cuckoo_table``; node keys stay in list buckets,
@@ -33,18 +33,20 @@ object: a ``Promoted`` record with its adjacency chain and count, in
 thus costs its key, its table cells and its row, and the garbage
 collector sees nothing of it.
 
-Both levels look keys up with ``cuckoo_table.find_slot``: the node chain
-for a source's row, then that source's adjacency chain for a destination;
-a chain's overflow list is scanned only after its tables missed, and a
-source whose destinations sit inline has no list to scan. The node level
-is one method, ``_node_slot``, shared by the edge lookup and
-``successors``. Whatever a lookup locates, source or edge, comes back as
-one slot shape, ``(table, keys, payloads, index)``: a node table's bucket
-list and row array, or an adjacency table's key and weight arrays, with
-the cell's index. An overflow entry has the slot ``(None, keys, payloads,
-index)`` of its chain's lists, and an inline destination ``(None, None,
-slots, index)``, ``index`` being the id's place in ``_slots`` (its weight
-follows it).
+Each level is one call on the chain that holds the key: ``find`` on the
+node chain for a source's row, then on that source's adjacency chain for
+a destination (``TableChain.find``). A chain scans its own overflow list
+only after its tables missed, and a source whose destinations sit inline
+has no chain to look in. Whatever a lookup locates, source or edge, comes
+back as one slot shape, ``(table, keys, payloads, index)``: a node table's
+bucket list and row array, or an adjacency table's key and weight arrays,
+with the cell's index. An overflow entry has the slot ``(None, keys,
+payloads, index)`` of its chain's lists, and an inline destination
+``(None, None, slots, index)``, ``index`` being the id's place in
+``_slots`` (its weight follows it). A chain's slots go back to the chain
+to be freed (``TableChain.remove``), which contracts it when the freed
+cell left it under its floor.
+
 Adjacency tables are flat: destination ids in one ``array('Q')`` per
 table, and the weights, when weighted, in a parallel one, so a
 destination there costs 8 bytes (16 weighted), and a weight, like an id,
@@ -54,8 +56,8 @@ must be below 2**64.
 ``2 * MAX_TABLES`` slots), not the arrays' real sizes.
 
 A source's destinations are read in one place, ``_dests``: its inline
-slots, or its chain's live cells (read on the C side, zipped with the
-weights when weighted) followed by the chain's overflow list.
+slots, or its chain's entries (``TableChain.keys``/``entries``: the live
+cells, read on the C side, then the overflow list).
 ``successors(u, ids)`` reads one source through it, and ``out_lists(ids)``
 walks the node chain once, feeding every row to it; iteration, the
 analytics snapshot and the audit read through ``out_lists``, so none
@@ -69,12 +71,10 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Optional
 
 from .chain import MAX_TABLES, TableChain
-from .cuckoo_table import (KEYS, ROWS, WEIGHTS, CuckooTable, LevelCounters,
-                           find_slot, is_pow2)
+from .cuckoo_table import KEYS, ROWS, WEIGHTS, Level, is_pow2
 from .hashing import HashPair, mix64
 from .workload import write_edge_file
 
@@ -206,28 +206,28 @@ class CuckooGraph:
     sequence always produces the same structure.
     """
 
-    def __init__(self, params: GraphParams | None = None, **overrides):
-        if params is None:
-            params = GraphParams(**overrides)
-        elif overrides:
-            raise TypeError("pass either params or keyword overrides, not both")
+    def __init__(self, params: GraphParams):
         self.params = params
         self._weighted = params.weighted
         self._inline_cap = params.inline_capacity
         self._width = 2 if self._weighted else 1   # slots per inline destination
-        # mix64 is a bijection, so the four hash seeds are distinct
+        # mix64 is a bijection, so the four hash seeds are distinct; both
+        # levels draw kick victims from one generator
         base = mix64(params.seed)
         self._node_hash = HashPair(mix64(base + 1), mix64(base + 2))
         self._adj_hash = HashPair(mix64(base + 3), mix64(base + 4))
-        self._rng = random.Random(mix64(base + 5))
-        self.node_counters = LevelCounters()
-        self.adj_counters = LevelCounters()
-        self._make_adj_table = partial(self._make_table, self.adj_counters,
-                                       self._adj_hash,
-                                       WEIGHTS if self._weighted else KEYS)
-        self._node_chain = TableChain(
-            params.node_table_len, params.expand_at, params.contract_at,
-            partial(self._make_table, self.node_counters, self._node_hash, ROWS))
+        shared = dict(cells_per_bucket=params.cells_per_bucket,
+                      kick_budget=params.kick_budget,
+                      rng=random.Random(mix64(base + 5)),
+                      expand_at=params.expand_at,
+                      contract_at=params.contract_at,
+                      overflow_cap=params.denylist_cap)
+        self.node_level = Level(hash_pair=self._node_hash, layout=ROWS,
+                                base_len=params.node_table_len, **shared)
+        self.adj_level = Level(hash_pair=self._adj_hash,
+                               layout=WEIGHTS if self._weighted else KEYS,
+                               base_len=params.adj_table_len, **shared)
+        self._node_chain = TableChain(self.node_level)
         # the row columns (see the module docstring)
         self._slots = array("Q")
         self._fill = bytearray()
@@ -244,44 +244,17 @@ class CuckooGraph:
         self._max_q_adj_probes = 0
         self._max_q_dl_scans = 0
 
-    # -- table / chain factories ------------------------------------------
-
-    def _make_table(self, counters, hash_pair, layout, length):
-        """One table of either level, charged to that level's counters."""
-        return CuckooTable(length, self.params.cells_per_bucket, self._rng,
-                           counters, self.params.kick_budget, hash_pair, layout)
-
-    def _new_adj_chain(self, owner):
-        p = self.params
-        return TableChain(p.adj_table_len, p.expand_at, p.contract_at,
-                          self._make_adj_table, owner)
-
     # -- overflow lists -----------------------------------------------------
 
     def _push_node_dl(self, entry):
-        self._node_chain.spill(entry, self.params.denylist_cap)
-        self._ldl_peak = max(self._ldl_peak, self.node_counters.overflow)
+        self._node_chain.spill(entry)
+        self._ldl_peak = max(self._ldl_peak, self.node_level.overflow)
 
     def _push_adj_dl(self, record, entry):
-        record.chain.spill(entry, self.params.denylist_cap)
-        self._sdl_peak = max(self._sdl_peak, self.adj_counters.overflow)
-
-    def _spilled(self, chain, key):
-        """The slot of key in chain's overflow list, or None."""
-        keys = chain.spill_k
-        if key in keys:
-            self._dl_hits += 1
-            return None, keys, chain.spill_v, keys.index(key)
-        return None
+        record.chain.spill(entry)
+        self._sdl_peak = max(self._sdl_peak, self.adj_level.overflow)
 
     # -- location helpers ---------------------------------------------------
-
-    def _node_slot(self, u, uh):
-        """The one node lookup: the slot of source u (hashes ``uh``) in the
-        node tables, else in the node chain's overflow list; None when u is
-        not stored."""
-        return (find_slot(self._node_chain.tables, u, uh[0], uh[1])
-                or self._spilled(self._node_chain, u))
 
     def _locate_edge(self, u, v):
         """Full two-step lookup.
@@ -289,21 +262,20 @@ class CuckooGraph:
         Returns (row, record, row_slot, edge_slot, dl_scans, u_hashes,
         v_hashes); record is None while u's destinations sit inline, and
         the hash pairs come back so mutating callers never rehash. Each
-        level is one ``find_slot`` call, then, on a miss, a scan of that
-        chain's overflow list (counted in ``dl_scans``: a node slot
-        outside the tables, or none, means the node list was scanned); a
-        source with inline destinations has no list. The node level goes
-        through ``_node_slot``; against a copy of it inlined here, 10
-        perfbench pairs on sparse-inline (2-core x86_64, Python 3.11) read
-        query hits 0.170 -> 0.169 Mops and misses 0.182 -> 0.177 (-2.7%:
-        the inlined copy won all 10 miss pairs, by less than the spread
-        between its own quartiles).
+        level is one ``TableChain.find`` call; ``dl_scans`` counts the
+        levels whose overflow list it scanned, which it does only after
+        the tables missed (a node slot outside the tables, or none, means
+        the node list was scanned). A source with inline destinations has
+        no list. A hit in either list also counts in ``dl_hits``.
         """
         uh = self._node_hash.pair(u)
-        cslot = self._node_slot(u, uh)
+        cslot = self._node_chain.find(u, uh[0], uh[1])
         if cslot is None:
             return None, None, None, None, 1, uh, None
-        scans = 0 if cslot[0] is not None else 1
+        scans = 0
+        if cslot[0] is None:
+            scans = 1
+            self._dl_hits += 1
         row = cslot[2][cslot[3]]
         n = self._fill[row]
         if n:
@@ -316,12 +288,13 @@ class CuckooGraph:
                         scans, uh, None)
             return row, None, cslot, None, scans, uh, None
         record = self._promoted[u]
-        chain = record.chain
         vh = self._adj_hash.pair(v)
-        slot = find_slot(chain.tables, v, vh[0], vh[1])
+        slot = record.chain.find(v, vh[0], vh[1])
         if slot is None:
             scans += 1
-            slot = self._spilled(chain, v)
+        elif slot[0] is None:
+            scans += 1
+            self._dl_hits += 1
         return row, record, cslot, slot, scans, uh, vh
 
     # -- public operations ---------------------------------------------------
@@ -332,7 +305,7 @@ class CuckooGraph:
             raise ValueError(f"weight must be in [1, 2**64), got {weight}")
         if (u | v) >> 64:
             raise ValueError(f"node ids must be in [0, 2**64), got {u}, {v}")
-        row, record, _, slot, _, uh, vh = self._locate_edge(u, v)
+        row, record, cslot, slot, _, uh, vh = self._locate_edge(u, v)
         if slot is not None:
             if not self._weighted:
                 return _DUPLICATE
@@ -358,7 +331,10 @@ class CuckooGraph:
                 self._fill[row] = n + 1
                 self._inline_edges += 1
             else:
-                record = Promoted(u, row, n)
+                # the id object the node chain holds, not the caller's,
+                # so the source's id is held once
+                keys = cslot[1]
+                record = Promoted(keys[keys.index(u)], row, n)
                 self._promote(record)
         if record is not None:
             self._chain_add(record, v, weight, vh)
@@ -368,11 +344,11 @@ class CuckooGraph:
 
     def query_edge(self, u: int, v: int):
         """Membership test; returns the weight (or None) in weighted mode."""
-        np0 = self.node_counters.bucket_probes
-        ap0 = self.adj_counters.bucket_probes
+        np0 = self.node_level.bucket_probes
+        ap0 = self.adj_level.bucket_probes
         _, _, _, slot, scans, _, _ = self._locate_edge(u, v)
-        np_ = self.node_counters.bucket_probes - np0
-        ap = self.adj_counters.bucket_probes - ap0
+        np_ = self.node_level.bucket_probes - np0
+        ap = self.adj_level.bucket_probes - ap0
         if np_ > self._max_q_node_probes:
             self._max_q_node_probes = np_
         if ap > self._max_q_adj_probes:
@@ -408,26 +384,26 @@ class CuckooGraph:
             if n == 0:
                 self._clear_row(row, cslot)
             return _DELETED
-        chain = record.chain
-        _remove(slot, chain)
         record.count -= 1
         if record.count == 0:
-            chain.dispose()
+            # the chain goes whole, its last destination with it
+            record.chain.dispose()
             del self._promoted[record.node]
             self._clear_row(row, cslot)
         else:
-            hit_table = slot[0]
-            if hit_table is not None and chain.should_contract():
-                chain.contract(hit_table)
+            record.chain.remove(slot)
             self._maybe_demote(record)
         return _DELETED
 
     def successors(self, u: int, ids=False):
         """All v with edge u->v, as a set: of (v, w) pairs in weighted mode
         unless ``ids``."""
-        slot = self._node_slot(u, self._node_hash.pair(u))
+        uh = self._node_hash.pair(u)
+        slot = self._node_chain.find(u, uh[0], uh[1])
         if slot is None:
             return set()
+        if slot[0] is None:
+            self._dl_hits += 1
         return set(self._dests(u, slot[2][slot[3]], ids))
 
     def out_lists(self, ids=False):
@@ -437,12 +413,12 @@ class CuckooGraph:
         weighted mode unless ``ids``; no node is hashed or probed.
         """
         dests = self._dests
-        for u, row in self._iter_rows():
+        for u, row in self._node_chain.entries():
             yield u, dests(u, row, ids)
 
     def nodes(self):
         """Iterate every stored source node."""
-        return (u for u, _ in self._iter_rows())
+        return self._node_chain.keys()
 
     def iter_edges(self):
         """Iterate distinct edges as (u, v) or (u, v, w) tuples."""
@@ -461,22 +437,22 @@ class CuckooGraph:
 
     def stats(self) -> GraphStats:
         p = self.params
-        node_cells = self.node_counters.capacity_cells
-        adj_cells = self.adj_counters.capacity_cells
-        node_dl_len = self.node_counters.overflow
-        adj_dl_len = self.adj_counters.overflow
+        node_cells = self.node_level.capacity_cells
+        adj_cells = self.adj_level.capacity_cells
+        node_dl_len = self.node_level.overflow
+        adj_dl_len = self.adj_level.overflow
         dl_bytes = (node_dl_len * p.node_cell_bytes
                     + adj_dl_len * p.adj_dl_entry_bytes)
         bytes_total = (node_cells * p.node_cell_bytes
                        + adj_cells * p.adj_cell_bytes
                        + dl_bytes
-                       + (self.node_counters.tables + self.adj_counters.tables)
+                       + (self.node_level.tables + self.adj_level.tables)
                        * TABLE_HEADER_BYTES)
         counters = {
-            "node": self.node_counters.snapshot(),
-            "adj": self.adj_counters.snapshot(),
-            "movements": (self._movements + self.node_counters.moved
-                          + self.adj_counters.moved),
+            "node": self.node_level.snapshot(),
+            "adj": self.adj_level.snapshot(),
+            "movements": (self._movements + self.node_level.moved
+                          + self.adj_level.moved),
             "dl_hits": self._dl_hits,
             "sdl_peak": self._sdl_peak,
             "ldl_peak": self._ldl_peak,
@@ -489,9 +465,9 @@ class CuckooGraph:
             edges=self._edge_count,
             node_cells=node_cells,
             adj_cells=adj_cells,
-            node_load_rate=(self.node_counters.entries / node_cells)
+            node_load_rate=(self.node_level.entries / node_cells)
             if node_cells else 0.0,
-            adj_load_rate=(self.adj_counters.entries / adj_cells)
+            adj_load_rate=(self.adj_level.entries / adj_cells)
             if adj_cells else 0.0,
             inline_edges=self._inline_edges,
             node_dl_len=node_dl_len,
@@ -518,12 +494,11 @@ class CuckooGraph:
 
     def check_invariants(self):
         """Full-scan structural audit; raises AssertionError on violation."""
-        cap = self.params.denylist_cap
         node_chain = self._node_chain
         node_chain.check_invariants()
         assert all(t.fill is None and t.vals is not None
                    for t in node_chain.tables), "node table without rows"
-        _check_level(self.node_counters, [node_chain], cap)
+        _check_level(self.node_level, [node_chain])
         self._check_rows()
         total_edges = 0
         inline_total = 0
@@ -546,7 +521,7 @@ class CuckooGraph:
             assert len(ids) == len(dests), f"duplicate destination under node {u}"
             assert len(dests) == count, f"count drift for node {u}"
             total_edges += count
-        _check_level(self.adj_counters, adj_chains, cap)
+        _check_level(self.adj_level, adj_chains)
         assert total_edges == self._edge_count, "edge count drift"
         assert inline_total == self._inline_edges, "inline count drift"
         # the per-query maxima of stats().counters
@@ -566,7 +541,7 @@ class CuckooGraph:
         assert len(self._slots) == SLOTS * rows, "slot column off the row count"
         owners = {}
         nodes = set()
-        for u, row in self._iter_rows():
+        for u, row in self._node_chain.entries():
             assert u not in nodes, f"node {u} stored twice"
             nodes.add(u)
             assert row < rows, f"node {u} names row {row}, past the last row"
@@ -590,13 +565,6 @@ class CuckooGraph:
 
     # -- internals ----------------------------------------------------------
 
-    def _iter_rows(self):
-        """(node, row) of every stored source: table by table, then the
-        node chain's overflow list."""
-        for t in self._node_chain.tables:
-            yield from t.entries()
-        yield from zip(self._node_chain.spill_k, self._node_chain.spill_v)
-
     def _new_row(self):
         """A row for a new source: the last one freed, else a fresh one."""
         if self._free:
@@ -618,7 +586,7 @@ class CuckooGraph:
         items = self._dests(record.node, record.row)
         self._fill[record.row] = 0
         self._promoted[record.node] = record
-        record.chain = self._new_adj_chain(record.node)
+        record.chain = TableChain(self.adj_level, record.node)
         self._inline_edges -= len(items)
         self._movements += len(items)
         for item in items:
@@ -629,7 +597,7 @@ class CuckooGraph:
         chain = record.chain
         if not chain.at_floor() or record.count > self._inline_cap:
             return
-        if chain.entry_count() >= chain.contract_at * chain.capacity():
+        if chain.entry_count() >= chain.level.contract_at * chain.capacity():
             return
         items = self._dests(record.node, record.row)
         chain.dispose()
@@ -659,16 +627,12 @@ class CuckooGraph:
             values = self._slots[s:s + 2 * n]
             return list(zip(values[::2], values[1::2]))
         chain = self._promoted[u].chain
-        if pairs:
-            return [*_flatten(t.entries() for t in chain.tables),
-                    *zip(chain.spill_k, chain.spill_v)]
-        return [*_flatten(t.stored_keys() for t in chain.tables),
-                *chain.spill_k]
+        return list(chain.entries() if pairs else chain.keys())
 
     def _clear_row(self, row, cslot):
         """Drop an emptied source through the slot its lookup found, and
         free its row."""
-        _remove(cslot, self._node_chain)
+        self._node_chain.remove(cslot)
         self._node_count -= 1
         if self._node_count:
             self._free.append(row)
@@ -676,9 +640,6 @@ class CuckooGraph:
             # the last source went: the columns start over
             self._slots, self._fill = array("Q"), bytearray()
             self._free = array("Q")
-        table = cslot[0]
-        if table is not None and self._node_chain.should_contract():
-            self._node_chain.contract(table)
 
 
 def _weight(slot):
@@ -693,21 +654,12 @@ def _write_weight(slot, w):
     items[i if keys is not None else i + 1] = w
 
 
-def _remove(slot, chain):
-    """Free a located slot of chain: a table cell or an overflow entry."""
-    table, key_bucket, items, i = slot
-    if table is None:
-        chain.unspill(i)
-    else:
-        table.clear_slot(key_bucket, items, i)
-
-
-def _check_level(counters, chains, cap):
+def _check_level(level, chains):
     """A level's counters agree with the chains that level holds."""
     tables = [t for c in chains for t in c.tables]
-    assert counters.entries == sum(t.count for t in tables), \
+    assert level.entries == sum(t.count for t in tables), \
         "level entry count drift"
-    assert counters.tables == len(tables), "level table count drift"
-    assert counters.overflow == sum(len(c.spill_k) for c in chains), \
+    assert level.tables == len(tables), "level table count drift"
+    assert level.overflow == sum(len(c.spill_k) for c in chains), \
         "level overflow count drift"
-    assert counters.overflow <= cap, "level overflow over its cap"
+    assert level.overflow <= level.overflow_cap, "level overflow over its cap"

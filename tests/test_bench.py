@@ -146,6 +146,11 @@ class TestRun:
             Workload(phases=())
         with pytest.raises(ValueError):
             Workload(phases=("mixed:0.5,0.4,0.2:10",))
+        # a count below 1, and ratios outside [0, 1] that still sum to 1
+        for spec in ("mixed:0.6,0.3,0.1:-5", "mixed:0.6,0.3,0.1:0",
+                     "mixed:1.5,-0.5,0:100", "mixed:0,-0.5,1.5:100"):
+            with pytest.raises(ValueError, match="mixed"):
+                Workload(phases=("insert", spec))
         with pytest.raises(ValueError):
             Workload(phases=("flarb",))
         with pytest.raises(ValueError):

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from cuckoograph.chain import TableChain, lengths_for_step
-from cuckoograph.cuckoo_table import (KEYS, ROWS, CuckooTable, LevelCounters,
-                                      find_slot)
+from cuckoograph.cuckoo_table import KEYS, ROWS, CuckooTable, Level
 from cuckoograph.hashing import HashPair
 
 HP = HashPair(11, 22)
@@ -47,18 +46,15 @@ class RecordingChain(TableChain):
 
 
 def make_chain(base=8, d=2, g=0.9, lam=0.5, kicks=50, rng_seed=3, hp=HP,
-               cls=TableChain, layout=KEYS):
-    stats = LevelCounters()
-    rng = random.Random(rng_seed)
-
-    def factory(length):
-        return CuckooTable(length, d, rng, stats, kicks, hp, layout)
-
-    return cls(base, g, lam, factory), stats
+               cls=TableChain, layout=KEYS, cap=CAP):
+    level = Level(cells_per_bucket=d, kick_budget=kicks, hash_pair=hp,
+                  rng=random.Random(rng_seed), layout=layout, base_len=base,
+                  expand_at=g, contract_at=lam, overflow_cap=cap)
+    return cls(level), level
 
 
 def pair(chain, k):
-    return chain.tables[0]._hash.pair(k)
+    return chain.level.hash.pair(k)
 
 
 def fill(chain, keys):
@@ -73,13 +69,11 @@ def fill(chain, keys):
 
 
 def held(chain, key):
-    """Where the chain keeps key: "list", the index of its table, or None."""
-    if key in chain.spill_k:
-        return "list"
-    for i, t in enumerate(chain.tables):
-        if any(k == key for k, _ in t.entries()):
-            return i
-    return None
+    """Where find locates key: "list", the index of its table, or None."""
+    slot = chain.find(key, *pair(chain, key))
+    if slot is None:
+        return None
+    return "list" if slot[0] is None else chain.tables.index(slot[0])
 
 
 def add(chain, k):
@@ -87,26 +81,25 @@ def add(chain, k):
     h1, h2 = pair(chain, k)
     homeless = chain.insert(k, h1, h2, None)
     if homeless is not None:
-        chain.spill(homeless, CAP)
+        chain.spill(homeless)
         assert held(chain, homeless[0]) is not None
 
 
 def remove(chain, k):
-    """Delete k wherever it sits; returns the table it left, or None."""
-    h1, h2 = pair(chain, k)
-    slot = find_slot(chain.tables, k, h1, h2)
-    if slot is None:
-        chain.unspill(chain.spill_k.index(k))
-        return None
-    slot[0].clear_slot(slot[1], slot[2], slot[3])
-    return slot[0]
+    """Delete k through the chain; returns the contraction's event, or None."""
+    slot = chain.find(k, *pair(chain, k))
+    assert slot is not None, k
+    return chain.remove(slot)
+
+
+def clear(chain, k):
+    """Free k's table cell behind the chain's back: no contraction runs."""
+    t, keys, payloads, i = chain.find(k, *pair(chain, k))
+    t.clear_slot(keys, payloads, i)
 
 
 def chain_keys(chain):
-    out = []
-    for t in chain.tables:
-        out.extend(e[0] for e in t.entries())
-    return out + list(chain.spill_k)
+    return list(chain.keys())
 
 
 class TestSchedule:
@@ -281,10 +274,33 @@ class TestContract:
             k += 1
         assert chain.entry_count() == total_cap * 0.5
         assert not chain.should_contract()
-        h1, h2 = HP.pair(0)
-        t, kb, vb, j = find_slot(chain.tables, 0, h1, h2)
-        t.clear_slot(kb, vb, j)
+        clear(chain, 0)
         assert chain.should_contract()
+
+    def test_remove_contracts_when_a_freed_cell_drops_under_the_floor(self):
+        chain, level = make_chain(base=8, d=8, g=0.9, lam=0.5, layout=ROWS)
+        chain.advance()   # (8, 4): two tables, so the floor check passes
+        floor = chain.capacity() // 2
+        old = chain.tables[0]
+        for k in range(floor + 1):
+            h1, h2 = HP.pair(k)
+            assert old.insert(k, h1, h2, k) is None
+        # a freed cell that leaves the chain at the floor, not under it
+        assert remove(chain, 0) is None
+        assert chain.entry_count() == floor and chain.lengths() == (8, 4)
+        # under the floor behind the chain's back, then an overflow entry
+        # goes: the chain's tables lost nothing, so it does not contract
+        chain.spill((1000, 1))
+        clear(chain, 1)
+        assert chain.should_contract()
+        assert remove(chain, 1000) is None
+        assert chain.lengths() == (8, 4) and level.overflow == 0
+        assert chain.should_contract()
+        # the next freed cell contracts the chain
+        event = remove(chain, 2)
+        assert event is not None and event.kind == "removed"
+        assert chain.lengths() != (8, 4) and not chain.should_contract()
+        assert sorted(chain_keys(chain)) == list(range(3, floor + 1))
 
     def test_removed_table_conserves_entries(self):
         chain, _ = make_chain(base=8, d=8)
@@ -302,7 +318,7 @@ class TestContract:
     def test_single_oversized_table_halves(self):
         chain, _ = make_chain(base=8, d=2)
         # build an off-schedule single table of double length by hand
-        big = chain.make_table(16)
+        big = CuckooTable(16, chain.level)
         for t in chain.tables:
             t.dispose()
         chain.tables = [big]
@@ -340,14 +356,11 @@ class TestContract:
         for i in range(600):
             if live and rnd.random() < 0.45:
                 k = rnd.choice(sorted(live))
-                h1, h2 = HP.pair(k)
-                slot = find_slot(chain.tables, k, h1, h2)
+                # a key another insert's kick walk left homeless is gone
+                slot = chain.find(k, *HP.pair(k))
                 if slot is not None:
-                    slot[0].clear_slot(slot[1], slot[2], slot[3])
+                    chain.remove(slot)
                     live.discard(k)
-                    if chain.should_contract():
-                        chain.contract(slot[0] if slot[0] in chain.tables
-                                       else chain.tables[-1])
             else:
                 k = 10000 + i
                 h1, h2 = HP.pair(k)
@@ -363,10 +376,11 @@ class TestContract:
         while chain.lengths() != (16, 8):
             add(chain, k)
             k += 1
-        # delete oldest keys until the chain's load falls under the floor
+        # free the oldest keys' cells until the chain's load falls under
+        # the floor; the caller contracts it
         k = 0
         while not chain.should_contract():
-            remove(chain, k)
+            clear(chain, k)
             k += 1
         return chain
 
@@ -375,8 +389,9 @@ class TestContract:
         assert event is not None
         assert not event.failed
         assert sorted(chain_keys(chain)) == before
-        assert chain.lengths() == lengths_for_step(chain.step, chain.base_len)
-        assert chain.entry_count() <= chain.expand_at * chain.capacity()
+        assert chain.lengths() == lengths_for_step(chain.step,
+                                                   chain.level.base_len)
+        assert chain.entry_count() <= chain.level.expand_at * chain.capacity()
 
     @pytest.mark.parametrize("hit", ["big", "newest"])
     def test_contraction_never_lands_over_grow_threshold(self, hit):
@@ -389,13 +404,13 @@ class TestContract:
 
     def test_lone_table_just_under_floor_lands_within_threshold(self):
         chain, _ = make_chain(base=8, d=8)
-        big = chain.make_table(16)
+        big = CuckooTable(16, chain.level)
         for t in chain.tables:
             t.dispose()
         chain.tables = [big]
         chain.step = 99
         k = 0
-        while chain.entry_count() + 1 < chain.contract_at * chain.capacity():
+        while chain.entry_count() + 1 < chain.level.contract_at * chain.capacity():
             h1, h2 = HP.pair(k)
             assert big.insert(k, h1, h2, None) is None
             k += 1
@@ -418,18 +433,18 @@ class TestContract:
                 random.Random(seed).shuffle(keys)
                 live = set(keys)
                 for k in keys:
-                    t = remove(chain, k)
+                    event = remove(chain, k)
                     live.discard(k)
-                    if t is not None and chain.should_contract():
-                        chain.contract(t)
+                    if event is not None:
                         assert set(chain_keys(chain)) == live, (hp.seed_1, seed, k)
+                assert chain_keys(chain) == []
 
     def test_rebuild_retries_homeless_entries_before_a_larger_row(self):
         # 24 keys share one bucket pair of every length-4 table; placed
         # last, they overflow the last table's quota share, while the
         # earlier tables still have free cells that can take them
         chain, _ = make_chain(base=2, d=8, kicks=250)
-        big = chain.make_table(32)
+        big = CuckooTable(32, chain.level)
         for t in chain.tables:
             t.dispose()
         chain.tables = [big]
@@ -463,17 +478,17 @@ class TestOverflowList:
             chain, stats = make_chain(layout=ROWS if payloads else KEYS)
             assert chain.spill_k == ()
             assert chain.spill_v == (() if payloads else None)
-            chain.spill((7, 70 if payloads else None), CAP)
+            chain.spill((7, 70 if payloads else None))
             assert chain.spill_k == [7]
             assert chain.spill_v == ([70] if payloads else None)
             assert stats.overflow == 1
             chain.check_invariants()
 
-    def test_unspill_keeps_the_order_and_the_count(self):
+    def test_removing_an_overflow_entry_keeps_the_order_and_the_count(self):
         chain, stats = make_chain(layout=ROWS)
         for k in (5, 6, 7):
-            chain.spill((k, k + 1), CAP)
-        chain.unspill(1)
+            chain.spill((k, k + 1))
+        assert remove(chain, 6) is None
         assert (chain.spill_k, chain.spill_v) == ([5, 7], [6, 8])
         assert stats.overflow == 2
 
@@ -484,7 +499,7 @@ class TestOverflowList:
         # in it in list order
         a, b = [k for k in range(100, 1000) if HP.pair(k)[0] & 3 == 0][:2]
         for k in (b, a, 99):
-            chain.spill((k, k + 1), CAP)
+            chain.spill((k, k + 1))
         event = chain.advance()
         assert (chain.spill_k, chain.spill_v) == ((), ())
         newest = chain.tables[-1]
@@ -496,11 +511,11 @@ class TestOverflowList:
         chain.check_invariants()
 
     def test_spill_at_the_cap_grows_the_chain_instead(self):
-        chain, stats = make_chain(base=8, d=2)
+        chain, stats = make_chain(base=8, d=2, cap=1)
         fill(chain, range(10))
-        chain.spill((100, None), 1)
+        chain.spill((100, None))
         assert held(chain, 100) == "list"
-        chain.spill((101, None), 1)
+        chain.spill((101, None))
         # the grow drained 100 into the new table, which then took 101
         assert chain.step == 1
         assert chain.spill_k == ()
@@ -508,12 +523,12 @@ class TestOverflowList:
         assert stats.overflow == 0
 
     def test_the_cap_is_shared_by_every_chain_of_a_level(self):
-        chain, stats = make_chain(base=8, d=2)
-        other = TableChain(8, 0.9, 0.5, chain.make_table)
-        other.spill((100, None), 2)
-        chain.spill((101, None), 2)
+        chain, stats = make_chain(base=8, d=2, cap=2)
+        other = TableChain(chain.level)
+        other.spill((100, None))
+        chain.spill((101, None))
         assert (held(other, 100), held(chain, 101)) == ("list", "list")
-        chain.spill((102, None), 2)   # at the cap: this chain grows
+        chain.spill((102, None))   # at the cap: this chain grows
         assert (chain.step, other.step) == (1, 0)
         assert (held(chain, 101), held(chain, 102)) == (1, 1)
         assert (chain.spill_k, other.spill_k) == ((), [100])
@@ -536,38 +551,39 @@ class TestOverflowList:
     def test_audit_rejects_a_broken_list(self):
         chain, _ = make_chain(layout=ROWS)
         fill(chain, range(5))
-        chain.spill((100, 1), CAP)
+        chain.spill((100, 1))
         chain.check_invariants()
-        chain.spill((100, 2), CAP)
+        chain.spill((100, 2))
         with pytest.raises(AssertionError, match="spilled twice"):
             chain.check_invariants()
-        chain.unspill(1)
+        remove(chain, 100)
         chain.spill_v.append(3)
         with pytest.raises(AssertionError, match="not parallel"):
             chain.check_invariants()
         chain.spill_v.pop()
-        chain.spill((4, 4), CAP)   # key 4 also sits in a table
+        chain.spill((4, 4))   # key 4 also sits in a table
         with pytest.raises(AssertionError, match="spilled key 4 also sits"):
             chain.check_invariants()
 
 
 class TestProbeAccounting:
-    """Exact probe charges of ``find_slot``, on both bucket layouts."""
+    """Exact probe charges of ``TableChain.find``, on both bucket layouts."""
 
     @staticmethod
-    def _three_table_chain(layout):
+    def _chain(layout, tables=3):
+        """A chain of 1, 2 or 3 tables, (8,), (8, 4) or (8, 4, 4), each
+        holding keys."""
         chain, stats = make_chain(base=8, d=8, layout=layout)
         fill(chain, range(0, 20))
-        chain.advance()
-        fill(chain, range(100, 110))
-        chain.advance()
-        fill(chain, range(200, 210))
-        assert chain.lengths() == (8, 4, 4)
+        for start in (100, 200)[:tables - 1]:
+            chain.advance()
+            fill(chain, range(start, start + 10))
+        assert chain.lengths() == (8, 4, 4)[:tables]
         return chain, stats
 
     def test_hit_in_table_k_charges_2k_minus_1_or_2k(self):
         for layout in (ROWS, KEYS):
-            chain, stats = self._three_table_chain(layout)
+            chain, stats = self._chain(layout)
             for k, t in enumerate(chain.tables, start=1):
                 keys = [e[0] for e in t.entries()]
                 assert keys
@@ -576,7 +592,7 @@ class TestProbeAccounting:
                     ks, _, first, filled = t.bucket(h1 & t.mask_major)
                     in_major = key in ks[first:first + filled]
                     before = stats.bucket_probes
-                    slot = find_slot(chain.tables, key, h1, h2)
+                    slot = chain.find(key, h1, h2)
                     # a ROWS slot holds the bucket's key list, where the
                     # key sits at index % d; a flat slot the key array
                     i = slot[3] % t.d if layout == ROWS else slot[3]
@@ -586,10 +602,23 @@ class TestProbeAccounting:
 
     def test_miss_charges_two_probes_per_table(self):
         for layout in (ROWS, KEYS):
-            chain, stats = self._three_table_chain(layout)
             for n in (1, 2, 3):
+                chain, stats = self._chain(layout, n)
                 for key in range(1000, 1050):
                     h1, h2 = HP.pair(key)
                     before = stats.bucket_probes
-                    assert find_slot(chain.tables[:n], key, h1, h2) is None
+                    assert chain.find(key, h1, h2) is None
                     assert stats.bucket_probes - before == 2 * n
+
+    def test_overflow_hit_charges_two_probes_per_table(self):
+        # the list is scanned after every table missed, uncharged
+        for layout in (ROWS, KEYS):
+            chain, stats = self._chain(layout)
+            for key in (1000, 1001, 1002):
+                chain.spill((key, key + 1 if layout == ROWS else None))
+            for i, key in enumerate((1000, 1001, 1002)):
+                before = stats.bucket_probes
+                slot = chain.find(key, *HP.pair(key))
+                assert slot == (None, chain.spill_k, chain.spill_v, i)
+                assert slot[1] is chain.spill_k and slot[2] is chain.spill_v
+                assert stats.bucket_probes - before == 2 * 3

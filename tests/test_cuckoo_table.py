@@ -2,18 +2,22 @@ import random
 
 import pytest
 
-from cuckoograph.cuckoo_table import (KEYS, ROWS, WEIGHTS, CuckooTable, LevelCounters,
-                                      find_slot)
+from cuckoograph.chain import TableChain
+from cuckoograph.cuckoo_table import KEYS, ROWS, WEIGHTS, CuckooTable, Level
 from cuckoograph.hashing import HashPair
 
 
-def make_table(length=4, d=2, seeds=(1, 2), rng_seed=7, max_kicks=50,
+def make_level(length=4, d=2, seeds=(1, 2), rng_seed=7, max_kicks=50,
                layout=ROWS):
-    stats = LevelCounters()
-    hp = HashPair(*seeds)
-    t = CuckooTable(length, d, random.Random(rng_seed), stats, max_kicks, hp,
-                    layout)
-    return t, stats, hp
+    return Level(cells_per_bucket=d, kick_budget=max_kicks,
+                 hash_pair=HashPair(*seeds), rng=random.Random(rng_seed),
+                 layout=layout, base_len=length, expand_at=0.9,
+                 contract_at=0.5, overflow_cap=64)
+
+
+def make_table(length=4, **kwargs):
+    level = make_level(length, **kwargs)
+    return CuckooTable(length, level), level, level.hash
 
 
 def ins(t, hp, key, payload=0):
@@ -21,18 +25,29 @@ def ins(t, hp, key, payload=0):
     return t.insert(key, h1, h2, payload)
 
 
-def find(t, hp, key):
+def locate(t, key):
+    """key's cell as (keys, cell), the first two fields ``clear_slot``
+    takes, read through ``buckets`` and ``bucket``; None when absent."""
+    for b in t.buckets(key):
+        keys, _, first, filled = t.bucket(b)
+        live = list(keys[first:first + filled])
+        if key in live:
+            return keys, b * t.d + live.index(key)
+    return None
+
+
+def find(t, key):
     """The payload stored with key, or None."""
-    slot = find_slot([t], key, *hp.pair(key))
-    return None if slot is None else slot[2][slot[3]]
+    cell = locate(t, key)
+    return None if cell is None else t.vals[cell[1]]
 
 
-def remove(t, hp, key):
-    """Free key's cell through its slot; False when key is absent."""
-    slot = find_slot([t], key, *hp.pair(key))
-    if slot is None:
+def remove(t, key):
+    """Free key's cell; False when key is absent."""
+    cell = locate(t, key)
+    if cell is None:
         return False
-    t.clear_slot(slot[1], slot[2], slot[3])
+    t.clear_slot(cell[0], t.vals, cell[1])
     return True
 
 
@@ -63,19 +78,22 @@ class TestInsertLookup:
         t, stats, hp = make_table()
         assert ins(t, hp, 42, 7) is None
         assert stats.placements == 1
-        assert find(t, hp, 42) == 7
+        assert find(t, 42) == 7
 
     def test_lookup_absent_in_empty(self):
-        t, _, hp = make_table()
-        assert find(t, hp, 9) is None
+        t, _, _ = make_table()
+        assert find(t, 9) is None
 
     def test_lookup_probes_at_most_two_buckets(self):
-        t, stats, hp = make_table()
+        # a lookup is its chain's: a chain at its floor has one table
+        level = make_level()
+        chain = TableChain(level)
+        t, hp = chain.tables[0], level.hash
         ins(t, hp, 1)
-        before = stats.bucket_probes
-        find(t, hp, 1)
-        find(t, hp, 12345)
-        assert stats.bucket_probes - before <= 4
+        before = level.bucket_probes
+        assert chain.find(1, *hp.pair(1))[0] is t
+        assert chain.find(12345, *hp.pair(12345)) is None
+        assert level.bucket_probes - before <= 4
 
     def test_eviction_moves_to_alternate_and_stays_findable(self):
         # d=1 so a second key sharing the major bucket forces one eviction
@@ -87,7 +105,7 @@ class TestInsertLookup:
         assert ins(t, hp, x) is None
         assert stats.placements - before == 2
         for key in (a, b, x):
-            assert find_slot([t], key, *hp.pair(key)) is not None
+            assert locate(t, key) is not None
 
     def test_failed_insert_returns_exactly_one_entry(self):
         t, stats, hp = make_table(length=2, d=2, max_kicks=200)
@@ -97,7 +115,7 @@ class TestInsertLookup:
         assert all(t.bucket(b)[3] == t.d for b in range(3))
         newcomer = max(filled) + 1
         before = t.count
-        t.max_kicks = 1
+        stats.max_kicks = 1
         placed = stats.placements
         evicted = ins(t, hp, newcomer)
         assert evicted is not None
@@ -110,23 +128,23 @@ class TestInsertLookup:
 
 class TestRemove:
     def test_remove_absent(self):
-        t, _, hp = make_table()
-        assert not remove(t, hp, 5)
+        t, _, _ = make_table()
+        assert not remove(t, 5)
 
     def test_insert_then_remove(self):
         t, _, hp = make_table()
         ins(t, hp, 5, payload=7)
-        assert remove(t, hp, 5)
-        assert find(t, hp, 5) is None
+        assert remove(t, 5)
+        assert find(t, 5) is None
 
     def test_remove_one_of_two_colliding_keys(self):
         t, _, hp = make_table(length=4, d=2)
         a, b = _same_major_bucket_pair(hp, length=4)
         ins(t, hp, a)
         ins(t, hp, b)
-        assert remove(t, hp, a)
-        assert find_slot([t], b, *hp.pair(b)) is not None
-        assert find_slot([t], a, *hp.pair(a)) is None
+        assert remove(t, a)
+        assert locate(t, b) is not None
+        assert locate(t, a) is None
 
 
 class TestDrainAndDeterminism:
@@ -175,8 +193,8 @@ class TestDrainAndDeterminism:
         for _ in range(300):
             k = rnd.randrange(60)
             outs = [ins(t, hp, k, payload=k + 1)
-                    if find_slot([t], k, *hp.pair(k)) is None
-                    else remove(t, hp, k) for t, _, hp in tables]
+                    if locate(t, k) is None
+                    else remove(t, k) for t, _, hp in tables]
             if layout == KEYS:
                 # a keys-only table hands back no payload of its own
                 outs = [o[0] if isinstance(o, tuple) else o for o in outs]
@@ -237,16 +255,16 @@ class TestAudit:
     def test_payload_list_out_of_step_is_caught(self):
         t, _, hp = make_table(length=16, d=2)
         ins(t, hp, 7, payload=70)
-        slot = find_slot([t], 7, *hp.pair(7))
-        slot[2].append(71)
+        assert find(t, 7) == 70
+        t.vals.append(71)
         with pytest.raises(AssertionError, match="not parallel"):
             t.check_invariants()
 
     def test_weight_array_out_of_step_is_caught(self):
         t, _, hp = make_table(length=16, d=2, layout=WEIGHTS)
         ins(t, hp, 7, payload=70)
-        slot = find_slot([t], 7, *hp.pair(7))
-        slot[2].append(71)
+        assert find(t, 7) == 70
+        t.vals.append(71)
         with pytest.raises(AssertionError, match="not parallel"):
             t.check_invariants()
 
@@ -272,7 +290,7 @@ def _check_random_ops_against_a_shadow(layout):
     for _ in range(1000):
         k = rnd.randrange(500)
         if k in shadow:
-            assert remove(t, hp, k)
+            assert remove(t, k)
             shadow.discard(k)
         else:
             evicted = ins(t, hp, k, payload=k + 1)

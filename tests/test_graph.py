@@ -15,7 +15,6 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 
 from cuckoograph import CuckooGraph, GraphParams, OracleGraph, analytics, oracle
 from cuckoograph.chain import MAX_TABLES
-from cuckoograph.cuckoo_table import find_slot
 from cuckoograph.graph import Promoted
 from cuckoograph.workload import generate_synthetic, mixed_ops
 
@@ -243,7 +242,7 @@ class TestAudit:
 
     def test_rejects_adjacency_entry_count_drift(self):
         g, _ = _chained_node_5()
-        g.adj_counters.entries += 1
+        g.adj_level.entries += 1
         with pytest.raises(AssertionError, match="level entry count drift"):
             g.check_invariants()
 
@@ -251,7 +250,7 @@ class TestAudit:
         g, record = _chained_node_5()
         v = next(e[0] for e in record.chain.tables[0].entries())
         before = g.stats().counters
-        record.chain.spill((v, None), g.params.denylist_cap)
+        record.chain.spill((v, None))
         with pytest.raises(AssertionError, match=f"spilled key {v} also sits"):
             g.check_invariants()
         # the audit looked the key up without charging a probe
@@ -261,7 +260,7 @@ class TestAudit:
     @pytest.mark.parametrize("level", ["node", "adj"])
     def test_rejects_overflow_count_drift(self, level):
         g, _ = _chained_node_5()
-        getattr(g, f"{level}_counters").overflow += 1
+        getattr(g, f"{level}_level").overflow += 1
         with pytest.raises(AssertionError, match="level overflow count drift"):
             g.check_invariants()
 
@@ -336,13 +335,13 @@ class TestAudit:
 
 def _row(g, u):
     """u's row id, read through the store's node lookup."""
-    slot = g._node_slot(u, g._node_hash.pair(u))
+    slot = g._node_chain.find(u, *g._node_hash.pair(u))
     return slot[2][slot[3]]
 
 
 def _set_row(g, u, row):
     """Point u's node-table cell at another row, bypassing the store."""
-    slot = find_slot(g._node_chain.tables, u, *g._node_hash.pair(u))
+    slot = g._node_chain.find(u, *g._node_hash.pair(u))
     slot[2][slot[3]] = row
 
 
@@ -371,8 +370,10 @@ class TestLayout:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_zipf_graph_reaches_no_per_entry_objects(self, seed):
         g = CuckooGraph(GraphParams.from_seed(seed))
-        for e in generate_synthetic("zipf", 2000, 10000, seed):
-            g.insert_edge(*e)
+        # source ids above the interpreter's shared small ints, so that an
+        # id held twice shows as a second int object
+        for u, v in generate_synthetic("zipf", 2000, 10000, seed):
+            g.insert_edge(u + (1 << 32), v)
         gc.collect()
         objs = _reachable(g)
         sources = g.stats().nodes
@@ -380,6 +381,9 @@ class TestLayout:
         records = [o for o in objs if type(o) is Promoted]
         assert records and len(records) == len(g._promoted) < sources
         assert all(r.chain is not None for r in records)
+        # a record and its map key are the id object the node chain holds
+        held = {id(u) for u in g.nodes()}
+        assert all(u is r.node and id(u) in held for u, r in g._promoted.items())
         # no table entry and no inline destination is a tuple: the only
         # tuples are a few of the graph's own (seed pairs, factory arguments)
         tuples = [o for o in objs if type(o) is tuple]
@@ -391,9 +395,10 @@ class TestLayout:
                 assert type(t.keys) is array and t.vals is None
                 assert not any(type(o) is list for o in gc.get_referents(t))
         # node tables keep rows unboxed: the ints are the source ids (in
-        # key lists), the promoted records' rows, and a few of the graph's
+        # key lists, each held once), the promoted records' rows, and the
+        # graph's own (hash seeds, settings and counters)
         ints = sum(1 for o in objs if type(o) is int)
-        assert ints <= sources + len(records) + 16
+        assert ints <= sources + len(records) + 64
         for t in g._node_chain.tables:
             assert type(t.vals) is array and type(t.keys) is list
         # no entry owns a tracked object
