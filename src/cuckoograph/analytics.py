@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 TASKS = ("bfs", "sssp", "tc", "cc", "pr", "bc", "lcc")
+SSSP_SOURCES = 10   # shortest-path runs, from the subgraph's top-degree nodes
 
 
 @dataclass(frozen=True)
@@ -29,17 +30,12 @@ class TaskSpec:
     task: str
     top_k: int = 10
     pr_iterations: int = 100
-    pr_damping: float = 0.85
-    sssp_sources: int = 10
-    tc_count_paths: bool = False
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS}")
-        if self.top_k < 1 or self.pr_iterations < 1 or self.sssp_sources < 1:
-            raise ValueError("top_k, pr_iterations and sssp_sources must be >= 1")
-        if not (0.0 < self.pr_damping < 1.0):
-            raise ValueError("pr_damping must be in (0, 1)")
+        if self.top_k < 1 or self.pr_iterations < 1:
+            raise ValueError("top_k and pr_iterations must be >= 1")
 
 
 def adjacency_view(graph):
@@ -311,20 +307,18 @@ def run_task(graph, spec: TaskSpec) -> dict:
     if task == "tc":
         nodes = select_top_degree(graph, spec.top_k)
         return {"task": task,
-                "counts": {u: triangle_count(graph, u, spec.tc_count_paths)
-                           for u in nodes}}
+                "counts": {u: triangle_count(graph, u) for u in nodes}}
     top = select_top_degree(graph, spec.top_k)
     sub = extract_subgraph(graph, top)
     if task == "sssp":
-        sources = top[:min(spec.sssp_sources, len(top))]
+        sources = top[:SSSP_SOURCES]
         return {"task": task, "sources": sources,
                 "dist": {s: sssp_dijkstra(sub, s) for s in sources}}
     if task == "cc":
         comps = scc_tarjan(sub)
         return {"task": task, "count": len(comps), "components": comps}
     if task == "pr":
-        return {"task": task,
-                "scores": pagerank(sub, spec.pr_iterations, spec.pr_damping)}
+        return {"task": task, "scores": pagerank(sub, spec.pr_iterations)}
     if task == "bc":
         return {"task": task, "scores": betweenness_brandes(sub)}
     return {"task": task, "scores": lcc(sub)}

@@ -24,7 +24,7 @@ from . import analytics
 from .analytics import TaskSpec
 from .graph import CuckooGraph, GraphParams
 from .hashing import mix64
-from .workload import dedup_edges, mixed_ops, read_edge_file
+from .workload import check_ratios, dedup_edges, mixed_ops, read_edge_file
 
 CSV_COLUMNS = ("phase", "ops", "elapsed_ns", "mops", "bytes",
                "placements", "evictions", "dl_hits", "movements")
@@ -101,12 +101,7 @@ def _parse_phase(spec, workload):
         if len(parts) != 3:
             raise ValueError(f"mixed phase needs mixed:RI,RQ,RD:COUNT, got {spec!r}")
         ratios = tuple(float(x) for x in parts[1].split(","))
-        if len(ratios) != 3:
-            raise ValueError("mixed phase needs three ratios")
-        if not all(0.0 <= r <= 1.0 for r in ratios):
-            raise ValueError(f"mixed ratios must each be in [0, 1], got {spec!r}")
-        if abs(sum(ratios) - 1.0) > 1e-9:
-            raise ValueError("mixed ratios must sum to 1")
+        check_ratios(ratios)
         count = int(parts[2])
         if count < 1:
             raise ValueError(f"mixed phase needs a COUNT of at least 1, got {spec!r}")

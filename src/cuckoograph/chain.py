@@ -2,10 +2,9 @@
 
 A chain starts as one table of its level's ``base_len`` (see
 ``cuckoo_table.Level``, which holds every setting a chain reads) and
-tracks how many
-times the newest table's load rate crossed the grow threshold. The table
-lengths for step k (three-table chains, base length n) follow a fixed
-schedule:
+tracks how many times the newest table's load rate crossed the grow
+threshold. The table lengths for step k (three-table chains, base length
+n) follow a fixed schedule:
 
     k=0: (n)            k=1: (n, n/2)     k=2: (n, n/2, n/2)
     k=3: (2n, n)        k=4: (2n, n, n)   k=5: (4n, 2n)
@@ -19,21 +18,32 @@ go to the newest table.
 Contraction runs when a deletion drops the whole chain's load rate below
 the floor threshold (``contract_at``). It is sized by entry count, not by
 the current table lengths: the chain moves to the smallest schedule row
-whose capacity times the grow threshold (``expand_at``) holds every entry,
-either by draining the table the deletion hit into the others (when they
-already form that row) or by rebuilding into fresh tables of that row.
+whose capacity times the grow threshold (``expand_at``) holds every entry.
 Since consecutive rows differ in capacity by at most 3/2, every row above
 the floor lands at a load rate in ``(expand_at / 1.5, expand_at]``; with
 ``contract_at <= 2 * expand_at / 3`` that is above the floor threshold,
 so one contraction never triggers another and never leaves the chain
 over its grow threshold.
 
-Merges and contraction rebuilds share one rebuild: when an entry is left
-homeless it discards the fresh tables and starts over one row larger, and
-a drain that leaves an entry homeless falls back to it. A structural move
-thus places every entry, on a larger row if it must, and none leaves the
-chain. A contraction that lands above its target row may sit under the
-floor threshold; the next deletion then contracts it again.
+Every change to a chain's tables is one move (``_move``): put the chain on
+a target row, keeping some of its tables as they are. The caller picks
+the event kind, the row and the tables to keep:
+
+- enabling a table keeps every table, and nothing moves;
+- a merge keeps none;
+- a contraction keeps the tables left after dropping the one the
+  deletion hit when they already form the target row, so only the hit
+  table's entries move, and keeps none otherwise.
+
+The kind picks the quota policy. A merge fills the new tables in order,
+all but the newest: each to the grow threshold, the last one to
+capacity. A contraction fills every table to the same load share. A try
+that leaves an entry homeless is discarded and redone: first without its
+kept tables, every entry into fresh tables of the same row, then one row
+up, as often as it takes. A structural move thus places every entry, on
+a larger row if it must, and none leaves the chain. A contraction that
+lands above its target row may sit under the floor threshold; the next
+deletion then contracts it again.
 
 Real tables are never shorter than ``MIN_TABLE_LEN``, which clamps the
 early rows of short chains: with base length 2, rows 1 and 2 become
@@ -102,11 +112,11 @@ def _materialized(step: int, base_len: int) -> tuple[int, ...]:
 class ChainEvent:
     """Outcome of one structural change."""
 
-    kind: str                      # enabled | merged | removed | halved
+    kind: str                      # enabled | merged | removed
     lengths: tuple[int, ...]
     moved: int = 0
     failed: list = field(default_factory=list)  # homeless on a redone try, then placed
-    rebuilt: bool = False
+    rebuilt: bool = False          # a contraction that kept no table
 
 
 class TableChain:
@@ -146,8 +156,8 @@ class TableChain:
         return self.entry_count() / self.capacity()
 
     def at_floor(self) -> bool:
-        return len(self.tables) == 1 and self.tables[0].len_major <= max(
-            MIN_TABLE_LEN, self.level.base_len)
+        # the audit pins the tables to the step's row, so row 0 is the floor
+        return self.step == 0
 
     # -- triggers ----------------------------------------------------------
 
@@ -266,26 +276,21 @@ class TableChain:
     def advance(self) -> ChainEvent:
         """Perform one grow event, then drain the overflow list.
 
-        Even steps (and step 1) enable one more, empty table. Odd steps
-        merge every entry into fresh tables of the new row (see
-        ``_rebuild``). When clamping leaves that row no larger than the
-        current one, the merge starts at the row after it. Either way the
-        newest table starts empty, and the overflow list is retried in it.
+        Even steps (and step 1) enable one more, empty table and keep every
+        other. Odd steps merge every entry into fresh tables of the new row.
+        When clamping leaves that row no larger than the current one, the
+        merge starts at the row after it. Either way the newest table
+        starts empty, and the overflow list is retried in it.
         """
-        self.step += 1
-        target = _materialized(self.step, self.level.base_len)
-        if self.step == 1 or self.step % 2 == 0:
-            # enable one more table; existing ones keep their contents
-            self.tables.append(CuckooTable(target[-1], self.level))
-            event = ChainEvent("enabled", target)
+        step = self.step + 1
+        if step == 1 or step % 2 == 0:
+            event = self._move("enabled", step, self.tables)
         else:
             # equal cells per unit of length, so lengths compare capacities
-            if sum(target) <= sum(self.lengths()):
-                self.step += 1
-            moved, failed = self._rebuild(self.step, self.tables, merge=True)
-            event = ChainEvent("merged", self.lengths(), moved=moved,
-                               failed=failed)
-        self._count(event)
+            if sum(_materialized(step, self.level.base_len)) <= sum(
+                    self.lengths()):
+                step += 1
+            event = self._move("merged", step, ())
         if self.spill_k:
             self._drain()
         return event
@@ -297,34 +302,20 @@ class TableChain:
         the chain's current entry count (``entries <= expand_at *
         capacity``); the row is chosen from that count alone. When the
         tables left after dropping ``hit_table`` already form the target
-        row, only the hit table's entries move into them, each receiving
-        table filling to the same load share; if that drain leaves an
-        entry homeless, or the survivors are not the target row, every
-        entry is rebuilt from the target row on (see ``_rebuild``).
-        Returns None when the chain sits at its floor or already is the
-        target row.
+        row they are kept, and only the hit table's entries move; else
+        every entry moves into fresh tables of the row. Returns None when
+        the chain sits at its floor or already is the target row.
         """
         if self.at_floor():
             return None
-        n = self.entry_count()
-        step = self._row_for(n)
+        step = self._row_for(self.entry_count())
         target = _materialized(step, self.level.base_len)
         if target == self.lengths():
             return None
-        kind = "removed" if len(self.tables) >= 2 else "halved"
         survivors = [t for t in self.tables if t is not hit_table]
-        drained, homeless = [], []
-        if tuple(t.len_major for t in survivors) == target:
-            drained = list(hit_table.entries())
-            hit_table.dispose()
-            homeless = self._transfer(drained, survivors, _shares(n, survivors))
-            self.tables, self.step = survivors, step
-            if not homeless:
-                return self._count(ChainEvent(kind, target, moved=len(drained)))
-        moved, failed = self._rebuild(step, self.tables, homeless)
-        return self._count(ChainEvent(
-            kind, self.lengths(), moved=len(drained) + moved,
-            failed=homeless + failed, rebuilt=True))
+        if tuple(t.len_major for t in survivors) != target:
+            survivors = ()
+        return self._move("removed", step, survivors)
 
     # -- overflow list -----------------------------------------------------
 
@@ -375,12 +366,6 @@ class TableChain:
 
     # -- internals ---------------------------------------------------------
 
-    def _count(self, event):
-        st = self.level
-        st.moved += event.moved
-        st.move_failures += len(event.failed)
-        return event
-
     def _to_newest(self, key, payload):
         """Insert into the newest table; returns the homeless entry or None."""
         h1, h2 = self.level.hash.pair(key)
@@ -422,44 +407,55 @@ class TableChain:
             step += 1
         return step
 
-    def _rebuild(self, step, old, extra=(), merge=False):
-        """Move the entries of the ``old`` tables, plus ``extra`` ones, into
-        fresh tables of row ``step`` or a later one; ``old`` is disposed of.
+    def _move(self, kind, step, keep) -> ChainEvent:
+        """Put the chain on schedule row ``step`` or a later one, keeping
+        the tables in ``keep`` (the row's leading ones) as they are; the
+        one structural move (see the module docstring), returning its event.
 
-        A merge fills the row's tables in order, all but the newest: each
-        up to ``ceil(expand_at * cap)``, the last one up to its full
-        capacity. The newest stays empty because the forced growth of the
-        overflow lists inserts into it. A contraction fills every table to
-        the same load share. A row that leaves an entry homeless is
-        discarded for the next one. Returns (moved, failed): every
-        placement attempt, and the entries left homeless on discarded rows.
+        The other tables' entries move into the kept tables and fresh ones
+        for the rest of the row; the other tables are disposed of. A merge
+        leaves the newest table empty, for the overflow list's forced
+        growth. ``moved`` counts every placement attempt of every try and
+        ``failed`` the entries each discarded try left homeless; both are
+        added to the level's ``moved`` and ``move_failures``.
         """
-        entries = [e for t in old for e in t.entries()] + list(extra)
-        for t in old:
-            t.dispose()
+        level = self.level
+        entries = [e for t in self.tables if t not in keep for e in t.entries()]
+        for t in self.tables:
+            if t not in keep:
+                t.dispose()
         moved = 0
         failed = []
         while True:
-            tables = [CuckooTable(ln, self.level)
-                      for ln in _materialized(step, self.level.base_len)]
-            if merge:
+            row = _materialized(step, level.base_len)
+            # concatenated, so the list takes no spare slots
+            tables = list(keep) + [CuckooTable(ln, level)
+                                   for ln in row[len(keep):]]
+            if kind == "merged":
                 dests = tables[:-1]
-                quotas = [math.ceil(self.level.expand_at * t.cap)
-                          for t in dests]
+                quotas = [math.ceil(level.expand_at * t.cap) for t in dests]
                 quotas[-1] = dests[-1].cap
             else:
                 dests = tables
-                quotas = _shares(len(entries), tables)
+                quotas = _shares(len(entries) + sum(t.count for t in keep),
+                                 tables)
             homeless = self._transfer(entries, dests, quotas)
             moved += len(entries)
             if not homeless:
-                self.tables = tables
-                self.step = step
-                return moved, failed
-            failed.extend(homeless)
+                break
+            failed += homeless
+            if keep:
+                entries = [e for t in keep for e in t.entries()] + homeless
+                keep = ()
+            else:
+                step += 1
             for t in tables:
                 t.dispose()
-            step += 1
+        self.tables, self.step = tables, step
+        level.moved += moved
+        level.move_failures += len(failed)
+        return ChainEvent(kind, self.lengths(), moved, failed,
+                          rebuilt=kind == "removed" and not keep)
 
     def _transfer(self, entries, dests, quotas):
         """Place every entry into the destination tables.

@@ -90,8 +90,8 @@ class Level:
     and more kicks, or one that ran out of its kick budget and handed an
     entry back. ``moved`` counts the level's chain moves: every placement
     attempt of a merge or contraction, and every overflow entry a grow
-    drained into a table; ``move_failures`` the entries that pushed a move
-    up a row. ``overflow`` is the number of entries in all its lists.
+    drained into a table; ``move_failures`` the entries that made a move
+    discard a try and redo it. ``overflow`` is the number of entries in all its lists.
     """
 
     COUNTERS = ("insert_events", "placements", "evictions", "bucket_probes",

@@ -151,18 +151,6 @@ class GraphParams:
         # a weighted destination takes two slots, halving the inline fan-out
         return MAX_TABLES if self.weighted else 2 * MAX_TABLES
 
-    @property
-    def node_cell_bytes(self) -> int:
-        return NODE_BYTES + 2 * MAX_TABLES * NODE_BYTES
-
-    @property
-    def adj_cell_bytes(self) -> int:
-        return 2 * NODE_BYTES if self.weighted else NODE_BYTES
-
-    @property
-    def adj_dl_entry_bytes(self) -> int:
-        return 3 * NODE_BYTES if self.weighted else 2 * NODE_BYTES
-
 
 class Promoted:
     """A source whose inline slots overflowed: the only per-source object.
@@ -233,8 +221,6 @@ class CuckooGraph:
         self._fill = bytearray()
         self._free = array("Q")
         self._promoted = {}
-        self._node_count = 0
-        self._edge_count = 0
         self._inline_edges = 0
         self._movements = 0
         self._dl_hits = 0
@@ -320,7 +306,6 @@ class CuckooGraph:
             homeless = self._node_chain.insert(u, uh[0], uh[1], row)
             if homeless is not None:
                 self._push_node_dl(homeless)
-            self._node_count += 1
         if record is None:
             n = self._fill[row]
             if n < self._inline_cap:
@@ -339,7 +324,6 @@ class CuckooGraph:
         if record is not None:
             self._chain_add(record, v, weight, vh)
             record.count += 1
-        self._edge_count += 1
         return InsertResult("inserted", weight) if self._weighted else _INSERTED
 
     def query_edge(self, u: int, v: int):
@@ -371,7 +355,6 @@ class CuckooGraph:
             if w > 1:
                 _write_weight(slot, w - 1)
                 return DeleteResult("decremented", w - 1)
-        self._edge_count -= 1
         if record is None:
             # shift the later inline destinations down: slot order is kept
             width = self._width
@@ -436,15 +419,19 @@ class CuckooGraph:
         write_edge_file(path, self.iter_edges())
 
     def stats(self) -> GraphStats:
-        p = self.params
         node_cells = self.node_level.capacity_cells
         adj_cells = self.adj_level.capacity_cells
         node_dl_len = self.node_level.overflow
         adj_dl_len = self.adj_level.overflow
-        dl_bytes = (node_dl_len * p.node_cell_bytes
-                    + adj_dl_len * p.adj_dl_entry_bytes)
-        bytes_total = (node_cells * p.node_cell_bytes
-                       + adj_cells * p.adj_cell_bytes
+        # modeled bytes: a node cell is a key and its row's slots, an
+        # adjacency cell an id (and a weight); an adjacency overflow entry
+        # is charged one id more than its cell
+        node_cell_bytes = (1 + SLOTS) * NODE_BYTES
+        adj_cell_bytes = self._width * NODE_BYTES
+        dl_bytes = (node_dl_len * node_cell_bytes
+                    + adj_dl_len * (adj_cell_bytes + NODE_BYTES))
+        bytes_total = (node_cells * node_cell_bytes
+                       + adj_cells * adj_cell_bytes
                        + dl_bytes
                        + (self.node_level.tables + self.adj_level.tables)
                        * TABLE_HEADER_BYTES)
@@ -461,8 +448,8 @@ class CuckooGraph:
             "max_query_dl_scans": self._max_q_dl_scans,
         }
         return GraphStats(
-            nodes=self._node_count,
-            edges=self._edge_count,
+            nodes=self._node_total(),
+            edges=self._edge_total(),
             node_cells=node_cells,
             adj_cells=adj_cells,
             node_load_rate=(self.node_level.entries / node_cells)
@@ -522,7 +509,7 @@ class CuckooGraph:
             assert len(dests) == count, f"count drift for node {u}"
             total_edges += count
         _check_level(self.adj_level, adj_chains)
-        assert total_edges == self._edge_count, "edge count drift"
+        assert total_edges == self._edge_total(), "edge count drift"
         assert inline_total == self._inline_edges, "inline count drift"
         # the per-query maxima of stats().counters
         assert self._max_q_node_probes <= 2 * MAX_TABLES, \
@@ -556,7 +543,7 @@ class CuckooGraph:
             assert n or record is not None, f"row {row} of node {u} is empty"
             assert not (n and record), f"promoted node {u} keeps inline slots"
         assert len(owners) + len(free) == rows, "a row is neither live nor free"
-        assert len(owners) == self._node_count, "node count drift"
+        assert len(owners) == self._node_total(), "node count drift"
         for u, record in self._promoted.items():
             assert record.node == u, f"record of node {record.node} under node {u}"
             assert owners.get(record.row) == u, \
@@ -564,6 +551,16 @@ class CuckooGraph:
             assert record.chain is not None, f"record of node {u} without a chain"
 
     # -- internals ----------------------------------------------------------
+
+    def _node_total(self):
+        """Stored sources: the node chain's table cells and overflow entries."""
+        return self.node_level.entries + self.node_level.overflow
+
+    def _edge_total(self):
+        """Stored edges: inline destinations, adjacency cells and overflow
+        entries."""
+        return (self._inline_edges + self.adj_level.entries
+                + self.adj_level.overflow)
 
     def _new_row(self):
         """A row for a new source: the last one freed, else a fresh one."""
@@ -633,8 +630,7 @@ class CuckooGraph:
         """Drop an emptied source through the slot its lookup found, and
         free its row."""
         self._node_chain.remove(cslot)
-        self._node_count -= 1
-        if self._node_count:
+        if self._node_total():
             self._free.append(row)
         else:
             # the last source went: the columns start over

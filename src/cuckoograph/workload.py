@@ -6,6 +6,11 @@ import random
 
 import numpy as np
 
+# power-law exponents: zipf out-degrees of generate_synthetic, and the
+# node ids mixed_ops draws (low ids are the hot ones)
+DEGREE_SKEW = 1.2
+ID_SKEW = 1.05
+
 
 def read_edge_file(path):
     """Parse whitespace-separated "u v" or "u v w" lines.
@@ -70,12 +75,12 @@ def _sample_targets(rng, n, u, degree):
     return [p if p < u else p + 1 for p in picks]
 
 
-def generate_synthetic(kind, nodes, edges, seed, path=None, skew=1.2):
+def generate_synthetic(kind, nodes, edges, seed, path=None):
     """Deterministic synthetic edge lists: dense, sparse, or zipf.
 
     dense picks distinct pairs uniformly; sparse gives every node the same
-    out-degree; zipf draws out-degrees from a power law. Writes the file
-    when a path is given and always returns the edge list.
+    out-degree; zipf draws out-degrees from a power law (``DEGREE_SKEW``).
+    Writes the file when a path is given and always returns the edge list.
     """
     if nodes < 2:
         raise ValueError("need at least 2 nodes")
@@ -96,9 +101,8 @@ def generate_synthetic(kind, nodes, edges, seed, path=None, skew=1.2):
         out = [(u, v) for u in range(nodes)
                for v in _sample_targets(rng, nodes, u, degree)]
     elif kind == "zipf":
-        weights = np.arange(1, nodes + 1, dtype=float) ** -skew
-        weights /= weights.sum()
-        degrees = np.minimum(np.rint(weights * edges).astype(int), nodes - 1)
+        degrees = np.minimum(
+            np.rint(_zipf(nodes, DEGREE_SKEW) * edges).astype(int), nodes - 1)
         # top up rounding shortfall on the highest-rank nodes that have room
         deficit = edges - int(degrees.sum())
         i = 0
@@ -117,26 +121,39 @@ def generate_synthetic(kind, nodes, edges, seed, path=None, skew=1.2):
     return out
 
 
-class ZipfSampler:
-    """Bounded power-law sampler over [0, n); low ids are the hot ones."""
-
-    def __init__(self, n, skew, rng):
-        weights = np.arange(1, n + 1, dtype=float) ** -skew
-        self._cum = np.cumsum(weights / weights.sum())
-        self._rng = rng
-
-    def sample(self) -> int:
-        return int(np.searchsorted(self._cum, self._rng.random(), side="right"))
+def _zipf(n, skew):
+    """Probabilities of ranks 1..n, proportional to rank**-skew."""
+    weights = np.arange(1, n + 1, dtype=float) ** -skew
+    return weights / weights.sum()
 
 
-def mixed_ops(count, ratios, universe, seed, skew=1.05):
-    """Yield (op, u, v) tuples: op in {i, q, d} with the given mix."""
-    ri, rq, rd = ratios
-    if abs(ri + rq + rd - 1.0) > 1e-9:
-        raise ValueError("operation ratios must sum to 1")
+def check_ratios(ratios):
+    """Raise ValueError unless ``ratios`` is an insert, query, delete mix:
+    three values in [0, 1] that sum to 1."""
+    if len(ratios) != 3:
+        raise ValueError(f"mixed ratios must be three values, got {ratios}")
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ValueError(f"mixed ratios must each be in [0, 1], got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"mixed ratios must sum to 1, got {ratios}")
+
+
+def mixed_ops(count, ratios, universe, seed):
+    """(op, u, v) tuples, op in {i, q, d} with the given mix, and u and v
+    drawn from a power law over [0, universe) (``ID_SKEW``).
+
+    The ratios are checked when called, not when first iterated.
+    """
+    check_ratios(ratios)
+    return _mixed_ops(count, ratios, universe, seed)
+
+
+def _mixed_ops(count, ratios, universe, seed):
+    ri, rq, _ = ratios
     rng = random.Random(seed)
-    ids = ZipfSampler(universe, skew, rng)
+    cum = np.cumsum(_zipf(universe, ID_SKEW))
     for _ in range(count):
         r = rng.random()
         op = "i" if r < ri else ("q" if r < ri + rq else "d")
-        yield op, ids.sample(), ids.sample()
+        yield (op, int(np.searchsorted(cum, rng.random(), side="right")),
+               int(np.searchsorted(cum, rng.random(), side="right")))

@@ -320,5 +320,3 @@ class TestReadOnly:
             TaskSpec("nope")
         with pytest.raises(ValueError):
             TaskSpec("bfs", top_k=0)
-        with pytest.raises(ValueError):
-            TaskSpec("pr", pr_damping=1.5)

@@ -70,6 +70,13 @@ class TestGenerators:
         assert a == b
         assert workload.read_edge_file(tmp_path / "z.txt") == b
 
+    @pytest.mark.parametrize("ratios", [(0.5, 0.4, 0.2), (1.5, -0.5, 0.0),
+                                        (0.5, 0.5)])
+    def test_mixed_ops_checks_its_ratios_when_called(self, ratios):
+        # not only once the stream is iterated, and not by the sum alone
+        with pytest.raises(ValueError, match="mixed ratios"):
+            workload.mixed_ops(5, ratios, 100, 1)
+
     def test_infeasible_parameters(self):
         with pytest.raises(ValueError):
             workload.generate_synthetic("dense", 3, 100, seed=0)

@@ -315,21 +315,6 @@ class TestContract:
         assert sorted(chain_keys(chain)) == before
         assert hit not in chain.tables
 
-    def test_single_oversized_table_halves(self):
-        chain, _ = make_chain(base=8, d=2)
-        # build an off-schedule single table of double length by hand
-        big = CuckooTable(16, chain.level)
-        for t in chain.tables:
-            t.dispose()
-        chain.tables = [big]
-        chain.step = 99
-        fill(chain, range(6))
-        event = chain.contract(big)
-        assert event.kind == "halved"
-        assert chain.lengths() == (8,)
-        assert chain.step == 0
-        assert sorted(chain_keys(chain)) == list(range(6))
-
     def test_single_base_table_respects_floor(self):
         chain, _ = make_chain(base=8)
         fill(chain, range(2))

@@ -14,7 +14,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
 from cuckoograph import CuckooGraph, GraphParams, OracleGraph, analytics, oracle
-from cuckoograph.chain import MAX_TABLES
+from cuckoograph.chain import MAX_TABLES, TableChain
 from cuckoograph.graph import Promoted
 from cuckoograph.workload import generate_synthetic, mixed_ops
 
@@ -710,6 +710,61 @@ class TestDeterminism:
         for e in g.iter_edges():
             h.update(repr(e).encode())
         assert h.hexdigest() == self.PLACEMENT_DIGESTS[seed, weighted]
+
+    # SHA-256 over (kind, lengths, moved, len(failed), rebuilt) of every
+    # event a chain's grow or contraction returned, pinned while enabling,
+    # merging, draining and rebuilding were still separate code paths
+    EVENT_DIGESTS = {
+        "zipf-3": "dc117a4dcea3f6310f6b5b83dbf9c8ddf8fb416dff331fd0ed971135175f3fb2",
+        "zipf-11-weighted": "bfa1562375b8374f0de1d3be46a78a31f6d957e641a21d13e0481a153a8f7b71",
+        "tiny": "8c97480b4b88a9d9870d9b9d1a5fadd1f7a98fa6b3a5e21d8a724b2fc7422259",
+    }
+
+    @pytest.mark.parametrize("case", sorted(EVENT_DIGESTS))
+    def test_structural_event_stream_is_pinned(self, case, monkeypatch):
+        events = []
+
+        def recorded(method):
+            def wrapper(chain, *args):
+                event = method(chain, *args)
+                if event is not None:
+                    events.append((event.kind, event.lengths, event.moved,
+                                   len(event.failed), event.rebuilt))
+                return event
+            return wrapper
+
+        for name in ("advance", "contract"):
+            monkeypatch.setattr(TableChain, name,
+                                recorded(getattr(TableChain, name)))
+        if case == "tiny":
+            # one-cell buckets and two kicks: merges escalate here
+            g = CuckooGraph(tiny_params())
+            for u in range(40):
+                for v in range(12):
+                    g.insert_edge(u, v)
+        else:
+            seed = int(case.split("-")[1])
+            g = CuckooGraph(GraphParams.from_seed(
+                seed, weighted=case.endswith("weighted")))
+            for u, v in generate_synthetic("zipf", 3000, 15000, seed):
+                g.insert_edge(u, v)
+            ops = {"i": g.insert_edge, "q": g.query_edge, "d": g.delete_edge}
+            for op, u, v in mixed_ops(20_000, (0.4, 0.3, 0.3), 3000, seed):
+                ops[op](u, v)
+        for e in list(g.iter_edges()):
+            for _ in range(e[2] if g.params.weighted else 1):
+                g.delete_edge(e[0], e[1])
+        assert g.stats().edges == 0
+        g.check_invariants()
+        kinds = {(kind, failed > 0, rebuilt)
+                 for kind, _, _, failed, rebuilt in events}
+        # a drain into the survivors, a rebuild, and a contraction that
+        # left an entry homeless; only the tiny tables escalate a merge
+        assert {("removed", False, False), ("removed", False, True),
+                ("removed", True, True)} <= kinds
+        assert (("merged", True, False) in kinds) == (case == "tiny")
+        h = hashlib.sha256(repr(events).encode())
+        assert h.hexdigest() == self.EVENT_DIGESTS[case]
 
     def test_export_is_sorted_edge_set(self, tmp_path):
         g = CuckooGraph(GraphParams())
