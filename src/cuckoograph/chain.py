@@ -37,13 +37,17 @@ the event kind, the row and the tables to keep:
 
 The kind picks the quota policy. A merge fills the new tables in order,
 all but the newest: each to the grow threshold, the last one to
-capacity. A contraction fills every table to the same load share. A try
-that leaves an entry homeless is discarded and redone: first without its
-kept tables, every entry into fresh tables of the same row, then one row
-up, as often as it takes. A structural move thus places every entry, on
-a larger row if it must, and none leaves the chain. A contraction that
-lands above its target row may sit under the floor threshold; the next
-deletion then contracts it again.
+capacity. A contraction fills every table to the same load share. The
+moving entries travel as two parallel lists, keys and payloads, in the
+tables' cell order; their keys are rehashed in one batch
+(``HashPair.pairs``), and each destination takes its run of them in one
+``CuckooTable.place`` call. A try that leaves an entry homeless is
+discarded and redone: first without its kept tables, every entry into
+fresh tables of the same row, then one row up, as often as it takes. A
+structural move thus places every entry, on a larger row if it must, and
+none leaves the chain. A contraction that lands above its target row may
+sit under the floor threshold; the next deletion then contracts it
+again.
 
 Real tables are never shorter than ``MIN_TABLE_LEN``, which clamps the
 early rows of short chains: with base length 2, rows 1 and 2 become
@@ -165,7 +169,12 @@ class TableChain:
         """True when the whole chain's load rate fell strictly below the floor threshold."""
         if self.at_floor():
             return False
-        return self.entry_count() < self.level.contract_at * self.capacity()
+        # one pass over the tables: this runs on every adjacency delete
+        n = cap = 0
+        for t in self.tables:
+            n += t.count
+            cap += t.cap
+        return n < self.level.contract_at * cap
 
     # -- lookup and removal ------------------------------------------------
 
@@ -420,7 +429,9 @@ class TableChain:
         added to the level's ``moved`` and ``move_failures``.
         """
         level = self.level
-        entries = [e for t in self.tables if t not in keep for e in t.entries()]
+        with_payloads = self.spill_v is not None
+        keys, payloads = _columns([t for t in self.tables if t not in keep],
+                                  with_payloads)
         for t in self.tables:
             if t not in keep:
                 t.dispose()
@@ -437,15 +448,15 @@ class TableChain:
                 quotas[-1] = dests[-1].cap
             else:
                 dests = tables
-                quotas = _shares(len(entries) + sum(t.count for t in keep),
+                quotas = _shares(len(keys) + sum(t.count for t in keep),
                                  tables)
-            homeless = self._transfer(entries, dests, quotas)
-            moved += len(entries)
+            homeless = self._transfer(keys, payloads, dests, quotas)
+            moved += len(keys)
             if not homeless:
                 break
             failed += homeless
             if keep:
-                entries = [e for t in keep for e in t.entries()] + homeless
+                keys, payloads = _columns(keep, with_payloads, homeless)
                 keep = ()
             else:
                 step += 1
@@ -457,33 +468,56 @@ class TableChain:
         return ChainEvent(kind, self.lengths(), moved, failed,
                           rebuilt=kind == "removed" and not keep)
 
-    def _transfer(self, entries, dests, quotas):
-        """Place every entry into the destination tables.
+    def _transfer(self, keys, payloads, dests, quotas):
+        """Place every key, with its payload, into the destination tables.
 
-        Entries are ``(key, payload)`` pairs, rehashed with the level's
-        ``HashPair``. Each entry goes to the first destination still
-        under its quota (a table takes entries while its count is below the
-        quota); a displaced entry tries the next one. An entry that every
-        destination under quota left homeless is offered once more to each
-        destination with a free cell. Returns the entries still homeless
+        The keys are rehashed in one batch with the level's ``HashPair``.
+        Each goes to the first destination still under its quota (a table
+        takes entries while its count is below the quota); a displaced
+        entry tries the next one. An entry that every destination under
+        quota left homeless is offered once more to each destination with a
+        free cell. Returns the ``(key, payload)`` entries still homeless
         after that.
+
+        Counts only grow, so the first destination under its limit only
+        moves on: it takes the next run of keys in one ``place`` call, and
+        only an entry a kick walk left homeless goes on alone, through
+        ``insert``. The destinations hold at least as many cells as there
+        are keys, so one is under its limit while keys are left.
         """
         limits = list(zip(dests, quotas)) + [(t, t.cap) for t in dests]
         pair = self.level.hash.pair
+        h1s, h2s = self.level.hash.pairs(keys)
         homeless_all = []
-        for entry in entries:
-            homeless = entry
-            for t, limit in limits:
-                if t.count >= limit:
-                    continue
-                key = homeless[0]
-                h1, h2 = pair(key)
-                homeless = t.insert(key, h1, h2, homeless[1])
+        i = p = 0
+        while i < len(keys):
+            while limits[p][0].count >= limits[p][1]:
+                p += 1
+            i, homeless = limits[p][0].place(keys, h1s, h2s, payloads, i,
+                                             limits[p][1])
+            for t, limit in limits[p + 1:]:
                 if homeless is None:
                     break
+                if t.count < limit:
+                    key = homeless[0]
+                    h1, h2 = pair(key)
+                    homeless = t.insert(key, h1, h2, homeless[1])
             if homeless is not None:
                 homeless_all.append(homeless)
         return homeless_all
+
+
+def _columns(tables, with_payloads, homeless=()):
+    """The keys of ``tables`` in cell order, then those of the ``homeless``
+    ``(key, payload)`` entries, and their payloads in a parallel list (None
+    when the chain keeps no payloads)."""
+    keys = list(_flatten(t.stored_keys() for t in tables))
+    keys += [key for key, _ in homeless]
+    if not with_payloads:
+        return keys, None
+    payloads = list(_flatten(t.stored_payloads() for t in tables))
+    payloads += [payload for _, payload in homeless]
+    return keys, payloads
 
 
 def _shares(n, tables):

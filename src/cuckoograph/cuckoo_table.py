@@ -31,11 +31,15 @@ Payloads, where kept, are in an ``array('Q')`` in both layouts, so a
 payload is an int below 2**64. No entry carries its hashes and no entry
 is an object of its own, so the garbage collector sees no per-entry
 object. Callers that already hashed a key pass both hashes to
-``insert``; a key displaced by the kick walk, or moved by a chain's merge,
-contraction or drain, is rehashed with the level's ``HashPair`` (as MemC3
-works out a displaced item's other bucket). Membership scans run on the C
-side of the interpreter: ``in`` on a key list, or on a slice of the key
-array.
+``insert``; a key displaced by the kick walk, or drained from a chain's
+overflow list, is rehashed with the level's ``HashPair`` (as MemC3 works
+out a displaced item's other bucket). A chain's merge or contraction
+moves its entries in bulk: it hashes all their keys in one batch
+(``HashPair.pairs``) and hands them to ``place``, one loop that writes each
+key straight into its major or minor bucket, exactly where ``insert``
+would, and sends only a key whose two buckets are full on the kick walk.
+Membership scans run on the C side of the interpreter: ``in`` on a key
+list, or on a slice of the key array.
 
 Array lengths are powers of two, so the modular bucket index reduces to a
 bitmask with identical semantics.
@@ -90,8 +94,9 @@ class Level:
     and more kicks, or one that ran out of its kick budget and handed an
     entry back. ``moved`` counts the level's chain moves: every placement
     attempt of a merge or contraction, and every overflow entry a grow
-    drained into a table; ``move_failures`` the entries that made a move
-    discard a try and redo it. ``overflow`` is the number of entries in all its lists.
+    drained into a table. ``move_failures`` counts the entries that made a
+    move discard a try and redo it. ``overflow`` is the number of entries in
+    all the level's overflow lists.
     """
 
     COUNTERS = ("insert_events", "placements", "evictions", "bucket_probes",
@@ -217,6 +222,70 @@ class CuckooTable:
         st.placements += 1
         return None
 
+    def place(self, keys, h1s, h2s, payloads, i, limit):
+        """Insert ``keys[i:]``, in order, while the table holds fewer than
+        ``limit`` entries. ``h1s`` and ``h2s`` hold the keys' hashes and
+        ``payloads`` their payloads (None in a ``KEYS`` table), all
+        parallel to ``keys``.
+
+        Each key lands where ``insert`` would put it, with the same
+        counters: straight into its major or minor bucket, and only a key
+        whose two buckets are both full takes the kick walk. Returns ``(j,
+        homeless)``: ``j`` is the index of the first key not tried, and
+        ``homeless`` the ``(key, payload)`` a walk left homeless, which ends
+        the call, else None.
+        """
+        st = self.level
+        d, len_major = self.d, self.len_major
+        mask_major, mask_minor = self.mask_major, self.mask_minor
+        table_keys, vals, fill = self.keys, self.vals, self.fill
+        start, n, count = i, len(keys), self.count
+        placed = minor_probes = 0
+        homeless = None
+        while i < n and count < limit:
+            key = keys[i]
+            b = h1s[i] & mask_major
+            if fill is None:
+                m = len(table_keys[b])
+                if m >= d:
+                    minor_probes += 1
+                    b = len_major + (h2s[i] & mask_minor)
+                    m = len(table_keys[b])
+                full = m >= d
+                if not full:
+                    table_keys[b].append(key)
+                    vals[b * d + m] = payloads[i]
+            else:
+                m = fill[b]
+                if m >= d:
+                    minor_probes += 1
+                    b = len_major + (h2s[i] & mask_minor)
+                    m = fill[b]
+                full = m >= d
+                if not full:
+                    c = b * d + m
+                    table_keys[c] = key
+                    if vals is not None:
+                        vals[c] = payloads[i]
+                    fill[b] = m + 1
+            if full:
+                self.count = count
+                homeless = self._walk(key, None if payloads is None
+                                      else payloads[i], h1s[i] & mask_major)
+                count = self.count
+            else:
+                count += 1
+                placed += 1
+            i += 1
+            if homeless is not None:
+                break
+        self.count = count
+        st.insert_events += i - start
+        st.bucket_probes += i - start + minor_probes
+        st.placements += placed
+        st.entries += placed
+        return i, homeless
+
     def _put(self, b, key, payload):
         """Append to bucket ``b`` if it has a free cell; True when placed."""
         fill = self.fill
@@ -309,12 +378,16 @@ class CuckooTable:
             return _flatten(self.keys)
         return itertools.compress(self.keys, self._live())
 
+    def stored_payloads(self):
+        """Iterate the payloads parallel to ``stored_keys``; a ``KEYS``
+        table has none."""
+        return itertools.compress(self.vals, self._live())
+
     def entries(self):
         """Iterate every stored ``(key, payload)``; the table is left unchanged."""
         if self.vals is None:
             return zip(self.stored_keys(), itertools.repeat(None))
-        return zip(self.stored_keys(),
-                   itertools.compress(self.vals, self._live()))
+        return zip(self.stored_keys(), self.stored_payloads())
 
     def _live(self) -> bytes:
         """One byte per cell, 1 where the cell is filled."""

@@ -9,7 +9,15 @@ multiply-add-shift) are not, and on structured keys (ids strided by
 placement bound. ``tests/test_graph.py::TestBounds`` holds the gate:
 structured and zipf key sets must stay within 1.2 placements per insert
 event at both levels, with both overflow lists under their cap.
+
+``HashPair.pairs`` runs the same finaliser over a whole batch of keys in
+one numpy ``uint64`` pass, bit for bit as ``pair`` does key by key (the
+array multiplies wrap modulo 2^64 as the masks do). A chain's structural
+move knows every key it moves in advance, so it hashes them as one batch,
+as vectorised hash joins do (Polychroniou, Raghavan & Ross, SIGMOD '15).
 """
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 MASK30 = (1 << 30) - 1
@@ -56,3 +64,17 @@ class HashPair:
         x = ((x ^ (x >> 30)) * _C1) & MASK64
         x = ((x ^ (x >> 27)) * _C2) & MASK64
         return (x ^ (x >> 31)) & MASK30, x >> 34
+
+    def pairs(self, keys) -> tuple[list[int], list[int]]:
+        """Both hash lists of a batch of keys (a sequence of ints or an
+        ``array('Q')``): element i of each is ``pair(keys[i])``'s."""
+        x = np.array(keys, dtype=np.uint64)
+        x ^= self._m
+        x ^= x >> 30
+        x *= _C1
+        x ^= x >> 27
+        x *= _C2
+        h2 = x >> 34
+        x ^= x >> 31
+        x &= MASK30
+        return x.tolist(), h2.tolist()

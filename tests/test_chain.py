@@ -388,21 +388,29 @@ class TestContract:
             self._assert_sized_by_count(chain, event, before)
 
     def test_lone_table_just_under_floor_lands_within_threshold(self):
-        chain, _ = make_chain(base=8, d=8)
-        big = CuckooTable(16, chain.level)
-        for t in chain.tables:
-            t.dispose()
-        chain.tables = [big]
-        chain.step = 99
-        k = 0
-        while chain.entry_count() + 1 < chain.level.contract_at * chain.capacity():
-            h1, h2 = HP.pair(k)
-            assert big.insert(k, h1, h2, None) is None
-            k += 1
-        assert chain.should_contract()
-        before = sorted(chain_keys(chain))
-        event = chain.contract(big)
-        self._assert_sized_by_count(chain, event, before)
+        # right after the merge to (16, 8) every entry sits in the big
+        # table; empty the newest one and free the big one's cells until
+        # the chain is one entry under its floor
+        for hp in HASH_PAIRS:
+            chain, _ = make_chain(base=8, d=8, hp=hp)
+            k = 0
+            while chain.lengths() != (16, 8):
+                add(chain, k)
+                k += 1
+            big, newest = chain.tables
+            for key in list(newest.stored_keys()):
+                clear(chain, key)
+            for key in list(big.stored_keys()):
+                if chain.should_contract():
+                    break
+                clear(chain, key)
+            assert newest.count == 0 and chain.spill_k == ()
+            assert chain.entry_count() + 1 >= (chain.level.contract_at
+                                               * chain.capacity())
+            chain.check_invariants()
+            before = sorted(chain_keys(chain))
+            event = chain.contract(big)
+            self._assert_sized_by_count(chain, event, before)
 
     def test_drain_into_a_lone_base_table_keeps_every_key(self):
         # a length-2 table has one minor bucket, so a drain of (2, 2) into
@@ -425,26 +433,41 @@ class TestContract:
                 assert chain_keys(chain) == []
 
     def test_rebuild_retries_homeless_entries_before_a_larger_row(self):
-        # 24 keys share one bucket pair of every length-4 table; placed
-        # last, they overflow the last table's quota share, while the
-        # earlier tables still have free cells that can take them
-        chain, _ = make_chain(base=2, d=8, kicks=250)
-        big = CuckooTable(32, chain.level)
-        for t in chain.tables:
-            t.dispose()
-        chain.tables = [big]
-        chain.step = 99
+        # 24 keys share one bucket pair of every length-4 table. A (16, 8)
+        # chain holds them last, alone in its newest table, after 119 keys
+        # that avoid major bucket 3 of a length-4 table: one entry under
+        # the floor, it rebuilds into (8, 4, 4), where the crowd overflows
+        # the last table's quota share while the earlier tables still have
+        # free cells that can take it
+        chain, level = make_chain(base=2, d=8, kicks=250)
         crowd = [k for k in range(20000)
                  if HP.pair(k)[0] & 31 == 31 and HP.pair(k)[1] & 1 == 0][:24]
-        spread = [k for k in range(20000) if HP.pair(k)[0] & 3 != 3][:119]
-        for k in spread + crowd:
-            h1, h2 = HP.pair(k)
-            assert big.insert(k, h1, h2, None) is None
-        assert chain.should_contract()
+        # keys off major bucket 3 grow the chain to (16, 8); the big table
+        # keeps 119 of them, and the emptied newest one takes the crowd
+        spread = (k for k in range(20000) if HP.pair(k)[0] & 3 != 3)
+        while chain.lengths() != (16, 8):
+            add(chain, next(spread))
+        big, newest = chain.tables
+        for key in list(newest.stored_keys()):
+            clear(chain, key)
+        for key in chain.spill_k[:]:
+            remove(chain, key)
+        spread = sorted(big.stored_keys())[:119]
+        for key in sorted(big.stored_keys())[119:]:
+            clear(chain, key)
+        for key in crowd:
+            add(chain, key)
+        assert sorted(big.stored_keys()) == spread
+        assert sorted(newest.stored_keys()) == sorted(crowd)
+        assert chain.spill_k == () and chain.should_contract()
+        chain.check_invariants()
+        exhausted = level.kicks_exhausted
         event = chain.contract(big)
         assert event.rebuilt
         assert chain.lengths() == (8, 4, 4)
         assert not event.failed
+        # a walk ran out of kicks: its entry was retried, not escalated
+        assert level.kicks_exhausted > exhausted
         assert sorted(chain_keys(chain)) == sorted(spread + crowd)
 
     def test_stable_band_triggers_nothing(self):

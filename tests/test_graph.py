@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import json
@@ -5,6 +6,7 @@ import random
 import sys
 import types
 from array import array
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 
 from cuckoograph import CuckooGraph, GraphParams, OracleGraph, analytics, oracle
 from cuckoograph.chain import MAX_TABLES, TableChain
+from cuckoograph.cuckoo_table import KEYS, ROWS, WEIGHTS
 from cuckoograph.graph import Promoted
 from cuckoograph.workload import generate_synthetic, mixed_ops
 
@@ -774,6 +777,69 @@ class TestDeterminism:
         g.export_edges(path)
         lines = path.read_text().splitlines()
         assert sorted(lines) == ["1 2", "3 4"]
+
+
+class TestBulkMoves:
+    """A structural move places its entries exactly as entry-by-entry
+    ``CuckooTable.insert`` calls do, on twin tables with a twin ``Level``."""
+
+    @staticmethod
+    def _replay(keys, payloads, dests, quotas):
+        """The entry-by-entry move: each entry goes to the first destination
+        under its quota, a homeless one on to the next, then once more to
+        each destination with a free cell."""
+        pair = dests[0].level.hash.pair
+        limits = list(zip(dests, quotas)) + [(t, t.cap) for t in dests]
+        homeless_all = []
+        for entry in zip(keys, payloads or [None] * len(keys)):
+            homeless = entry
+            for t, limit in limits:
+                if t.count >= limit:
+                    continue
+                key = homeless[0]
+                h1, h2 = pair(key)
+                homeless = t.insert(key, h1, h2, homeless[1])
+                if homeless is None:
+                    break
+            if homeless is not None:
+                homeless_all.append(homeless)
+        return homeless_all
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_moves_place_as_entry_by_entry_inserts(self, weighted,
+                                                   monkeypatch):
+        # one-cell buckets and two kicks: moves walk and leave entries
+        # homeless, so escalations happen too
+        transfer = TableChain._transfer
+        walked, homeless_seen = Counter(), Counter()
+
+        def checked(chain, keys, payloads, dests, quotas):
+            twins = copy.deepcopy(dests)   # one twin Level, rng and hash
+            twin_level, level = twins[0].level, chain.level
+            evictions = level.evictions
+            homeless = transfer(chain, keys, payloads, dests, quotas)
+            assert homeless == self._replay(keys, payloads, twins, quotas)
+            for t, twin in zip(dests, twins):
+                assert (t.keys, t.fill, t.vals, t.count) == (
+                    twin.keys, twin.fill, twin.vals, twin.count)
+            assert level.snapshot() == twin_level.snapshot()
+            assert level.rng.getstate() == twin_level.rng.getstate()
+            walked[level.layout] += level.evictions > evictions
+            homeless_seen[level.layout] += bool(homeless)
+            return homeless
+
+        monkeypatch.setattr(TableChain, "_transfer", checked)
+        g = CuckooGraph(tiny_params(weighted=weighted))
+        edges = generate_synthetic("zipf", 300, 3000, 1)
+        for u, v in edges:
+            g.insert_edge(u, v)
+        for u, v in edges:
+            g.delete_edge(u, v)
+        assert g.stats().edges == 0
+        g.check_invariants()
+        layouts = {ROWS, WEIGHTS if weighted else KEYS}
+        assert set(walked) == layouts and all(walked.values())
+        assert set(+homeless_seen) == layouts
 
 
 # -- differential against the oracle ------------------------------------------
