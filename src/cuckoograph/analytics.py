@@ -8,7 +8,11 @@ and induce the graph on the top slice.
 The ranking reads degree counts only: one ``out_lists`` walk, with the
 in-degrees counted over the joined destination lists, and no successor
 set per node. The induced subgraph reads the successors of the kept
-nodes alone. Kernels that need the whole graph (SCC, PageRank,
+nodes alone. BFS reads one frontier at a time, level-synchronously
+(Beamer, Asanovic & Patterson, SC '12): one ``successor_lists`` call per
+level hashes the frontier's nodes as one batch and gives each node's
+destination list, which BFS sorts in place; every visited node is still
+one store lookup. Kernels that need the whole graph (SCC, PageRank,
 betweenness, clustering) take an ``adjacency_view`` snapshot.
 """
 
@@ -107,12 +111,14 @@ def bfs(graph, source) -> list:
     frontier = [source]
     while frontier:
         nxt = []
-        for x in frontier:
-            for y in sorted(graph.successors(x, ids=True)):
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-                    nxt.append(y)
+        for dests in graph.successor_lists(frontier, ids=True):
+            if dests:
+                dests.sort()
+                for y in dests:
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        order.extend(nxt)
         frontier = nxt
     return order
 

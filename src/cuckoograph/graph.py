@@ -58,11 +58,13 @@ must be below 2**64.
 A source's destinations are read in one place, ``_dests``: its inline
 slots, or its chain's entries (``TableChain.keys``/``entries``: the live
 cells, read on the C side, then the overflow list).
-``successors(u, ids)`` reads one source through it, and ``out_lists(ids)``
-walks the node chain once, feeding every row to it; iteration, the
-analytics snapshot and the audit read through ``out_lists``, so none
-re-probes a node it has walked past. With ``ids`` both give destination
-ids in weighted mode too, and build no ``(v, w)`` pair.
+``successors(u, ids)`` reads one source through it, ``successor_lists(nodes,
+ids)`` a batch of sources, hashed in one ``HashPair.pairs`` pass and then
+looked up one ``find`` each, and ``out_lists(ids)`` walks the node chain
+once, feeding every row to it; iteration, the analytics snapshot and the
+audit read through ``out_lists``, so none re-probes a node it has walked
+past. With ``ids`` all three give destination ids in weighted mode too,
+and build no ``(v, w)`` pair.
 """
 
 from __future__ import annotations
@@ -381,13 +383,29 @@ class CuckooGraph:
     def successors(self, u: int, ids=False):
         """All v with edge u->v, as a set: of (v, w) pairs in weighted mode
         unless ``ids``."""
-        uh = self._node_hash.pair(u)
-        slot = self._node_chain.find(u, uh[0], uh[1])
-        if slot is None:
+        row = self._find_row(u, *self._node_hash.pair(u))
+        if row is None:
             return set()
-        if slot[0] is None:
-            self._dl_hits += 1
-        return set(self._dests(u, slot[2][slot[3]], ids))
+        return set(self._dests(u, row, ids))
+
+    def successor_lists(self, nodes, ids=False):
+        """Iterate the destinations of each node of a sized sequence, in
+        order: a fresh list as ``out_lists`` gives it, or ``()`` for a node
+        that is no stored source.
+
+        The nodes are hashed as one batch (``HashPair.pairs``), then each
+        is one ``find`` on the node chain, as in ``successors``. A batch
+        holding an id outside ``[0, 2**64)``, which numpy cannot hash and no
+        stored source can be, is hashed key by key instead.
+        """
+        node_hash, find_row, dests = self._node_hash, self._find_row, self._dests
+        try:
+            hashes = node_hash.pairs(nodes)
+        except OverflowError:
+            hashes = zip(*map(node_hash.pair, nodes))
+        for u, h1, h2 in zip(nodes, *hashes):
+            row = find_row(u, h1, h2)
+            yield () if row is None else dests(u, row, ids)
 
     def out_lists(self, ids=False):
         """Iterate (u, destinations) once per stored source, in one walk.
@@ -606,6 +624,16 @@ class CuckooGraph:
         self._fill[record.row] = len(items)
         self._inline_edges += len(items)
         self._movements += len(items)
+
+    def _find_row(self, u, h1, h2):
+        """u's row, or None when u is no stored source; a hit in the node
+        chain's overflow list counts in ``dl_hits``."""
+        slot = self._node_chain.find(u, h1, h2)
+        if slot is None:
+            return None
+        if slot[0] is None:
+            self._dl_hits += 1
+        return slot[2][slot[3]]
 
     def _dests(self, u, row, ids=False):
         """The one reader of a source's destinations, as a fresh list.

@@ -13,8 +13,10 @@ event at both levels, with both overflow lists under their cap.
 ``HashPair.pairs`` runs the same finaliser over a whole batch of keys in
 one numpy ``uint64`` pass, bit for bit as ``pair`` does key by key (the
 array multiplies wrap modulo 2^64 as the masks do). A chain's structural
-move knows every key it moves in advance, so it hashes them as one batch,
-as vectorised hash joins do (Polychroniou, Raghavan & Ross, SIGMOD '15).
+move knows every key it moves in advance, and a BFS level every node of
+its frontier, so each hashes them as one batch, as vectorised hash joins
+do (Polychroniou, Raghavan & Ross, SIGMOD '15). An empty batch returns
+before numpy is touched.
 """
 
 import numpy as np
@@ -68,6 +70,9 @@ class HashPair:
     def pairs(self, keys) -> tuple[list[int], list[int]]:
         """Both hash lists of a batch of keys (a sequence of ints or an
         ``array('Q')``): element i of each is ``pair(keys[i])``'s."""
+        if not len(keys):
+            # a move or a frontier with no key pays no numpy set-up
+            return [], []
         x = np.array(keys, dtype=np.uint64)
         x ^= self._m
         x ^= x >> 30

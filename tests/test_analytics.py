@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -9,8 +10,13 @@ from cuckoograph.hashing import HashPair
 from cuckoograph.oracle import OracleGraph
 
 
-def build_pair(edges, weighted=False):
-    g = CuckooGraph(GraphParams(weighted=weighted, node_table_len=2))
+# one cell per bucket and one kick: with random_edges, some sources stay
+# in the node chain's overflow list after the build
+SPILLED = dict(cells_per_bucket=1, kick_budget=1, denylist_cap=16)
+
+
+def build_pair(edges, weighted=False, **params):
+    g = CuckooGraph(GraphParams(weighted=weighted, node_table_len=2, **params))
     ref = OracleGraph(weighted=weighted)
     for e in edges:
         g.insert_edge(*e)
@@ -29,28 +35,40 @@ def weighted_edges(seed):
 
 
 def count_reads(g, monkeypatch):
-    """Count g's successors calls, those of them that asked for ids, and
-    all key hashing; log every source read."""
-    calls = {"successors": 0, "ids": 0, "pair": 0}
+    """Count g's successors and successor_lists calls, those of them that
+    asked for ids, and all key hashing, by key; log every source read."""
+    calls = {"successors": 0, "successor_lists": 0, "ids": 0, "pair": 0}
     read = []
-    successors, dests, pair = g.successors, g._dests, HashPair.pair
+    successors, successor_lists = g.successors, g.successor_lists
+    dests, pair, pairs = g._dests, HashPair.pair, HashPair.pairs
 
     def counted_successors(u, ids=False):
         calls["successors"] += 1
         calls["ids"] += bool(ids)
         return successors(u, ids)
 
+    def counted_successor_lists(nodes, ids=False):
+        calls["successor_lists"] += 1
+        calls["ids"] += bool(ids)
+        return successor_lists(nodes, ids)
+
     def counted_pair(self, key):
         calls["pair"] += 1
         return pair(self, key)
+
+    def counted_pairs(self, keys):
+        calls["pair"] += len(keys)
+        return pairs(self, keys)
 
     def logged_dests(u, row, ids=False):
         read.append(u)
         return dests(u, row, ids)
 
     g.successors = counted_successors
+    g.successor_lists = counted_successor_lists
     g._dests = logged_dests
     monkeypatch.setattr(HashPair, "pair", counted_pair)
+    monkeypatch.setattr(HashPair, "pairs", counted_pairs)
     return calls, read
 
 
@@ -79,7 +97,8 @@ class TestSelection:
         g, _ = build_pair(random_edges(3) | {(0, v) for v in range(100, 140)})
         succ, read = count_reads(g, monkeypatch)
         analytics.select_top_degree(g, 5)
-        assert succ == {"successors": 0, "ids": 0, "pair": 0}
+        assert succ == {"successors": 0, "successor_lists": 0, "ids": 0,
+                        "pair": 0}
         assert sorted(read) == sorted(g.nodes())
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
@@ -88,7 +107,8 @@ class TestSelection:
         g, ref = build_pair(edges, weighted)
         succ, read = count_reads(g, monkeypatch)
         adj = analytics.adjacency_view(g)
-        assert succ == {"successors": 0, "ids": 0, "pair": 0}
+        assert succ == {"successors": 0, "successor_lists": 0, "ids": 0,
+                        "pair": 0}
         assert sorted(read) == sorted(g.nodes())
         want = {u: set() for e in edges for u in e[:2]}
         for u, v in edges:
@@ -176,8 +196,40 @@ class TestTasks:
             assert (analytics.triangle_count(weighted, src)
                     == analytics.triangle_count(plain, src))
         # the weighted walk read ids only: no (v, w) successor set
-        assert calls["successors"] > 0
-        assert calls["ids"] == calls["successors"]
+        assert calls["successors"] > 0 and calls["successor_lists"] > 0
+        assert calls["ids"] == calls["successors"] + calls["successor_lists"]
+
+    @pytest.mark.parametrize("params", [{}, SPILLED], ids=["tabled", "spilled"])
+    def test_bfs_reads_each_visited_source_once(self, params, monkeypatch):
+        # hub 0 keeps its destinations in a chain, the others inline
+        g, _ = build_pair(random_edges(6) | {(0, v) for v in range(100, 140)},
+                          **params)
+        sources = set(g.nodes())
+        calls, read = count_reads(g, monkeypatch)
+        order = analytics.bfs(g, 0)
+        # one batch per level, every visited node hashed once, and each
+        # visited stored source read once, in visit order
+        assert calls["successors"] == 0
+        assert calls["successor_lists"] == calls["ids"] >= 2
+        assert calls["pair"] == len(order)
+        assert read == [u for u in order if u in sources]
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_bfs_counts_what_successors_counts(self, weighted):
+        # twin graphs, one source spilled: a BFS charges the probes and
+        # overflow hits of one successors call per visited node
+        edges = weighted_edges(2) if weighted else random_edges(2)
+        (g, _), (twin, _) = (build_pair(edges, weighted, **SPILLED)
+                             for _ in range(2))
+        assert g._node_chain.spill_k
+        before = g.stats().counters
+        src = analytics.select_top_degree(g, 1)[0]
+        order = analytics.bfs(g, src)
+        for u in order:
+            twin.successors(u, ids=True)
+        counters = g.stats().counters
+        assert counters == twin.stats().counters
+        assert counters["dl_hits"] > before["dl_hits"]
 
     def test_sssp_chain_and_unreachable(self):
         g, _ = build_pair(PATH)
@@ -237,9 +289,21 @@ class TestTasks:
 @pytest.mark.parametrize("seed", range(5))
 class TestDifferential:
     def test_bfs(self, seed):
-        g, ref = build_pair(random_edges(seed))
-        for src in analytics.select_top_degree(g, 5):
-            assert analytics.bfs(g, src) == oracle.bfs(ref, src)
+        # plain and weighted, with and without sources in the node
+        # chain's overflow list
+        for weighted, params in itertools.product((False, True), ({}, SPILLED)):
+            edges = weighted_edges(seed) if weighted else random_edges(seed)
+            g, ref = build_pair(edges, weighted, **params)
+            if params:
+                assert g._node_chain.spill_k
+            for src in analytics.select_top_degree(g, 5):
+                assert analytics.bfs(g, src) == oracle.bfs(ref, src)
+
+    def test_bfs_from_a_source_that_is_no_stored_node(self, seed):
+        # a sink, an absent id and ids outside [0, 2**64) visit themselves
+        g, ref = build_pair(random_edges(seed) | {(0, 500)})
+        for src in (500, 10**6, -1, 1 << 64, 1 << 70):
+            assert analytics.bfs(g, src) == oracle.bfs(ref, src) == [src]
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     def test_top_degree(self, seed, weighted):

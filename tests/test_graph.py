@@ -211,6 +211,56 @@ class TestDenylists:
         assert g.stats().adj_dl_len == 0
 
 
+def _graph_with_a_spilled_source(weighted):
+    """Node 0 promoted, a source id at 2**63 and a crowd of inline sources,
+    one of them in the node chain's overflow list; the crowd's
+    destinations are sinks. Returns the graph and the spilled source."""
+    g = CuckooGraph(tiny_params(weighted=weighted))
+    for v in range(1, 11):
+        g.insert_edge(0, v, 1 + v % 3)
+    g.insert_edge(1 << 63, 3, 2)
+    for u in range(1, 1000):
+        g.insert_edge(u, 1000 + u, 1 + u % 3)
+        if g._node_chain.spill_k:
+            break
+    assert g.adjacency_lengths(0) is not None
+    g.check_invariants()
+    return g, g._node_chain.spill_k[0]
+
+
+class TestSuccessorLists:
+    @pytest.mark.parametrize("ids", [False, True], ids=["items", "ids"])
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["plain", "weighted"])
+    def test_matches_successors(self, weighted, ids):
+        g, spilled = _graph_with_a_spilled_source(weighted)
+        sources = set(g.nodes())
+        sinks = [1000 + u for u in range(1, 6)]
+        absent = [404, 10**6, (1 << 63) + 1, (1 << 64) - 1]
+        nodes = [spilled, 0, 1 << 63, *sinks, *absent, *sorted(sources)]
+        assert spilled in sources and not sources & {*sinks, *absent}
+        assert all(v - 1000 in sources for v in sinks)   # u -> 1000 + u
+        lists = list(g.successor_lists(nodes, ids=ids))
+        assert len(lists) == len(nodes)
+        for u, dests in zip(nodes, lists):
+            if u in sources:
+                assert type(dests) is list and len(set(dests)) == len(dests)
+            else:
+                assert dests == ()
+            assert set(dests) == g.successors(u, ids=ids), u
+
+    def test_ids_outside_the_id_range_read_empty(self):
+        # numpy cannot hash these; the batch reads them as successors does
+        g, spilled = _graph_with_a_spilled_source(False)
+        outside = [-1, 1 << 64, -(1 << 70), 1 << 70]
+        nodes = [spilled, *outside, 0]
+        lists = list(g.successor_lists(nodes, ids=True))
+        assert lists[1:-1] == [()] * len(outside)
+        for u, dests in zip(nodes, lists):
+            assert set(dests) == g.successors(u, ids=True), u
+        assert lists[0] and lists[-1]
+
+
 def _chained_node_5(weighted=False):
     """Node 5 with destinations 0-39, all in its adjacency chain."""
     g = CuckooGraph(GraphParams(weighted=weighted))

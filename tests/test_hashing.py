@@ -1,9 +1,11 @@
+import random
 from array import array
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cuckoograph import hashing
 from cuckoograph.hashing import MASK64, HashPair
 
 HASH_PAIRS = (HashPair(11, 22), HashPair(3, 4), HashPair(MASK64, 0))
@@ -31,6 +33,20 @@ def _bulk(hp, keys):
 class TestBulkHash:
     def test_empty_batch(self, hp):
         assert hp.pairs([]) == ([], [])
+        assert hp.pairs(array("Q")) == ([], [])
+
+    def test_empty_batch_skips_numpy(self, hp, monkeypatch):
+        monkeypatch.setattr(hashing, "np", None)
+        assert hp.pairs([]) == ([], [])
+
+    @pytest.mark.parametrize("n", [0, 1, 10_000])
+    def test_batch_sizes(self, hp, n):
+        # every other key, the first among them, at or above 2**63, the
+        # rest below it
+        rnd = random.Random(n)
+        keys = [rnd.getrandbits(63) | (i + 1) % 2 << 63 for i in range(n)]
+        assert sum(k >> 63 for k in keys) == (n + 1) // 2
+        assert _bulk(hp, keys) == _one_by_one(hp, keys)
 
     def test_extreme_keys(self, hp):
         keys = [0, MASK64, 1, MASK64 - 1, 1 << 63]
