@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 
@@ -11,36 +12,60 @@ import numpy as np
 DEGREE_SKEW = 1.2
 ID_SKEW = 1.05
 
+# a whole file read_edge_file parses in one pass, and a field the line loop
+# reads (a negative one then raises its own message)
+_PLAIN = re.compile(r"(?:[0-9]{1,20}[ \t][0-9]{1,20}\n)*")
+_FIELD = re.compile(r"-?[0-9]+")
+
 
 def read_edge_file(path):
-    """Parse whitespace-separated "u v" or "u v w" lines.
+    """Parse edge lines of two or three whitespace-separated fields, "u v"
+    or "u v w".
 
-    Lines starting with '#' or '%' are comments. Malformed lines, and
-    values outside ``[0, 2^64)``, raise with their line number.
+    A field is ASCII decimal digits, a value in ``[0, 2^64)``; a weight
+    ``w`` is at least 1. Blank lines, and lines starting with '#' or '%'
+    (comments), are skipped. Any other line raises ValueError with its
+    line number. A file whose every line is plain, "u v" of at most 20
+    digits each with one space or tab between and a newline after, is
+    parsed in one pass over its whole text; every other file, line by
+    line. Both give the same list.
     """
-    edges = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line[0] in "#%":
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields, "
-                                 f"got {len(parts)}")
-            try:
-                nums = [int(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer field in "
-                                 f"{line!r}") from None
-            if min(nums) < 0:
-                raise ValueError(f"{path}:{lineno}: negative value in {line!r}")
-            if max(nums) >> 64:
-                raise ValueError(f"{path}:{lineno}: value of 2**64 or more "
-                                 f"in {line!r}")
-            if len(nums) == 3 and nums[2] < 1:
-                raise ValueError(f"{path}:{lineno}: weight must be >= 1")
-            edges.append(tuple(nums))
+        text = fh.read()
+    if _PLAIN.fullmatch(text):
+        nums = list(map(int, text.split()))
+        if not max(nums, default=0) >> 64:
+            pairs = iter(nums)
+            return list(zip(pairs, pairs))
+    return _read_lines(path, text)
+
+
+def _read_lines(path, text):
+    """``read_edge_file`` line by line: the checks and their messages."""
+    edges = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line[0] in "#%":
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields, "
+                             f"got {len(parts)}")
+        try:
+            nums = [int(p) for p in parts if _FIELD.fullmatch(p)]
+        except ValueError:      # past int()'s limit on digits
+            nums = []
+        if len(nums) != len(parts):
+            raise ValueError(f"{path}:{lineno}: non-integer field in "
+                             f"{line!r}")
+        if "-" in line:         # "-0" too: no field takes a sign
+            raise ValueError(f"{path}:{lineno}: negative value in {line!r}")
+        if max(nums) >> 64:
+            raise ValueError(f"{path}:{lineno}: value of 2**64 or more "
+                             f"in {line!r}")
+        if len(nums) == 3 and nums[2] < 1:
+            raise ValueError(f"{path}:{lineno}: weight must be >= 1")
+        edges.append(tuple(nums))
     return edges
 
 

@@ -1,3 +1,4 @@
+import re
 import statistics
 
 import pytest
@@ -9,10 +10,17 @@ from cuckoograph.graph import GraphParams
 
 
 class TestIngest:
-    def test_parses_pairs(self, tmp_path):
+    @pytest.mark.parametrize("text, edges", [
+        pytest.param("1 2\n2 3\n", [(1, 2), (2, 3)], id="plain"),
+        pytest.param("1 2\n\n \n2 3\n\n", [(1, 2), (2, 3)], id="blank-lines"),
+        pytest.param("1 2\r\n2 3\r\n", [(1, 2), (2, 3)], id="crlf"),
+        pytest.param("1 2\n2 3", [(1, 2), (2, 3)], id="no-final-newline"),
+        pytest.param("", [], id="empty"),
+    ])
+    def test_parses_pairs(self, tmp_path, text, edges):
         p = tmp_path / "e.txt"
-        p.write_text("1 2\n2 3\n")
-        assert workload.read_edge_file(p) == [(1, 2), (2, 3)]
+        p.write_text(text, newline="")
+        assert workload.read_edge_file(p) == edges
 
     def test_comments_weights_and_dedup(self, tmp_path):
         p = tmp_path / "e.txt"
@@ -21,10 +29,23 @@ class TestIngest:
         assert edges == [(1, 2), (1, 2), (3, 4, 7)]
         assert workload.dedup_edges(edges) == [(1, 2), (3, 4, 7)]
 
-    def test_malformed_line_reports_lineno(self, tmp_path):
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("foo bar", "non-integer field", id="words"),
+        pytest.param("1_0 2", "non-integer field", id="underscore"),
+        pytest.param("+1 2", "non-integer field", id="plus-sign"),
+        pytest.param("\u0663 4", "non-integer field", id="arabic-indic-digit"),
+        pytest.param("1" * 5000 + " 2", "non-integer field",
+                     id="past-int-digit-limit"),
+        pytest.param("-1 2", "negative value", id="negative"),
+        pytest.param("-0 2", "negative value", id="minus-zero"),
+        pytest.param("1 2 0", "weight must be >= 1", id="weight-0"),
+        pytest.param("1 2 3 4", "expected 2 or 3 fields, got 4",
+                     id="four-fields"),
+    ])
+    def test_malformed_line_reports_lineno(self, tmp_path, line, message):
         p = tmp_path / "bad.txt"
-        p.write_text("1 2\nfoo bar\n")
-        with pytest.raises(ValueError, match=":2:"):
+        p.write_text(f"1 2\n{line}\n")
+        with pytest.raises(ValueError, match=f":2: {re.escape(message)}"):
             workload.read_edge_file(p)
         p.write_text("1\n")
         with pytest.raises(ValueError, match="fields"):
@@ -37,6 +58,35 @@ class TestIngest:
             workload.read_edge_file(p)
         p.write_text(f"0 {(1 << 64) - 1}\n")
         assert workload.read_edge_file(p) == [(0, (1 << 64) - 1)]
+
+    @pytest.mark.parametrize("line3", ["foo bar", "3 4"])
+    def test_first_bad_line_wins(self, tmp_path, line3):
+        # "foo bar" sends the file straight to the line loop; "3 4" keeps
+        # it plain, so the one-pass path sees the wide value first
+        p = tmp_path / "big.txt"
+        p.write_text(f"1 2\n{1 << 64} 1\n{line3}\n")
+        with pytest.raises(ValueError, match=":2:.*2\\*\\*64"):
+            workload.read_edge_file(p)
+
+    def test_one_pass_and_line_loop_read_the_same_list(self, tmp_path):
+        plain = tmp_path / "z.txt"
+        edges = workload.generate_synthetic("zipf", 300, 3000, 1, path=plain)
+        commented = tmp_path / "zc.txt"
+        commented.write_text(plain.read_text() + "# c\n")
+        assert workload.read_edge_file(plain) == edges
+        assert workload.read_edge_file(commented) == edges
+
+    def test_plain_file_never_reaches_the_line_loop(self, tmp_path,
+                                                    monkeypatch):
+        def loop(path, text):
+            raise AssertionError("line loop")
+        monkeypatch.setattr(workload, "_read_lines", loop)
+        p = tmp_path / "e.txt"
+        p.write_text("1 2\n3\t4\n")
+        assert workload.read_edge_file(p) == [(1, 2), (3, 4)]
+        p.write_text("1 2\n# c\n")
+        with pytest.raises(AssertionError, match="line loop"):
+            workload.read_edge_file(p)
 
 
 class TestGenerators:
