@@ -5,23 +5,26 @@ id, frontier neighbours expand in sorted order. Tasks that operate on a
 subgraph first rank nodes by total degree (out-degree plus in-degree)
 and induce the graph on the top slice.
 
-The ranking reads degree counts only: one ``out_lists`` walk, with the
-in-degrees counted over the joined destination lists, and no successor
-set per node. The induced subgraph reads the successors of the kept
-nodes alone. BFS reads one frontier at a time, level-synchronously
-(Beamer, Asanovic & Patterson, SC '12): one ``successor_lists`` call per
-level hashes the frontier's nodes as one batch and gives each node's
-destination list, which BFS sorts in place; every visited node is still
-one store lookup. Kernels that need the whole graph (SCC, PageRank,
-betweenness, clustering) take an ``adjacency_view`` snapshot.
+The ranking reads degree counts only, in one bulk read of the store:
+the in-degrees are one ``Counter`` over ``destinations`` (every stored
+destination id, read from the row columns and the chains' arrays), the
+out-degrees come from ``out_degrees`` (row fills and record counts), and
+no destination list or successor set is built per node. The induced
+subgraph reads the successors of the kept nodes alone. BFS reads one
+frontier at a time, level-synchronously (Beamer, Asanovic & Patterson,
+SC '12): one ``successor_lists`` call per level hashes the frontier's
+nodes as one batch and gives each node's destination list, which BFS
+sorts in place; every visited node is still one store lookup. Kernels
+that need the whole graph (SCC, PageRank, betweenness, clustering) take
+an ``adjacency_view`` snapshot.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
+import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 TASKS = ("bfs", "sssp", "tc", "cc", "pr", "bc", "lcc")
 SSSP_SOURCES = 10   # shortest-path runs, from the subgraph's top-degree nodes
@@ -55,19 +58,15 @@ def adjacency_view(graph):
 
 
 def total_degrees(graph) -> dict:
-    """Out-degree plus in-degree of every endpoint node.
+    """Out-degree plus in-degree of every endpoint node, as a ``Counter``.
 
-    One ``out_lists`` walk of ids: out-degrees are the list lengths,
-    in-degrees one ``Counter`` over the joined lists. No successor set and,
-    in weighted mode, no ``(v, w)`` pair is built.
+    One bulk read: ``out_degrees`` seeds the counts, and ``Counter.update``
+    adds one per id that ``destinations`` gives, on the C side. No
+    destination list, successor set or, in weighted mode, ``(v, w)`` pair
+    is built.
     """
-    deg = {}
-    lists = []
-    for u, dests in graph.out_lists(ids=True):
-        deg[u] = len(dests)
-        lists.append(dests)
-    for v, n in Counter(itertools.chain.from_iterable(lists)).items():
-        deg[v] = deg.get(v, 0) + n
+    deg = Counter(dict(graph.out_degrees()))
+    deg.update(graph.destinations())
     return deg
 
 
@@ -79,7 +78,9 @@ def select_top_degree(graph, k: int) -> list:
     deg = total_degrees(graph)
     if k > len(deg):
         raise ValueError(f"asked for {k} nodes, graph has only {len(deg)}")
-    return heapq.nsmallest(k, deg, key=lambda n: (-deg[n], n))
+    # (-degree, id) tuples compare in C, with no key function per node
+    return [u for _, u in heapq.nsmallest(
+        k, zip(map(operator.neg, deg.values()), deg))]
 
 
 def extract_subgraph(graph, nodes):
@@ -87,11 +88,14 @@ def extract_subgraph(graph, nodes):
 
     Reads the successors of the kept nodes only, in ascending id order,
     and inserts the destinations that are kept too, with their weights.
+    The store starts from the smallest node table and grows with its
+    nodes: a default-length one holds 1,536 bucket lists, each tracked by
+    the garbage collector, for a selection of tens of nodes.
     """
     from .graph import CuckooGraph
 
     keep = set(nodes)
-    sub = CuckooGraph(graph.params)
+    sub = CuckooGraph(replace(graph.params, node_table_len=2))
     weighted = graph.params.weighted
     for u in sorted(keep):
         if weighted:

@@ -65,6 +65,13 @@ once, feeding every row to it; iteration, the analytics snapshot and the
 audit read through ``out_lists``, so none re-probes a node it has walked
 past. With ``ids`` all three give destination ids in weighted mode too,
 and build no ``(v, w)`` pair.
+
+Two whole-store readers build no per-source list: ``out_degrees`` walks
+the node chain once for each source's fill or record count, and
+``destinations`` gives every stored destination id, the inline ones from
+one masked pass over ``_slots`` and then each promoted chain's keys. The
+degree ranking of the analytics reads through them, and the audit
+(``check_invariants``) checks both against ``_dests``.
 """
 
 from __future__ import annotations
@@ -72,11 +79,12 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .chain import MAX_TABLES, TableChain
-from .cuckoo_table import KEYS, ROWS, WEIGHTS, Level, is_pow2
+from .cuckoo_table import KEYS, ROWS, WEIGHTS, Level, _fill_masks, is_pow2
 from .hashing import HashPair, mix64
 from .workload import write_edge_file
 
@@ -417,6 +425,33 @@ class CuckooGraph:
         for u, row in self._node_chain.entries():
             yield u, dests(u, row, ids)
 
+    def out_degrees(self):
+        """Iterate (u, out-degree) once per stored source, in one walk.
+
+        A degree is the row's inline fill, or the count of a promoted
+        source's record; no destination is read.
+        """
+        fill, promoted = self._fill, self._promoted
+        for u, row in self._node_chain.entries():
+            yield u, fill[row] or promoted[u].count
+
+    def destinations(self):
+        """Iterate every stored destination id, once per edge.
+
+        The inline ids come from one ``compress`` over ``_slots`` with a
+        mask built from ``_fill``, so values a delete left past a row's
+        fill are never read; a weighted row's ``2n`` live values give
+        every other one. Each promoted chain's keys follow, its overflow
+        list with them.
+        """
+        masks = _fill_masks(SLOTS)[::self._width]
+        inline = itertools.compress(
+            self._slots, b"".join(map(masks.__getitem__, self._fill)))
+        if self._weighted:
+            inline = itertools.islice(inline, 0, None, 2)
+        return itertools.chain(
+            inline, _flatten(r.chain.keys() for r in self._promoted.values()))
+
     def nodes(self):
         """Iterate every stored source node."""
         return self._node_chain.keys()
@@ -508,6 +543,8 @@ class CuckooGraph:
         total_edges = 0
         inline_total = 0
         adj_chains = []
+        out_degrees = {}
+        in_degrees = Counter()
         for u, dests in self.out_lists():
             record = self._promoted.get(u)
             if record is None:
@@ -526,6 +563,13 @@ class CuckooGraph:
             assert len(ids) == len(dests), f"duplicate destination under node {u}"
             assert len(dests) == count, f"count drift for node {u}"
             total_edges += count
+            out_degrees[u] = count
+            in_degrees.update(ids)
+        # the whole-store readers agree with the per-source one, so no
+        # value a delete left past a row's fill is ever counted
+        assert dict(self.out_degrees()) == out_degrees, "out_degrees drift"
+        assert Counter(self.destinations()) == in_degrees, \
+            "destinations drift"
         _check_level(self.adj_level, adj_chains)
         assert total_edges == self._edge_total(), "edge count drift"
         assert inline_total == self._inline_edges, "inline count drift"

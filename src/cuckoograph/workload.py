@@ -51,15 +51,15 @@ def _read_lines(path, text):
         if len(parts) not in (2, 3):
             raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields, "
                              f"got {len(parts)}")
-        try:
-            nums = [int(p) for p in parts if _FIELD.fullmatch(p)]
-        except ValueError:      # past int()'s limit on digits
-            nums = []
-        if len(nums) != len(parts):
+        if not all(map(_FIELD.fullmatch, parts)):
             raise ValueError(f"{path}:{lineno}: non-integer field in "
                              f"{line!r}")
         if "-" in line:         # "-0" too: no field takes a sign
             raise ValueError(f"{path}:{lineno}: negative value in {line!r}")
+        # past its leading zeros, a field of more than 20 digits is 2**64
+        # or more; it never reaches int(), whose digit limit it may pass
+        digits = [p.lstrip("0") or "0" for p in parts]
+        nums = [int(d) if len(d) <= 20 else 1 << 64 for d in digits]
         if max(nums) >> 64:
             raise ValueError(f"{path}:{lineno}: value of 2**64 or more "
                              f"in {line!r}")

@@ -16,6 +16,8 @@ class TestIngest:
         pytest.param("1 2\r\n2 3\r\n", [(1, 2), (2, 3)], id="crlf"),
         pytest.param("1 2\n2 3", [(1, 2), (2, 3)], id="no-final-newline"),
         pytest.param("", [], id="empty"),
+        pytest.param("0" * 5000 + "1 2\n", [(1, 2)],
+                     id="leading-zeros-past-int-digit-limit"),
     ])
     def test_parses_pairs(self, tmp_path, text, edges):
         p = tmp_path / "e.txt"
@@ -34,8 +36,10 @@ class TestIngest:
         pytest.param("1_0 2", "non-integer field", id="underscore"),
         pytest.param("+1 2", "non-integer field", id="plus-sign"),
         pytest.param("\u0663 4", "non-integer field", id="arabic-indic-digit"),
-        pytest.param("1" * 5000 + " 2", "non-integer field",
+        pytest.param("1" * 5000 + " 2", "value of 2**64 or more",
                      id="past-int-digit-limit"),
+        pytest.param("-" + "1" * 5000 + " 2", "negative value",
+                     id="negative-past-int-digit-limit"),
         pytest.param("-1 2", "negative value", id="negative"),
         pytest.param("-0 2", "negative value", id="minus-zero"),
         pytest.param("1 2 0", "weight must be >= 1", id="weight-0"),

@@ -261,6 +261,65 @@ class TestSuccessorLists:
         assert lists[0] and lists[-1]
 
 
+def _graph_for_the_bulk_readers(weighted):
+    """Node 7's row filled to the inline capacity, then 12 and its last
+    destination deleted, which leaves stale values past the fill; node 0
+    promoted until its chain's overflow list holds an entry; a crowd of
+    inline sources until one sits in the node chain's overflow list.
+    Returns the graph, its edges as ``{u: [v, ...]}`` and node 7's last
+    deleted destination."""
+    g = CuckooGraph(tiny_params(weighted=weighted))
+    want = {}
+
+    def add(u, v):
+        # weight 1, which no destination id takes, so one delete removes
+        g.insert_edge(u, v, 1)
+        want.setdefault(u, []).append(v)
+
+    cap = g.params.inline_capacity
+    for v in range(11, 11 + cap):
+        add(7, v)
+    for v in (12, 10 + cap):
+        g.delete_edge(7, v)
+        want[7].remove(v)
+    v = 100
+    while 0 not in g._promoted or not g._promoted[0].chain.spill_k:
+        add(0, v)
+        v += 1
+    u = 1000
+    while not g._node_chain.spill_k:
+        add(u, 5000 + u)
+        u += 1
+    return g, want, 10 + cap
+
+
+class TestWholeStoreReaders:
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["plain", "weighted"])
+    def test_read_every_edge_once(self, weighted):
+        g, want, stale = _graph_for_the_bulk_readers(weighted)
+        width = 2 if weighted else 1
+        row = _row(g, 7)
+        fill = g._fill[row]
+        assert fill == g.params.inline_capacity - 2
+        assert stale in g._slots[row * 2 * MAX_TABLES + width * fill:
+                                 (row + 1) * 2 * MAX_TABLES]
+        assert g._promoted[0].chain.spill_k and g._node_chain.spill_k
+        assert sorted(g.destinations()) == sorted(
+            v for vs in want.values() for v in vs)
+        degrees = list(g.out_degrees())
+        assert len(degrees) == len(want)
+        assert dict(degrees) == {u: len(vs) for u, vs in want.items()}
+        g.check_invariants()
+
+    def test_empty_graph_reads_nothing(self):
+        g = CuckooGraph(tiny_params())
+        assert list(g.destinations()) == [] and list(g.out_degrees()) == []
+        g.insert_edge(1, 2)
+        g.delete_edge(1, 2)
+        assert list(g.destinations()) == [] and list(g.out_degrees()) == []
+
+
 def _chained_node_5(weighted=False):
     """Node 5 with destinations 0-39, all in its adjacency chain."""
     g = CuckooGraph(GraphParams(weighted=weighted))
@@ -1016,6 +1075,7 @@ class GraphMachine(RuleBasedStateMachine):
             assert g.successors(u) == ref.successors(u), u
         assert set(g.iter_edges()) == ref.edge_set()
         assert analytics.adjacency_view(g) == oracle._plain_adj(ref)
+        assert analytics.total_degrees(g) == oracle.total_degrees(ref)
         g.check_invariants()
 
 
