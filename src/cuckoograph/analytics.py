@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 TASKS = ("bfs", "sssp", "tc", "cc", "pr", "bc", "lcc")
 SSSP_SOURCES = 10   # shortest-path runs, from the subgraph's top-degree nodes
+DAMPING = 0.85      # PageRank's damping factor
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def bfs(graph, source) -> list:
     frontier = [source]
     while frontier:
         nxt = []
-        for dests in graph.successor_lists(frontier, ids=True):
+        for dests in graph.successor_lists(frontier):
             if dests:
                 dests.sort()
                 for y in dests:
@@ -148,20 +149,13 @@ def sssp_dijkstra(graph, source) -> dict:
     return dist
 
 
-def triangle_count(graph, node, count_paths: bool = False) -> int:
+def triangle_count(graph, node) -> int:
     """Closing queries from the node's 2-hop successors back to the node.
 
-    With ``count_paths`` every 2-hop witness path is queried separately,
-    so closers reachable through several mid nodes count once per path.
+    Each 2-hop successor is queried once, however many mid nodes reach it.
     """
     firsts = graph.successors(node, ids=True)
     count = 0
-    if count_paths:
-        for mid in firsts:
-            for s in graph.successors(mid, ids=True):
-                if _edge_present(graph, s, node):
-                    count += 1
-        return count
     two_hop = set()
     for mid in firsts:
         two_hop |= graph.successors(mid, ids=True)
@@ -226,22 +220,23 @@ def scc_tarjan(graph) -> list:
     return comps
 
 
-def pagerank(graph, iterations: int = 100, damping: float = 0.85) -> dict:
-    """Power iteration with uniform teleport; dangling mass spreads evenly."""
+def pagerank(graph, iterations: int = 100) -> dict:
+    """Power iteration with damping ``DAMPING`` and uniform teleport;
+    dangling mass spreads evenly."""
     adj = adjacency_view(graph)
     nodes = sorted(adj)
     n = len(nodes)
     if n == 0:
         return {}
     rank = {node: 1.0 / n for node in nodes}
-    teleport = (1.0 - damping) / n
+    teleport = (1.0 - DAMPING) / n
     for _ in range(iterations):
         dangling = sum(rank[u] for u in nodes if not adj[u]) / n
-        nxt = {node: teleport + damping * dangling for node in nodes}
+        nxt = {node: teleport + DAMPING * dangling for node in nodes}
         for u in nodes:
             out = adj[u]
             if out:
-                share = damping * rank[u] / len(out)
+                share = DAMPING * rank[u] / len(out)
                 for v in out:
                     nxt[v] += share
         rank = nxt
@@ -254,20 +249,17 @@ def betweenness_brandes(graph) -> dict:
     nodes = sorted(adj)
     bc = {node: 0.0 for node in nodes}
     for s in nodes:
-        order = []
         preds = {node: [] for node in nodes}
         sigma = {node: 0.0 for node in nodes}
         dist = {node: -1 for node in nodes}
         sigma[s] = 1.0
         dist[s] = 0
-        queue = [s]
-        while queue:
-            x = queue.pop(0)
-            order.append(x)
+        order = [s]     # the BFS queue: iterating it visits what it appends
+        for x in order:
             for y in sorted(adj[x]):
                 if dist[y] < 0:
                     dist[y] = dist[x] + 1
-                    queue.append(y)
+                    order.append(y)
                 if dist[y] == dist[x] + 1:
                     sigma[y] += sigma[x]
                     preds[y].append(x)

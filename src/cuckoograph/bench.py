@@ -9,13 +9,16 @@ Phases are given as compact strings:
     task:NAME[:TOP_K]         one analytics task (bfs sssp tc cc pr bc lcc)
 
 The CSV has one summary row per phase. Timed loops do nothing per
-operation beyond the graph call; the structure-accounted bytes are read
-once, after each phase.
+operation beyond the graph call: a phase's op list (the mixed ops, the
+shuffled delete order) is built before its clock starts, and a task's
+digest is taken after it stops. The graph's stats are read once per phase
+boundary, which gives the structure-accounted bytes after each phase.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import random
 import time
 from dataclasses import dataclass, field
@@ -23,7 +26,6 @@ from dataclasses import dataclass, field
 from . import analytics
 from .analytics import TaskSpec
 from .graph import CuckooGraph, GraphParams
-from .hashing import mix64
 from .workload import check_ratios, dedup_edges, mixed_ops, read_edge_file
 
 CSV_COLUMNS = ("phase", "ops", "elapsed_ns", "mops", "bytes",
@@ -125,10 +127,8 @@ def _digest(value) -> str:
         if isinstance(x, float):
             return round(x, 12)
         return x
-    acc = 0xCBF29CE484222325
-    for b in repr(canon(value)).encode():
-        acc = mix64(acc ^ b)
-    return format(acc, "016x")
+    return hashlib.blake2b(repr(canon(value)).encode(),
+                           digest_size=8).hexdigest()
 
 
 def run(workload: Workload) -> Report:
@@ -141,11 +141,18 @@ def run(workload: Workload) -> Report:
     graph = CuckooGraph(workload.params)
     phases = []
     universe = 1 + max((max(e[0], e[1]) for e in edges), default=1 << 16)
+    before = _counter_totals(graph.stats())
     for i, spec in enumerate(workload.phases):
         parsed = _parse_phase(spec, workload)
         name = f"{i}:{spec}"
-        before = _counter_totals(graph)
         ops = len(edges)
+        order = edges
+        if parsed[0] == "delete" and workload.delete_order == "random":
+            order = list(edges)
+            random.Random(workload.seed).shuffle(order)
+        elif parsed[0] == "mixed":
+            _, ratios, ops = parsed
+            order = list(mixed_ops(ops, ratios, universe, workload.seed))
         start = time.perf_counter_ns()
         if parsed[0] == "insert":
             for e in edges:
@@ -154,15 +161,10 @@ def run(workload: Workload) -> Report:
             for e in edges:
                 graph.query_edge(e[0], e[1])
         elif parsed[0] == "delete":
-            order = edges
-            if workload.delete_order == "random":
-                order = list(edges)
-                random.Random(workload.seed).shuffle(order)
             for e in order:
                 graph.delete_edge(e[0], e[1])
         elif parsed[0] == "mixed":
-            _, ratios, ops = parsed
-            for op, u, v in mixed_ops(ops, ratios, universe, workload.seed):
+            for op, u, v in order:
                 if op == "i":
                     graph.insert_edge(u, v)
                 elif op == "q":
@@ -171,11 +173,12 @@ def run(workload: Workload) -> Report:
                     graph.delete_edge(u, v)
         else:
             result = analytics.run_task(graph, parsed[1])
+        elapsed = max(1, time.perf_counter_ns() - start)
+        if parsed[0] == "task":
             ops = _task_units(result)
             name = f"{name}@{_digest(result)}"
-        elapsed = max(1, time.perf_counter_ns() - start)
-        after = _counter_totals(graph)
         stats = graph.stats()
+        after = _counter_totals(stats)
         phases.append(PhaseResult(
             phase=name,
             ops=ops,
@@ -187,11 +190,12 @@ def run(workload: Workload) -> Report:
             dl_hits=after["dl_hits"] - before["dl_hits"],
             movements=after["movements"] - before["movements"],
         ))
+        before = after
     return Report(tuple(phases))
 
 
-def _counter_totals(graph):
-    c = graph.stats().counters
+def _counter_totals(stats):
+    c = stats.counters
     return {
         "placements": c["node"]["placements"] + c["adj"]["placements"],
         "evictions": c["node"]["evictions"] + c["adj"]["evictions"],

@@ -58,13 +58,14 @@ must be below 2**64.
 A source's destinations are read in one place, ``_dests``: its inline
 slots, or its chain's entries (``TableChain.keys``/``entries``: the live
 cells, read on the C side, then the overflow list).
-``successors(u, ids)`` reads one source through it, ``successor_lists(nodes,
-ids)`` a batch of sources, hashed in one ``HashPair.pairs`` pass and then
-looked up one ``find`` each, and ``out_lists(ids)`` walks the node chain
-once, feeding every row to it; iteration, the analytics snapshot and the
-audit read through ``out_lists``, so none re-probes a node it has walked
-past. With ``ids`` all three give destination ids in weighted mode too,
-and build no ``(v, w)`` pair.
+``successors(u, ids)`` reads one source through it,
+``successor_lists(nodes)`` the destination ids of a batch of sources,
+hashed in one ``HashPair.pairs`` pass and then looked up one ``find``
+each, and ``out_lists(ids)`` walks the node chain once, feeding every row
+to it; iteration, the analytics snapshot and the audit read through
+``out_lists``, so none re-probes a node it has walked past. With ``ids``
+the other two give destination ids in weighted mode too, and build no
+``(v, w)`` pair.
 
 Two whole-store readers build no per-source list: ``out_degrees`` walks
 the node chain once for each source's fill or record count, and
@@ -396,10 +397,10 @@ class CuckooGraph:
             return set()
         return set(self._dests(u, row, ids))
 
-    def successor_lists(self, nodes, ids=False):
-        """Iterate the destinations of each node of a sized sequence, in
-        order: a fresh list as ``out_lists`` gives it, or ``()`` for a node
-        that is no stored source.
+    def successor_lists(self, nodes):
+        """Iterate the destination ids of each node of a sized sequence, in
+        order: a fresh list of ids, weighted mode included, or ``()`` for a
+        node that is no stored source.
 
         The nodes are hashed as one batch (``HashPair.pairs``), then each
         is one ``find`` on the node chain, as in ``successors``. A batch
@@ -413,7 +414,7 @@ class CuckooGraph:
             hashes = zip(*map(node_hash.pair, nodes))
         for u, h1, h2 in zip(nodes, *hashes):
             row = find_row(u, h1, h2)
-            yield () if row is None else dests(u, row, ids)
+            yield () if row is None else dests(u, row, True)
 
     def out_lists(self, ids=False):
         """Iterate (u, destinations) once per stored source, in one walk.

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 MAX_ORACLE_NODES = 2000
+DAMPING = 0.85
 
 
 class OracleGraph:
@@ -176,14 +177,11 @@ def sssp(g: OracleGraph, source) -> dict:
                 dist[v] = nd
 
 
-def triangles(g: OracleGraph, node, count_paths: bool = False) -> int:
-    """Closing edges from the node's 2-hop successors back to the node."""
+def triangles(g: OracleGraph, node) -> int:
+    """Closing edges from the node's distinct 2-hop successors back to the node."""
     adj = _plain_adj(g)
     _check_size(adj)
     firsts = adj.get(node, set())
-    if count_paths:
-        return sum(1 for mid in firsts for s in adj.get(mid, ())
-                   if node in adj.get(s, ()))
     two_hop = set()
     for mid in firsts:
         two_hop |= adj.get(mid, set())
@@ -236,7 +234,8 @@ def scc_kosaraju(g: OracleGraph) -> list:
     return comps
 
 
-def pagerank(g: OracleGraph, iterations: int = 100, damping: float = 0.85) -> dict:
+def pagerank(g: OracleGraph, iterations: int = 100) -> dict:
+    """Dense power iteration with damping ``DAMPING``."""
     adj = _plain_adj(g)
     _check_size(adj)
     nodes = sorted(adj)
@@ -253,9 +252,9 @@ def pagerank(g: OracleGraph, iterations: int = 100, damping: float = 0.85) -> di
         else:
             mat[:, idx[u]] = 1.0 / n
     rank = np.full(n, 1.0 / n)
-    teleport = (1.0 - damping) / n
+    teleport = (1.0 - DAMPING) / n
     for _ in range(iterations):
-        rank = teleport + damping * (mat @ rank)
+        rank = teleport + DAMPING * (mat @ rank)
     return {node: float(rank[idx[node]]) for node in nodes}
 
 

@@ -14,7 +14,7 @@ ID_SKEW = 1.05
 
 # a whole file read_edge_file parses in one pass, and a field the line loop
 # reads (a negative one then raises its own message)
-_PLAIN = re.compile(r"(?:[0-9]{1,20}[ \t][0-9]{1,20}\n)*")
+_PLAIN = re.compile(r"(?:[0-9]{1,20}[ \t][0-9]{1,20}\n)*+")
 _FIELD = re.compile(r"-?[0-9]+")
 
 

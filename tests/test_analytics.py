@@ -35,8 +35,8 @@ def weighted_edges(seed):
 
 
 def count_reads(g, monkeypatch):
-    """Count g's successors and successor_lists calls, those of them that
-    asked for ids, and all key hashing, by key; log every source read."""
+    """Count g's successors and successor_lists calls, the successors calls
+    that asked for ids, and all key hashing, by key; log every source read."""
     calls = {"successors": 0, "successor_lists": 0, "ids": 0, "pair": 0}
     read = []
     successors, successor_lists = g.successors, g.successor_lists
@@ -47,10 +47,9 @@ def count_reads(g, monkeypatch):
         calls["ids"] += bool(ids)
         return successors(u, ids)
 
-    def counted_successor_lists(nodes, ids=False):
+    def counted_successor_lists(nodes):
         calls["successor_lists"] += 1
-        calls["ids"] += bool(ids)
-        return successor_lists(nodes, ids)
+        return successor_lists(nodes)
 
     def counted_pair(self, key):
         calls["pair"] += 1
@@ -199,7 +198,7 @@ class TestTasks:
                     == analytics.triangle_count(plain, src))
         # the weighted walk read ids only: no (v, w) successor set
         assert calls["successors"] > 0 and calls["successor_lists"] > 0
-        assert calls["ids"] == calls["successors"] + calls["successor_lists"]
+        assert calls["ids"] == calls["successors"]
 
     @pytest.mark.parametrize("params", [{}, SPILLED], ids=["tabled", "spilled"])
     def test_bfs_reads_each_visited_source_once(self, params, monkeypatch):
@@ -212,7 +211,7 @@ class TestTasks:
         # one batch per level, every visited node hashed once, and each
         # visited stored source read once, in visit order
         assert calls["successors"] == 0
-        assert calls["successor_lists"] == calls["ids"] >= 2
+        assert calls["successor_lists"] >= 2
         assert calls["pair"] == len(order)
         assert read == [u for u in order if u in sources]
 
@@ -252,8 +251,8 @@ class TestTasks:
 
     def test_triangle_path_variant(self):
         g, ref = build_pair([(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)])
+        # two mid nodes reach the closer 3: it counts once
         assert analytics.triangle_count(g, 0) == oracle.triangles(ref, 0) == 1
-        assert analytics.triangle_count(g, 0, count_paths=True) == 2
 
     def test_scc_fixtures(self):
         g, _ = build_pair(THREE_CYCLE)
@@ -334,8 +333,6 @@ class TestDifferential:
         g, ref = build_pair(random_edges(seed))
         for node in analytics.select_top_degree(g, 10):
             assert analytics.triangle_count(g, node) == oracle.triangles(ref, node)
-            assert (analytics.triangle_count(g, node, count_paths=True)
-                    == oracle.triangles(ref, node, count_paths=True))
 
     def test_scc(self, seed):
         g, ref = build_pair(random_edges(seed))

@@ -1,5 +1,7 @@
 import re
 import statistics
+import time
+import tracemalloc
 
 import pytest
 
@@ -91,6 +93,17 @@ class TestIngest:
         p.write_text("1 2\n# c\n")
         with pytest.raises(AssertionError, match="line loop"):
             workload.read_edge_file(p)
+
+    def test_plain_check_keeps_no_backtrack_stack(self):
+        # a greedy repeat keeps a backtrack point per line, about 4 MB here
+        text = "".join(f"{i} {i * 7 % 1000}\n" for i in range(20_000))
+        tracemalloc.start()
+        try:
+            assert workload._PLAIN.fullmatch(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGenerators:
@@ -191,6 +204,57 @@ class TestRun:
         assert r1.phases[1].phase == r2.phases[1].phase
         assert "@" in r1.phases[1].phase
         assert r1.phases[1].ops == 5
+
+    def test_task_digest_is_off_the_clock(self, tmp_path, monkeypatch):
+        path, _ = self.make_dataset(tmp_path)
+        digest = bench._digest
+
+        def slow_digest(value):
+            time.sleep(0.2)
+            return digest(value)
+        monkeypatch.setattr(bench, "_digest", slow_digest)
+        report = run(Workload(dataset=str(path), phases=("insert", "task:bfs:5")))
+        task = report.phases[1]
+        assert re.fullmatch(r"1:task:bfs:5@[0-9a-f]{16}", task.phase)
+        assert task.elapsed_ns < 0.2e9
+
+    def test_mixed_ops_are_built_off_the_clock(self, tmp_path, monkeypatch):
+        path, _ = self.make_dataset(tmp_path)
+        mixed_ops = bench.mixed_ops
+
+        def slow_ops(*args):
+            ops = list(mixed_ops(*args))
+            time.sleep(0.2)
+            yield from ops
+        monkeypatch.setattr(bench, "mixed_ops", slow_ops)
+        report = run(Workload(dataset=str(path),
+                              phases=("mixed:0.6,0.3,0.1:500",), seed=3))
+        (mixed,) = report.phases
+        assert mixed.ops == 500
+        assert mixed.elapsed_ns < 0.2e9
+
+    def test_random_delete_order_empties_the_graph(self, tmp_path):
+        path, edges = self.make_dataset(tmp_path)
+        params = GraphParams(node_table_len=2)
+        report = run(Workload(dataset=str(path), params=params, seed=5,
+                              phases=("insert", "delete"),
+                              delete_order="random"))
+        delete = report.phases[1]
+        assert delete.ops == len(edges)
+        assert delete.bytes == bench.CuckooGraph(params).stats().bytes_total
+
+    def test_same_seed_gives_the_same_report(self, tmp_path):
+        path, _ = self.make_dataset(tmp_path)
+        wl = Workload(dataset=str(path), seed=7, delete_order="random",
+                      phases=("insert", "mixed:0.6,0.3,0.1:500", "task:pr:6",
+                              "delete"))
+        r1, r2 = run(wl), run(wl)
+
+        def untimed(report):
+            return [(p.phase, p.ops, p.bytes, p.placements, p.evictions,
+                     p.dl_hits, p.movements) for p in report.phases]
+        assert untimed(r1) == untimed(r2)
+        assert "@" in r1.phases[2].phase
 
     def test_csv_round_trip(self, tmp_path):
         path, _ = self.make_dataset(tmp_path)

@@ -61,17 +61,15 @@ class TestBruteAnalytics:
     def test_triangle_in_cycle(self):
         g = build(THREE_CYCLE)
         assert oracle.triangles(g, 1) == 1
-        assert oracle.triangles(g, 1, count_paths=True) == 1
 
     def test_triangle_star_center(self):
         g = build([(0, i) for i in range(1, 5)])
         assert oracle.triangles(g, 0) == 0
 
     def test_triangle_path_multiplicity(self):
-        # two mid nodes reach the same closer: one distinct edge, two paths
+        # two mid nodes reach the same closer: it counts once
         g = build([(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)])
         assert oracle.triangles(g, 0) == 1
-        assert oracle.triangles(g, 0, count_paths=True) == 2
 
     def test_scc_cycle_and_dag(self):
         assert oracle.scc_kosaraju(build(THREE_CYCLE)) == [[1, 2, 3]]
