@@ -15,6 +15,13 @@ enable a fresh one; even steps just enable another table. Total capacity
 grows by 3/2 on merge steps and 4/3 on enable steps. New entries always
 go to the newest table.
 
+A chain's ``count`` is the number of keys in its tables and its overflow
+list. ``insert`` adds one, since a homeless key it returns stays the
+chain's (the caller keeps it with ``spill``); ``remove`` takes one away;
+moves, drains and forced growth leave it be. Every trigger reads the
+tables' load, ``count - len(spill_k)``, against the cells of the chain's
+schedule row, which one function gives (``row_cells``).
+
 Contraction runs when a deletion drops the whole chain's load rate below
 the floor threshold (``contract_at``). It is sized by entry count, not by
 the current table lengths: the chain moves to the smallest schedule row
@@ -72,13 +79,15 @@ chains never spill, so a chain allocates its lists on its first spill.
 A chain knows where its keys are. ``find`` probes at most two buckets
 per table, oldest table first, and scans the overflow list only after
 every table missed, as a cuckoo table checks its stash last (Kirsch,
-Mitzenmacher & Wieder, ESA '08). ``remove`` frees what ``find`` located
+Mitzenmacher & Wieder, ESA '08); a hit there counts in the level's
+``list_hits``. ``remove`` frees what ``find`` located
 and contracts the chain when a freed cell left it under its floor.
 ``keys`` and ``entries`` read the tables first, then the list.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -112,6 +121,13 @@ def _materialized(step: int, base_len: int) -> tuple[int, ...]:
     return tuple(max(MIN_TABLE_LEN, ln) for ln in lengths_for_step(step, base_len))
 
 
+@functools.cache
+def row_cells(step: int, base_len: int, d: int) -> int:
+    """Cells of schedule row ``step``: a table of length n has n major and
+    n / 2 minor buckets of ``d`` cells each."""
+    return sum(ln + ln // 2 for ln in _materialized(step, base_len)) * d
+
+
 @dataclass
 class ChainEvent:
     """Outcome of one structural change."""
@@ -131,15 +147,18 @@ class TableChain:
     counters also count the chain's moves and overflow entries. ``owner``
     names the node an adjacency chain belongs to (None for the node
     chain); the chain itself never reads it, it labels the level in
-    traces. Structural moves never hand an entry out of the chain.
+    traces. Structural moves never hand an entry out of the chain, so
+    they leave its ``count`` (see the module docstring) as it is.
     """
 
-    __slots__ = ("level", "step", "tables", "owner", "spill_k", "spill_v")
+    __slots__ = ("level", "step", "tables", "owner", "spill_k", "spill_v",
+                 "count")
 
     def __init__(self, level, owner=None):
         self.level = level
         self.owner = owner
         self.step = 0
+        self.count = 0
         self.tables = [CuckooTable(max(MIN_TABLE_LEN, level.base_len), level)]
         # empty until the first spill; spill_v stays None without payloads
         self.spill_k = ()
@@ -150,14 +169,11 @@ class TableChain:
     def lengths(self) -> tuple[int, ...]:
         return tuple(t.len_major for t in self.tables)
 
-    def entry_count(self) -> int:
-        return sum(t.count for t in self.tables)
-
     def capacity(self) -> int:
-        return sum(t.cap for t in self.tables)
+        return row_cells(self.step, self.level.base_len, self.level.d)
 
     def load_rate(self) -> float:
-        return self.entry_count() / self.capacity()
+        return (self.count - len(self.spill_k)) / self.capacity()
 
     def at_floor(self) -> bool:
         # the audit pins the tables to the step's row, so row 0 is the floor
@@ -167,17 +183,9 @@ class TableChain:
 
     def should_contract(self) -> bool:
         """True when the whole chain's load rate fell strictly below the floor threshold."""
-        if self.at_floor():
-            return False
-        # one pass over the tables: this runs on every adjacency delete, and
-        # entry_count() < contract_at * capacity() lost delete_mops in 10 of
-        # 10 perfbench pairs (zipf-lifecycle -9.4%, zipf-steady-mix -7.9%;
-        # 2-core x86_64, Python 3.11)
-        n = cap = 0
-        for t in self.tables:
-            n += t.count
-            cap += t.cap
-        return n < self.level.contract_at * cap
+        level = self.level
+        return self.step > 0 and self.count - len(self.spill_k) < (
+            level.contract_at * row_cells(self.step, level.base_len, level.d))
 
     # -- lookup and removal ------------------------------------------------
 
@@ -186,8 +194,8 @@ class TableChain:
 
         Probes at most two buckets per table, oldest table first, and
         charges every probe to the level's ``bucket_probes``; only when
-        all tables missed is the overflow list scanned, uncharged. A table
-        hit comes back as ``(table, keys, payloads, index)`` (see
+        all tables missed is the overflow list scanned, uncharged (a hit
+        there counts in the level's ``list_hits``). A table hit comes back as ``(table, keys, payloads, index)`` (see
         ``cuckoo_table``), an overflow hit as ``(None, spill_k, spill_v,
         i)``. All tables of a level share a layout, so the branch on it is
         taken once per call.
@@ -234,18 +242,21 @@ class TableChain:
         self.level.bucket_probes += probes
         keys = self.spill_k
         if key in keys:
+            self.level.list_hits += 1
             return None, keys, self.spill_v, keys.index(key)
         return None
 
     def remove(self, slot):
         """Free a slot ``find`` returned: a table cell, or an overflow
-        entry (the rest of the list keeps its order).
+        entry (the rest of the list keeps its order); the chain's count
+        loses one.
 
         A freed table cell that leaves the chain under its floor threshold
         contracts the chain (see ``contract``); the contraction's event is
         returned, else None.
         """
         table, keys, payloads, i = slot
+        self.count -= 1
         if table is None:
             keys.pop(i)
             if payloads is not None:
@@ -277,12 +288,13 @@ class TableChain:
         """Insert into the newest table, growing first if it is at threshold.
 
         Returns the homeless ``(key, payload)`` when the kick budget ran
-        out, else None.
+        out, else None; the chain counts it either way.
         """
         t = self.tables[-1]
         if t.count >= self.level.expand_at * t.cap:
             self.advance()
             t = self.tables[-1]
+        self.count += 1
         return t.insert(key, h1, h2, payload)
 
     def advance(self) -> ChainEvent:
@@ -298,9 +310,8 @@ class TableChain:
         if step == 1 or step % 2 == 0:
             event = self._move("enabled", step, self.tables)
         else:
-            # equal cells per unit of length, so lengths compare capacities
-            if sum(_materialized(step, self.level.base_len)) <= sum(
-                    self.lengths()):
+            level = self.level
+            if row_cells(step, level.base_len, level.d) <= self.capacity():
                 step += 1
             event = self._move("merged", step, ())
         if self.spill_k:
@@ -320,7 +331,7 @@ class TableChain:
         """
         if self.at_floor():
             return None
-        step = self._row_for(self.entry_count())
+        step = self._row_for(self.count - len(self.spill_k))
         target = _materialized(step, self.level.base_len)
         if target == self.lengths():
             return None
@@ -366,6 +377,8 @@ class TableChain:
         for t in self.tables:
             t.check_invariants()
         keys, vals = self.spill_k, self.spill_v
+        assert self.count == sum(t.count for t in self.tables) + len(keys), \
+            "chain count drift"
         assert (vals is None) == (self.tables[0].vals is None), \
             "overflow payloads do not match the tables"
         assert vals is None or len(vals) == len(keys), "overflow payloads not parallel"
@@ -411,11 +424,9 @@ class TableChain:
 
     def _row_for(self, n: int) -> int:
         """Smallest schedule step whose tables hold n entries at the grow threshold."""
-        t = self.tables[0]
-        cells_per_len = t.cap / t.len_major
+        level = self.level
         step = 0
-        while n > self.level.expand_at * cells_per_len * sum(
-                _materialized(step, self.level.base_len)):
+        while n > level.expand_at * row_cells(step, level.base_len, level.d):
             step += 1
         return step
 
@@ -450,9 +461,12 @@ class TableChain:
                 quotas = [math.ceil(level.expand_at * t.cap) for t in dests]
                 quotas[-1] = dests[-1].cap
             else:
+                # a contraction's equal load shares, ceil(n * cap / the
+                # row's cells) per table; enabling a table moves nothing
                 dests = tables
-                quotas = _shares(len(keys) + sum(t.count for t in keep),
-                                 tables)
+                n = self.count - len(self.spill_k)
+                cells = row_cells(step, level.base_len, level.d)
+                quotas = [-(-n * t.cap // cells) for t in tables]
             homeless = self._transfer(keys, payloads, dests, quotas)
             moved += len(keys)
             if not homeless:
@@ -522,8 +536,3 @@ def _columns(tables, with_payloads, homeless=()):
     payloads += [payload for _, payload in homeless]
     return keys, payloads
 
-
-def _shares(n, tables):
-    """Equal load shares: ``ceil(n * cap / total capacity)`` per table."""
-    cap = sum(t.cap for t in tables)
-    return [-(-n * t.cap // cap) for t in tables]

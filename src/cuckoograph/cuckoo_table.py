@@ -98,15 +98,16 @@ class Level:
     attempt of a merge or contraction, and every overflow entry a grow
     drained into a table. ``move_failures`` counts the entries that made a
     move discard a try and redo it. ``overflow`` is the number of entries in
-    all the level's overflow lists.
+    all the level's overflow lists. ``list_hits``, outside ``COUNTERS``,
+    counts the lookups those lists answered (``TableChain.find``).
     """
 
     COUNTERS = ("insert_events", "placements", "evictions", "bucket_probes",
                 "entries", "capacity_cells", "tables", "move_failures",
                 "moved", "overflow", "kicks_1", "kicks_2_3", "kicks_4_15",
                 "kicks_16_up", "kicks_exhausted")
-    __slots__ = COUNTERS + ("d", "max_kicks", "hash", "rng", "layout",
-                            "base_len", "expand_at", "contract_at",
+    __slots__ = COUNTERS + ("list_hits", "d", "max_kicks", "hash", "rng",
+                            "layout", "base_len", "expand_at", "contract_at",
                             "overflow_cap")
 
     def __init__(self, *, cells_per_bucket, kick_budget, hash_pair, rng,
@@ -126,6 +127,7 @@ class Level:
         self.expand_at = expand_at
         self.contract_at = contract_at
         self.overflow_cap = overflow_cap
+        self.list_hits = 0
         for name in self.COUNTERS:
             setattr(self, name, 0)
 

@@ -28,10 +28,10 @@ A node table's payload is the row id, unboxed in the table's row array
 (the ``ROWS`` layout of ``cuckoo_table``; node keys stay in list buckets,
 for the probe speed given there), and the node chain's overflow list
 keeps row ids too. Only a source whose inline slots overflowed owns an
-object: a ``Promoted`` record with its adjacency chain and count, in
-``_promoted`` under the source's id. A source with inline destinations
-thus costs its key, its table cells and its row, and the garbage
-collector sees nothing of it.
+object: a ``Promoted`` record with its adjacency chain, which counts the
+source's destinations, in ``_promoted`` under the source's id. A source
+with inline destinations thus costs its key, its table cells and its
+row, and the garbage collector sees nothing of it.
 
 Each level is one call on the chain that holds the key: ``find`` on the
 node chain for a source's row, then on that source's adjacency chain for
@@ -68,7 +68,7 @@ the other two give destination ids in weighted mode too, and build no
 ``(v, w)`` pair.
 
 Two whole-store readers build no per-source list: ``out_degrees`` walks
-the node chain once for each source's fill or record count, and
+the node chain once for each source's fill or chain count, and
 ``destinations`` gives every stored destination id, the inline ones from
 one masked pass over ``_slots`` and then each promoted chain's keys. The
 degree ranking of the analytics reads through them, and the audit
@@ -167,17 +167,16 @@ class Promoted:
     """A source whose inline slots overflowed: the only per-source object.
 
     ``node`` is the source, ``row`` its row (whose inline fill stays 0
-    while the record lives), ``chain`` its adjacency chain and ``count``
-    its live destinations, all of them in that chain.
+    while the record lives) and ``chain`` its adjacency chain, which holds
+    and counts all its live destinations.
     """
 
-    __slots__ = ("node", "row", "chain", "count")
+    __slots__ = ("node", "row", "chain")
 
-    def __init__(self, node, row, count):
+    def __init__(self, node, row):
         self.node = node
         self.row = row
         self.chain = None
-        self.count = count
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,6 @@ class CuckooGraph:
         self._promoted = {}
         self._inline_edges = 0
         self._movements = 0
-        self._dl_hits = 0
         self._sdl_peak = 0
         self._ldl_peak = 0
         self._max_q_node_probes = 0
@@ -263,16 +261,13 @@ class CuckooGraph:
         levels whose overflow list it scanned, which it does only after
         the tables missed (a node slot outside the tables, or none, means
         the node list was scanned). A source with inline destinations has
-        no list. A hit in either list also counts in ``dl_hits``.
+        no list.
         """
         uh = self._node_hash.pair(u)
         cslot = self._node_chain.find(u, uh[0], uh[1])
         if cslot is None:
             return None, None, None, None, 1, uh, None
-        scans = 0
-        if cslot[0] is None:
-            scans = 1
-            self._dl_hits += 1
+        scans = 1 if cslot[0] is None else 0
         row = cslot[2][cslot[3]]
         n = self._fill[row]
         if n:
@@ -287,11 +282,8 @@ class CuckooGraph:
         record = self._promoted[u]
         vh = self._adj_hash.pair(v)
         slot = record.chain.find(v, vh[0], vh[1])
-        if slot is None:
+        if slot is None or slot[0] is None:
             scans += 1
-        elif slot[0] is None:
-            scans += 1
-            self._dl_hits += 1
         return row, record, cslot, slot, scans, uh, vh
 
     # -- public operations ---------------------------------------------------
@@ -330,11 +322,10 @@ class CuckooGraph:
                 # the id object the node chain holds, not the caller's,
                 # so the source's id is held once
                 keys = cslot[1]
-                record = Promoted(keys[keys.index(u)], row, n)
+                record = Promoted(keys[keys.index(u)], row)
                 self._promote(record)
         if record is not None:
             self._chain_add(record, v, weight, vh)
-            record.count += 1
         return InsertResult("inserted", weight) if self._weighted else _INSERTED
 
     def query_edge(self, u: int, v: int):
@@ -378,8 +369,7 @@ class CuckooGraph:
             if n == 0:
                 self._clear_row(row, cslot)
             return _DELETED
-        record.count -= 1
-        if record.count == 0:
+        if record.chain.count == 1:
             # the chain goes whole, its last destination with it
             record.chain.dispose()
             del self._promoted[record.node]
@@ -430,11 +420,11 @@ class CuckooGraph:
         """Iterate (u, out-degree) once per stored source, in one walk.
 
         A degree is the row's inline fill, or the count of a promoted
-        source's record; no destination is read.
+        source's chain; no destination is read.
         """
         fill, promoted = self._fill, self._promoted
         for u, row in self._node_chain.entries():
-            yield u, fill[row] or promoted[u].count
+            yield u, fill[row] or promoted[u].chain.count
 
     def destinations(self):
         """Iterate every stored destination id, once per edge.
@@ -494,7 +484,7 @@ class CuckooGraph:
             "adj": self.adj_level.snapshot(),
             "movements": (self._movements + self.node_level.moved
                           + self.adj_level.moved),
-            "dl_hits": self._dl_hits,
+            "dl_hits": self.node_level.list_hits + self.adj_level.list_hits,
             "sdl_peak": self._sdl_peak,
             "ldl_peak": self._ldl_peak,
             "max_query_probes_node": self._max_q_node_probes,
@@ -502,7 +492,7 @@ class CuckooGraph:
             "max_query_dl_scans": self._max_q_dl_scans,
         }
         return GraphStats(
-            nodes=self._node_total(),
+            nodes=self._node_chain.count,
             edges=self._edge_total(),
             node_cells=node_cells,
             adj_cells=adj_cells,
@@ -552,8 +542,8 @@ class CuckooGraph:
                 count = len(dests)
                 inline_total += count
             else:
-                count = record.count
                 chain = record.chain
+                count = chain.count
                 chain.check_invariants()
                 assert all(t.fill is not None
                            and (t.vals is not None) == self._weighted
@@ -606,7 +596,7 @@ class CuckooGraph:
             assert n or record is not None, f"row {row} of node {u} is empty"
             assert not (n and record), f"promoted node {u} keeps inline slots"
         assert len(owners) + len(free) == rows, "a row is neither live nor free"
-        assert len(owners) == self._node_total(), "node count drift"
+        assert len(owners) == self._node_chain.count, "node count drift"
         for u, record in self._promoted.items():
             assert record.node == u, f"record of node {record.node} under node {u}"
             assert owners.get(record.row) == u, \
@@ -614,10 +604,6 @@ class CuckooGraph:
             assert record.chain is not None, f"record of node {u} without a chain"
 
     # -- internals ----------------------------------------------------------
-
-    def _node_total(self):
-        """Stored sources: the node chain's table cells and overflow entries."""
-        return self.node_level.entries + self.node_level.overflow
 
     def _edge_total(self):
         """Stored edges: inline destinations, adjacency cells and overflow
@@ -655,9 +641,9 @@ class CuckooGraph:
     def _maybe_demote(self, record):
         """Move a small chain's destinations back into the row's inline slots."""
         chain = record.chain
-        if not chain.at_floor() or record.count > self._inline_cap:
-            return
-        if chain.entry_count() >= chain.level.contract_at * chain.capacity():
+        if (not chain.at_floor() or chain.count > self._inline_cap
+                or chain.count - len(chain.spill_k)
+                >= chain.level.contract_at * chain.capacity()):
             return
         items = self._dests(record.node, record.row)
         chain.dispose()
@@ -671,14 +657,9 @@ class CuckooGraph:
         self._movements += len(items)
 
     def _find_row(self, u, h1, h2):
-        """u's row, or None when u is no stored source; a hit in the node
-        chain's overflow list counts in ``dl_hits``."""
+        """u's row, or None when u is no stored source."""
         slot = self._node_chain.find(u, h1, h2)
-        if slot is None:
-            return None
-        if slot[0] is None:
-            self._dl_hits += 1
-        return slot[2][slot[3]]
+        return None if slot is None else slot[2][slot[3]]
 
     def _dests(self, u, row, ids=False):
         """The one reader of a source's destinations, as a fresh list.
@@ -703,7 +684,7 @@ class CuckooGraph:
         """Drop an emptied source through the slot its lookup found, and
         free its row."""
         self._node_chain.remove(cslot)
-        if self._node_total():
+        if self._node_chain.count:
             self._free.append(row)
         else:
             # the last source went: the columns start over

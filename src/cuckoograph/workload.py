@@ -164,21 +164,21 @@ def check_ratios(ratios):
 
 
 def mixed_ops(count, ratios, universe, seed):
-    """(op, u, v) tuples, op in {i, q, d} with the given mix, and u and v
-    drawn from a power law over [0, universe) (``ID_SKEW``).
+    """A list of ``count`` (op, u, v) tuples, op in {i, q, d} with the given
+    mix, and u and v drawn from a power law over [0, universe)
+    (``ID_SKEW``).
 
-    The ratios are checked when called, not when first iterated.
+    One ``random.Random(seed)`` draws three values per op, the op's, then
+    u's, then v's; all are drawn first, and each id column is then looked
+    up in the cumulative weights in one ``np.searchsorted`` call.
     """
     check_ratios(ratios)
-    return _mixed_ops(count, ratios, universe, seed)
-
-
-def _mixed_ops(count, ratios, universe, seed):
     ri, rq, _ = ratios
     rng = random.Random(seed)
+    draws = [rng.random() for _ in range(3 * count)]
     cum = np.cumsum(_zipf(universe, ID_SKEW))
-    for _ in range(count):
-        r = rng.random()
-        op = "i" if r < ri else ("q" if r < ri + rq else "d")
-        yield (op, int(np.searchsorted(cum, rng.random(), side="right")),
-               int(np.searchsorted(cum, rng.random(), side="right")))
+    ops = ["i" if r < ri else ("q" if r < ri + rq else "d")
+           for r in draws[0::3]]
+    us = np.searchsorted(cum, draws[1::3], side="right").tolist()
+    vs = np.searchsorted(cum, draws[2::3], side="right").tolist()
+    return list(zip(ops, us, vs))

@@ -1,8 +1,10 @@
+import random
 import re
 import statistics
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cuckoograph import bench, workload
@@ -143,6 +145,26 @@ class TestGenerators:
         # not only once the stream is iterated, and not by the sum alone
         with pytest.raises(ValueError, match="mixed ratios"):
             workload.mixed_ops(5, ratios, 100, 1)
+
+    @pytest.mark.parametrize("args", [
+        *[pytest.param((200_000, (0.6, 0.3, 0.1), 1 << 16, seed),
+                       id=f"criterion-02-seed-{seed}") for seed in range(5)],
+        pytest.param((20_000, (0.7, 0.1, 0.2), 4096, 8), id="criterion-08"),
+    ])
+    def test_mixed_ops_match_the_generator_form(self, args):
+        def reference(count, ratios, universe, seed):
+            # one op at a time: its three draws, then one lookup per id
+            ri, rq, _ = ratios
+            rng = random.Random(seed)
+            cum = np.cumsum(workload._zipf(universe, workload.ID_SKEW))
+            for _ in range(count):
+                r = rng.random()
+                op = "i" if r < ri else ("q" if r < ri + rq else "d")
+                yield (op, int(np.searchsorted(cum, rng.random(), side="right")),
+                       int(np.searchsorted(cum, rng.random(), side="right")))
+        ops = workload.mixed_ops(*args)
+        assert type(ops) is list and len(ops) == args[0]
+        assert ops == list(reference(*args))
 
     def test_infeasible_parameters(self):
         with pytest.raises(ValueError):

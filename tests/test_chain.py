@@ -93,9 +93,28 @@ def remove(chain, k):
 
 
 def clear(chain, k):
-    """Free k's table cell behind the chain's back: no contraction runs."""
+    """Free k's table cell behind the chain's back: no contraction runs.
+    The chain's count follows, as ``remove`` would keep it."""
     t, keys, payloads, i = chain.find(k, *pair(chain, k))
     t.clear_slot(keys, payloads, i)
+    chain.count -= 1
+
+
+def put(chain, table, k, payload=None):
+    """Insert k straight into one of the chain's tables, past its grow
+    trigger, and count it in the chain when it stays; returns the
+    homeless entry (dropped, so not counted) or None."""
+    homeless = table.insert(k, *pair(chain, k), payload)
+    if homeless is None:
+        chain.count += 1
+    return homeless
+
+
+def push(chain, entry):
+    """Spill an entry no insert handed back, counting it in the chain as
+    ``insert`` counts the homeless entry it returns."""
+    chain.count += 1
+    chain.spill(entry)
 
 
 def chain_keys(chain):
@@ -149,9 +168,9 @@ class TestExpand:
         # stuff the old table directly; the newest stays almost empty
         k = 0
         while old.count < 0.9 * old.cap:
-            h1, h2 = HP.pair(k)
-            old.insert(k, h1, h2, None)
+            put(chain, old, k)
             k += 1
+        chain.check_invariants()
         assert chain.load_rate() >= 0.5
         fill(chain, [k])
         assert (chain.step, chain.lengths()) == (1, (8, 4))
@@ -224,7 +243,8 @@ class TestExpand:
             if chain.lengths() != seen[-1]:
                 seen.append(chain.lengths())
             k += 1
-        assert chain.entry_count() + len(chain.spill_k) == k
+        assert chain.count == k
+        chain.check_invariants()
         assert sorted(chain_keys(chain)) == list(range(k))
         return chain, seen, merges
 
@@ -268,13 +288,14 @@ class TestContract:
         # load the old table directly so no growth trigger interferes
         old = chain.tables[0]
         k = 0
-        while chain.entry_count() < total_cap // 2:
-            h1, h2 = HP.pair(k)
-            old.insert(k, h1, h2, None)
+        while chain.count < total_cap // 2:
+            put(chain, old, k)
             k += 1
-        assert chain.entry_count() == total_cap * 0.5
+        chain.check_invariants()
+        assert chain.count == total_cap * 0.5
         assert not chain.should_contract()
         clear(chain, 0)
+        chain.check_invariants()
         assert chain.should_contract()
 
     def test_remove_contracts_when_a_freed_cell_drops_under_the_floor(self):
@@ -283,15 +304,15 @@ class TestContract:
         floor = chain.capacity() // 2
         old = chain.tables[0]
         for k in range(floor + 1):
-            h1, h2 = HP.pair(k)
-            assert old.insert(k, h1, h2, k) is None
+            assert put(chain, old, k, k) is None
         # a freed cell that leaves the chain at the floor, not under it
         assert remove(chain, 0) is None
-        assert chain.entry_count() == floor and chain.lengths() == (8, 4)
+        assert chain.count == floor and chain.lengths() == (8, 4)
         # under the floor behind the chain's back, then an overflow entry
         # goes: the chain's tables lost nothing, so it does not contract
-        chain.spill((1000, 1))
+        push(chain, (1000, 1))
         clear(chain, 1)
+        chain.check_invariants()
         assert chain.should_contract()
         assert remove(chain, 1000) is None
         assert chain.lengths() == (8, 4) and level.overflow == 0
@@ -301,6 +322,7 @@ class TestContract:
         assert event is not None and event.kind == "removed"
         assert chain.lengths() != (8, 4) and not chain.should_contract()
         assert sorted(chain_keys(chain)) == list(range(3, floor + 1))
+        chain.check_invariants()
 
     def test_removed_table_conserves_entries(self):
         chain, _ = make_chain(base=8, d=8)
@@ -376,7 +398,8 @@ class TestContract:
         assert sorted(chain_keys(chain)) == before
         assert chain.lengths() == lengths_for_step(chain.step,
                                                    chain.level.base_len)
-        assert chain.entry_count() <= chain.level.expand_at * chain.capacity()
+        assert (chain.count - len(chain.spill_k)
+                <= chain.level.expand_at * chain.capacity())
 
     @pytest.mark.parametrize("hit", ["big", "newest"])
     def test_contraction_never_lands_over_grow_threshold(self, hit):
@@ -405,8 +428,8 @@ class TestContract:
                     break
                 clear(chain, key)
             assert newest.count == 0 and chain.spill_k == ()
-            assert chain.entry_count() + 1 >= (chain.level.contract_at
-                                               * chain.capacity())
+            assert chain.count + 1 >= (chain.level.contract_at
+                                       * chain.capacity())
             chain.check_invariants()
             before = sorted(chain_keys(chain))
             event = chain.contract(big)
@@ -486,7 +509,7 @@ class TestOverflowList:
             chain, stats = make_chain(layout=ROWS if payloads else KEYS)
             assert chain.spill_k == ()
             assert chain.spill_v == (() if payloads else None)
-            chain.spill((7, 70 if payloads else None))
+            push(chain, (7, 70 if payloads else None))
             assert chain.spill_k == [7]
             assert chain.spill_v == ([70] if payloads else None)
             assert stats.overflow == 1
@@ -495,10 +518,11 @@ class TestOverflowList:
     def test_removing_an_overflow_entry_keeps_the_order_and_the_count(self):
         chain, stats = make_chain(layout=ROWS)
         for k in (5, 6, 7):
-            chain.spill((k, k + 1))
+            push(chain, (k, k + 1))
         assert remove(chain, 6) is None
         assert (chain.spill_k, chain.spill_v) == ([5, 7], [6, 8])
         assert stats.overflow == 2
+        chain.check_invariants()
 
     def test_grow_drains_the_list_in_order_into_the_newest_table(self):
         chain, stats = make_chain(base=8, d=2, layout=ROWS)
@@ -507,7 +531,7 @@ class TestOverflowList:
         # in it in list order
         a, b = [k for k in range(100, 1000) if HP.pair(k)[0] & 3 == 0][:2]
         for k in (b, a, 99):
-            chain.spill((k, k + 1))
+            push(chain, (k, k + 1))
         event = chain.advance()
         assert (chain.spill_k, chain.spill_v) == ((), ())
         newest = chain.tables[-1]
@@ -521,22 +545,23 @@ class TestOverflowList:
     def test_spill_at_the_cap_grows_the_chain_instead(self):
         chain, stats = make_chain(base=8, d=2, cap=1)
         fill(chain, range(10))
-        chain.spill((100, None))
+        push(chain, (100, None))
         assert held(chain, 100) == "list"
-        chain.spill((101, None))
+        push(chain, (101, None))
         # the grow drained 100 into the new table, which then took 101
         assert chain.step == 1
         assert chain.spill_k == ()
         assert sorted(e[0] for e in chain.tables[-1].entries()) == [100, 101]
         assert stats.overflow == 0
+        chain.check_invariants()
 
     def test_the_cap_is_shared_by_every_chain_of_a_level(self):
         chain, stats = make_chain(base=8, d=2, cap=2)
         other = TableChain(chain.level)
-        other.spill((100, None))
-        chain.spill((101, None))
+        push(other, (100, None))
+        push(chain, (101, None))
         assert (held(other, 100), held(chain, 101)) == ("list", "list")
-        chain.spill((102, None))   # at the cap: this chain grows
+        push(chain, (102, None))   # at the cap: this chain grows
         assert (chain.step, other.step) == (1, 0)
         assert (held(chain, 101), held(chain, 102)) == (1, 1)
         assert (chain.spill_k, other.spill_k) == ((), [100])
@@ -559,9 +584,9 @@ class TestOverflowList:
     def test_audit_rejects_a_broken_list(self):
         chain, _ = make_chain(layout=ROWS)
         fill(chain, range(5))
-        chain.spill((100, 1))
+        push(chain, (100, 1))
         chain.check_invariants()
-        chain.spill((100, 2))
+        push(chain, (100, 2))
         with pytest.raises(AssertionError, match="spilled twice"):
             chain.check_invariants()
         remove(chain, 100)
@@ -569,7 +594,7 @@ class TestOverflowList:
         with pytest.raises(AssertionError, match="not parallel"):
             chain.check_invariants()
         chain.spill_v.pop()
-        chain.spill((4, 4))   # key 4 also sits in a table
+        push(chain, (4, 4))   # key 4 also sits in a table
         with pytest.raises(AssertionError, match="spilled key 4 also sits"):
             chain.check_invariants()
 
@@ -623,7 +648,7 @@ class TestProbeAccounting:
         for layout in (ROWS, KEYS):
             chain, stats = self._chain(layout)
             for key in (1000, 1001, 1002):
-                chain.spill((key, key + 1 if layout == ROWS else None))
+                push(chain, (key, key + 1 if layout == ROWS else None))
             for i, key in enumerate((1000, 1001, 1002)):
                 before = stats.bucket_probes
                 slot = chain.find(key, *HP.pair(key))

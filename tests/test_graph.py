@@ -366,12 +366,23 @@ class TestAudit:
         g, record = _chained_node_5()
         v = next(e[0] for e in record.chain.tables[0].entries())
         before = g.stats().counters
+        # counted as insert counts the homeless entry it returns
+        record.chain.count += 1
         record.chain.spill((v, None))
         with pytest.raises(AssertionError, match=f"spilled key {v} also sits"):
             g.check_invariants()
         # the audit looked the key up without charging a probe
         after = g.stats().counters
         assert after["adj"]["bucket_probes"] == before["adj"]["bucket_probes"]
+
+    @pytest.mark.parametrize("level", ["node", "adj"])
+    @pytest.mark.parametrize("off", [1, -1])
+    def test_rejects_a_chain_count_off_by_one(self, level, off):
+        g, record = _chained_node_5()
+        chain = g._node_chain if level == "node" else record.chain
+        chain.count += off
+        with pytest.raises(AssertionError, match="chain count drift"):
+            g.check_invariants()
 
     @pytest.mark.parametrize("level", ["node", "adj"])
     def test_rejects_overflow_count_drift(self, level):
@@ -1012,6 +1023,64 @@ def test_differential_default_params_random_run(seed):
         else:
             assert g.delete_edge(u, v).status == ref.delete(u, v)[0]
     assert set(g.iter_edges()) == ref.edge_set()
+    g.check_invariants()
+
+
+@st.composite
+def valid_params(draw):
+    """Any valid ``GraphParams``: 1 to 255 cells per bucket, ``expand_at``
+    in [0.05, 1) with ``contract_at`` from 1% to 100% of 2/3 of it, base lengths
+    2 to 64, kick budgets 1 to 300, overflow caps 1 to 80, either mode.
+
+    ``expand_at`` stops at 0.05: below about ``1 / cap`` of a fresh table
+    every second insert grows a chain, so a tiny one builds huge tables.
+    """
+    expand_at = draw(st.floats(0.05, 1.0, exclude_max=True))
+    share = draw(st.floats(0.01, 1.0))
+    return GraphParams(
+        cells_per_bucket=draw(st.integers(1, 255)),
+        expand_at=expand_at,
+        contract_at=share * 2 * expand_at / 3,
+        kick_budget=draw(st.integers(1, 300)),
+        node_table_len=2 ** draw(st.integers(1, 6)),
+        adj_table_len=2 ** draw(st.integers(1, 6)),
+        denylist_cap=draw(st.integers(1, 80)),
+        weighted=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(params=valid_params(), burst=st.integers(0, 1500),
+       churn=st.integers(0, 400), stream=st.integers(0, 2**32))
+def test_differential_over_the_parameter_space(params, burst, churn, stream):
+    # one source takes a burst of destinations, so its chain climbs the
+    # schedule (and spills, at small buckets and kick budgets); a churn of
+    # inserts, queries and deletes over a few sources follows; then every
+    # edge goes in random order, so chains contract back to the floor
+    rnd = random.Random(stream)
+    ops = [("i", 0, v, 1) for v in rnd.sample(range(1 << 20), burst)]
+    for _ in range(churn):
+        r = rnd.random()
+        op = "i" if r < 0.6 else ("q" if r < 0.75 else "d")
+        ops.append((op, rnd.randrange(6), rnd.randrange(64),
+                    rnd.randint(1, 3)))
+    g = CuckooGraph(params)
+    ref = OracleGraph(weighted=params.weighted)
+    for op, u, v, w in ops:
+        if op == "i":
+            assert tuple(g.insert_edge(u, v, w)) == ref.insert(u, v, w)
+        elif op == "q":
+            assert g.query_edge(u, v) == ref.query(u, v)
+        else:
+            assert tuple(g.delete_edge(u, v)) == ref.delete(u, v)
+    assert set(g.iter_edges()) == ref.edge_set()
+    g.check_invariants()
+    edges = sorted(ref.edges())
+    rnd.shuffle(edges)
+    for u, v, *_ in edges:
+        while ref.query(u, v):
+            assert tuple(g.delete_edge(u, v)) == ref.delete(u, v)
+    assert g.stats().edges == 0
     g.check_invariants()
 
 
