@@ -27,16 +27,23 @@ def read_edge_file(path):
     (comments), are skipped. Any other line raises ValueError with its
     line number. A file whose every line is plain, "u v" of at most 20
     digits each with one space or tab between and a newline after, is
-    parsed in one pass over its whole text; every other file, line by
-    line. Both give the same list.
+    tokenized in one pass by numpy as unsigned 64-bit values. numpy
+    clamps a value past ``2^64 - 1`` to it, so a plain file that reads
+    back holding ``2^64 - 1`` goes to the line loop, like every other
+    file. All give the same list.
     """
     with open(path) as fh:
         text = fh.read()
     if _PLAIN.fullmatch(text):
-        nums = list(map(int, text.split()))
-        if not max(nums, default=0) >> 64:
-            pairs = iter(nums)
-            return list(zip(pairs, pairs))
+        values = np.fromstring(text, dtype=np.uint64, sep=" ")
+        # numpy reads every value below 2**64 - 1 exactly and clamps a
+        # larger one to it: only the line loop tells the two apart
+        if values.max(initial=0) == np.iinfo(np.uint64).max:
+            return _read_lines(path, text)
+        nums = values.tolist()
+        del values          # before the tuples: a lower peak
+        pairs = iter(nums)
+        return list(zip(pairs, pairs))
     return _read_lines(path, text)
 
 
@@ -82,10 +89,10 @@ def dedup_edges(edges):
 
 
 def write_edge_file(path, edges):
+    """Write (u, v) or (u, v, w) tuples as "u v" or "u v w" lines."""
     with open(path, "w") as fh:
-        for e in edges:
-            fh.write(" ".join(str(x) for x in e))
-            fh.write("\n")
+        fh.writelines(("%s %s\n" if len(e) == 2 else "%s %s %s\n") % e
+                      for e in edges)
     return path
 
 

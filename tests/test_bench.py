@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cuckoograph import bench, workload
 from cuckoograph.bench import Report, Workload, run
@@ -42,6 +44,10 @@ class TestIngest:
         pytest.param("\u0663 4", "non-integer field", id="arabic-indic-digit"),
         pytest.param("1" * 5000 + " 2", "value of 2**64 or more",
                      id="past-int-digit-limit"),
+        # plain lines: numpy reads both as 2**64 - 1, so the line loop does
+        pytest.param("9" * 20 + " 2", "value of 2**64 or more",
+                     id="twenty-nines"),
+        pytest.param(f"{1 << 64} 2", "value of 2**64 or more", id="2-pow-64"),
         pytest.param("-" + "1" * 5000 + " 2", "negative value",
                      id="negative-past-int-digit-limit"),
         pytest.param("-1 2", "negative value", id="negative"),
@@ -84,17 +90,62 @@ class TestIngest:
         assert workload.read_edge_file(plain) == edges
         assert workload.read_edge_file(commented) == edges
 
-    def test_plain_file_never_reaches_the_line_loop(self, tmp_path,
-                                                    monkeypatch):
+    @pytest.fixture
+    def no_line_loop(self, monkeypatch):
         def loop(path, text):
             raise AssertionError("line loop")
         monkeypatch.setattr(workload, "_read_lines", loop)
+
+    def test_plain_file_never_reaches_the_line_loop(self, tmp_path,
+                                                    no_line_loop):
         p = tmp_path / "e.txt"
         p.write_text("1 2\n3\t4\n")
         assert workload.read_edge_file(p) == [(1, 2), (3, 4)]
         p.write_text("1 2\n# c\n")
         with pytest.raises(AssertionError, match="line loop"):
             workload.read_edge_file(p)
+
+    @pytest.mark.parametrize("text, edges", [
+        pytest.param(f"{10**19 - 1} 1\n", [(10**19 - 1, 1)], id="10^19-1"),
+        pytest.param(f"1 {10**19}\n", [(1, 10**19)], id="10^19"),
+        pytest.param(f"{(1 << 64) - 2} 0\n", [((1 << 64) - 2, 0)],
+                     id="2^64-2"),
+        pytest.param("", [], id="empty"),
+    ])
+    def test_one_pass_reads_exact_values(self, tmp_path, no_line_loop, text,
+                                         edges):
+        p = tmp_path / "e.txt"
+        p.write_text(text)
+        got = workload.read_edge_file(p)
+        assert got == edges
+        assert all(type(x) is int for e in got for x in e)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edges=st.lists(st.tuples(st.integers(0, (1 << 64) - 1),
+                                    st.integers(0, (1 << 64) - 1)),
+                          max_size=40))
+    def test_written_pairs_read_back_equal(self, tmp_path, edges):
+        p = tmp_path / "e.txt"
+        workload.write_edge_file(p, edges)
+        assert workload.read_edge_file(p) == edges
+
+    def test_one_pass_peak_stays_near_the_list_it_returns(self, tmp_path):
+        # beyond the returned list, the one-pass path holds the text and one
+        # list of values; splitting the text into strings held about 7.5
+        # times the file's size on top of the list
+        p = tmp_path / "e.txt"
+        workload.write_edge_file(
+            p, [(i, i * 7919 % 100_000) for i in range(100_000)])
+        size = p.stat().st_size
+        tracemalloc.start()
+        try:
+            edges = workload.read_edge_file(p)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(edges) == 100_000
+        assert peak - held < 3 * size
 
     def test_plain_check_keeps_no_backtrack_stack(self):
         # a greedy repeat keeps a backtrack point per line, about 4 MB here
@@ -138,6 +189,26 @@ class TestGenerators:
                                         path=tmp_path / "z.txt")
         assert a == b
         assert workload.read_edge_file(tmp_path / "z.txt") == b
+
+    def test_edge_file_bytes(self, tmp_path):
+        # fields joined by one space, one line per edge, newline-terminated
+        edges = [(1, 2), (0, (1 << 64) - 1, 7), (10**19, 3), (4, 5, 1)]
+        p = tmp_path / "e.txt"
+        workload.write_edge_file(p, edges)
+        assert p.read_bytes() == "".join(
+            " ".join(str(x) for x in e) + "\n" for e in edges).encode()
+        workload.write_edge_file(p, [])
+        assert p.read_bytes() == b""
+
+    def test_weighted_export_reads_back(self, tmp_path):
+        g = bench.CuckooGraph(GraphParams(weighted=True))
+        for u, v, w in [(1, 2, 5), (1, 3, 1), (2, 1, (1 << 64) - 1),
+                        ((1 << 64) - 1, 0, 2)]:
+            g.insert_edge(u, v, w)
+        p = tmp_path / "w.txt"
+        g.export_edges(p)
+        assert workload.read_edge_file(p) == list(g.iter_edges())
+        assert len(p.read_text().splitlines()[0].split()) == 3
 
     @pytest.mark.parametrize("ratios", [(0.5, 0.4, 0.2), (1.5, -0.5, 0.0),
                                         (0.5, 0.5)])

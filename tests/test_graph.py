@@ -1307,3 +1307,16 @@ class TestBounds:
             GraphParams(node_table_len=3)
         with pytest.raises(ValueError):
             GraphParams(kick_budget=0)
+
+    def test_expand_at_has_a_floor(self):
+        # below it a chain grows at every insert: 1e-6 took 60 edges into
+        # one source to 25,165,824 cells
+        with pytest.raises(ValueError, match="expand_at"):
+            GraphParams(expand_at=1e-6, contract_at=1e-7)
+        params = GraphParams(expand_at=0.05, contract_at=0.03,
+                             cells_per_bucket=1)
+        g = CuckooGraph(params)
+        for v in range(60):
+            g.insert_edge(0, v)
+        assert sum(g.adjacency_lengths(0)) <= 1024
+        g.check_invariants()
