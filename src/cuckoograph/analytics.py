@@ -140,8 +140,6 @@ def sssp_dijkstra(graph, source) -> dict:
         succ = graph.successors(x)
         pairs = succ if weighted else ((v, 1) for v in succ)
         for v, w in pairs:
-            if w < 0:
-                raise ValueError("negative edge weight")
             nd = d + w
             if nd < dist.get(v, float("inf")):
                 dist[v] = nd
@@ -160,14 +158,9 @@ def triangle_count(graph, node) -> int:
     for mid in firsts:
         two_hop |= graph.successors(mid, ids=True)
     for s in two_hop:
-        if _edge_present(graph, s, node):
+        if graph.query_edge(s, node):
             count += 1
     return count
-
-
-def _edge_present(graph, u, v) -> bool:
-    r = graph.query_edge(u, v)
-    return r is not None and r is not False
 
 
 def scc_tarjan(graph) -> list:

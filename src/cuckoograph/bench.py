@@ -8,11 +8,13 @@ Phases are given as compact strings:
     mixed:RI,RQ,RD:COUNT      random op mix over the node universe
     task:NAME[:TOP_K]         one analytics task (bfs sssp tc cc pr bc lcc)
 
-The CSV has one summary row per phase. Timed loops do nothing per
-operation beyond the graph call: a phase's op list (the mixed ops, the
-shuffled delete order) is built before its clock starts, and a task's
-digest is taken after it stops. The graph's stats are read once per phase
-boundary, which gives the structure-accounted bytes after each phase.
+The CSV has one summary row per phase, under a header of the field names
+of ``PhaseResult``; a float is written as its ``repr``. Timed loops do
+nothing per operation beyond the graph call: a phase's op list (the mixed
+ops, the shuffled delete order) is built before its clock starts, and a
+task's digest is taken after it stops. The graph's stats are read once
+per phase boundary, which gives the structure-accounted bytes after each
+phase.
 """
 
 from __future__ import annotations
@@ -21,15 +23,12 @@ import csv
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 from . import analytics
 from .analytics import TaskSpec
 from .graph import CuckooGraph, GraphParams
 from .workload import check_ratios, dedup_edges, mixed_ops, read_edge_file
-
-CSV_COLUMNS = ("phase", "ops", "elapsed_ns", "mops", "bytes",
-               "placements", "evictions", "dl_hits", "movements")
 
 
 @dataclass(frozen=True)
@@ -71,27 +70,9 @@ class Report:
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for p in self.phases:
-                writer.writerow([p.phase, p.ops, p.elapsed_ns, repr(p.mops),
-                                 p.bytes, p.placements, p.evictions,
-                                 p.dl_hits, p.movements])
+            writer.writerow(f.name for f in fields(PhaseResult))
+            writer.writerows(map(astuple, self.phases))
         return path
-
-    @classmethod
-    def from_csv(cls, path):
-        phases = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header) != CSV_COLUMNS:
-                raise ValueError(f"unexpected CSV header {header}")
-            for row in reader:
-                phases.append(PhaseResult(
-                    row[0], int(row[1]), int(row[2]), float(row[3]),
-                    int(row[4]), int(row[5]), int(row[6]), int(row[7]),
-                    int(row[8])))
-        return cls(tuple(phases))
 
 
 def _parse_phase(spec, workload):

@@ -195,10 +195,10 @@ class TableChain:
         Probes at most two buckets per table, oldest table first, and
         charges every probe to the level's ``bucket_probes``; only when
         all tables missed is the overflow list scanned, uncharged (a hit
-        there counts in the level's ``list_hits``). A table hit comes back as ``(table, keys, payloads, index)`` (see
-        ``cuckoo_table``), an overflow hit as ``(None, spill_k, spill_v,
-        i)``. All tables of a level share a layout, so the branch on it is
-        taken once per call.
+        there counts in the level's ``list_hits``). A table hit comes back
+        as ``(table, keys, payloads, index)`` (see ``cuckoo_table``), an
+        overflow hit as ``(None, spill_k, spill_v, i)``. All tables of a
+        level share a layout, so the branch on it is taken once per call.
 
         Each layout spells out its major and its minor probe: a loop over
         the two buckets lost in 10 perfbench pairs each (2-core x86_64,
@@ -274,13 +274,10 @@ class TableChain:
                                self.spill_k)
 
     def entries(self):
-        """Iterate every ``(key, payload)``, tables first, then the list;
-        payloads read None where the chain keeps none."""
-        payloads = self.spill_v
-        if payloads is None:
-            payloads = itertools.repeat(None)
+        """Iterate every ``(key, payload)`` of a chain that keeps payloads,
+        tables first, then the list."""
         return itertools.chain(_flatten(t.entries() for t in self.tables),
-                               zip(self.spill_k, payloads))
+                               zip(self.spill_k, self.spill_v))
 
     # -- operations --------------------------------------------------------
 

@@ -22,7 +22,9 @@ state lives in graph-level columns indexed by row, not in an object:
   last in, first out.
 
 The columns keep their peak row count while any source is left; they
-are emptied only when the last source goes.
+are emptied only when the last source goes. One count, ``_edges``, holds
+the stored edges: promotion and demotion only move them, and the inline
+ones are what the adjacency level does not hold.
 
 A node table's payload is the row id, unboxed in the table's row array
 (the ``ROWS`` layout of ``cuckoo_table``; node keys stay in list buckets,
@@ -235,7 +237,7 @@ class CuckooGraph:
         self._fill = bytearray()
         self._free = array("Q")
         self._promoted = {}
-        self._inline_edges = 0
+        self._edges = 0
         self._movements = 0
         self._sdl_peak = 0
         self._ldl_peak = 0
@@ -258,20 +260,16 @@ class CuckooGraph:
     def _locate_edge(self, u, v):
         """Full two-step lookup.
 
-        Returns (row, record, row_slot, edge_slot, dl_scans, u_hashes,
-        v_hashes); record is None while u's destinations sit inline, and
-        the hash pairs come back so mutating callers never rehash. Each
-        level is one ``TableChain.find`` call; ``dl_scans`` counts the
-        levels whose overflow list it scanned, which it does only after
-        the tables missed (a node slot outside the tables, or none, means
-        the node list was scanned). A source with inline destinations has
-        no list.
+        Returns (row, record, row_slot, edge_slot, u_hashes, v_hashes);
+        record is None while u's destinations sit inline, and the hash
+        pairs come back so mutating callers never rehash. Each level is one
+        ``TableChain.find`` call, which scans the chain's overflow list
+        only after its tables missed.
         """
         uh = self._node_hash.pair(u)
         cslot = self._node_chain.find(u, uh[0], uh[1])
         if cslot is None:
-            return None, None, None, None, 1, uh, None
-        scans = 1 if cslot[0] is None else 0
+            return None, None, None, None, uh, None
         row = cslot[2][cslot[3]]
         n = self._fill[row]
         if n:
@@ -281,14 +279,12 @@ class CuckooGraph:
             if v in ids:
                 return (row, None, cslot,
                         (None, None, self._slots, s + width * ids.index(v)),
-                        scans, uh, None)
-            return row, None, cslot, None, scans, uh, None
+                        uh, None)
+            return row, None, cslot, None, uh, None
         record = self._promoted[u]
         vh = self._adj_hash.pair(v)
         slot = record.chain.find(v, vh[0], vh[1])
-        if slot is None or slot[0] is None:
-            scans += 1
-        return row, record, cslot, slot, scans, uh, vh
+        return row, record, cslot, slot, uh, vh
 
     # -- public operations ---------------------------------------------------
 
@@ -298,7 +294,7 @@ class CuckooGraph:
             raise ValueError(f"weight must be in [1, 2**64), got {weight}")
         if (u | v) >> 64:
             raise ValueError(f"node ids must be in [0, 2**64), got {u}, {v}")
-        row, record, cslot, slot, _, uh, vh = self._locate_edge(u, v)
+        row, record, cslot, slot, uh, vh = self._locate_edge(u, v)
         if slot is not None:
             if not self._weighted:
                 return _DUPLICATE
@@ -321,7 +317,6 @@ class CuckooGraph:
                 if self._weighted:
                     self._slots[s + 1] = weight
                 self._fill[row] = n + 1
-                self._inline_edges += 1
             else:
                 # the id object the node chain holds, not the caller's,
                 # so the source's id is held once
@@ -330,15 +325,19 @@ class CuckooGraph:
                 self._promote(record)
         if record is not None:
             self._chain_add(record, v, weight, vh)
+        self._edges += 1
         return InsertResult("inserted", weight) if self._weighted else _INSERTED
 
     def query_edge(self, u: int, v: int):
         """Membership test; returns the weight (or None) in weighted mode."""
         np0 = self.node_level.bucket_probes
         ap0 = self.adj_level.bucket_probes
-        _, _, _, slot, scans, _, _ = self._locate_edge(u, v)
+        _, record, cslot, slot, _, _ = self._locate_edge(u, v)
         np_ = self.node_level.bucket_probes - np0
         ap = self.adj_level.bucket_probes - ap0
+        # a level's overflow list was scanned when its tables missed
+        scans = ((cslot is None or cslot[0] is None)
+                 + (record is not None and (slot is None or slot[0] is None)))
         if np_ > self._max_q_node_probes:
             self._max_q_node_probes = np_
         if ap > self._max_q_adj_probes:
@@ -353,7 +352,7 @@ class CuckooGraph:
 
     def delete_edge(self, u: int, v: int) -> DeleteResult:
         """Delete u->v; weighted mode decrements w and removes only at zero."""
-        row, record, cslot, slot, _, _, _ = self._locate_edge(u, v)
+        row, record, cslot, slot, _, _ = self._locate_edge(u, v)
         if slot is None:
             return _ABSENT
         if self._weighted:
@@ -361,6 +360,7 @@ class CuckooGraph:
             if w > 1:
                 _write_weight(slot, w - 1)
                 return DeleteResult("decremented", w - 1)
+        self._edges -= 1
         if record is None:
             # shift the later inline destinations down: slot order is kept
             width = self._width
@@ -369,7 +369,6 @@ class CuckooGraph:
             end = row * SLOTS + width * (n + 1)
             self._slots[i:end - width] = self._slots[i + width:end]
             self._fill[row] = n
-            self._inline_edges -= 1
             if n == 0:
                 self._clear_row(row, cslot)
             return _DELETED
@@ -497,14 +496,15 @@ class CuckooGraph:
         }
         return GraphStats(
             nodes=self._node_chain.count,
-            edges=self._edge_total(),
+            edges=self._edges,
             node_cells=node_cells,
             adj_cells=adj_cells,
             node_load_rate=(self.node_level.entries / node_cells)
             if node_cells else 0.0,
             adj_load_rate=(self.adj_level.entries / adj_cells)
             if adj_cells else 0.0,
-            inline_edges=self._inline_edges,
+            inline_edges=(self._edges - self.adj_level.entries
+                          - self.adj_level.overflow),
             node_dl_len=node_dl_len,
             adj_dl_len=adj_dl_len,
             dl_bytes=dl_bytes,
@@ -536,7 +536,6 @@ class CuckooGraph:
         _check_level(self.node_level, [node_chain])
         self._check_rows()
         total_edges = 0
-        inline_total = 0
         adj_chains = []
         out_degrees = {}
         in_degrees = Counter()
@@ -544,7 +543,6 @@ class CuckooGraph:
             record = self._promoted.get(u)
             if record is None:
                 count = len(dests)
-                inline_total += count
             else:
                 chain = record.chain
                 count = chain.count
@@ -566,8 +564,7 @@ class CuckooGraph:
         assert Counter(self.destinations()) == in_degrees, \
             "destinations drift"
         _check_level(self.adj_level, adj_chains)
-        assert total_edges == self._edge_total(), "edge count drift"
-        assert inline_total == self._inline_edges, "inline count drift"
+        assert total_edges == self._edges, "edge count drift"
         # the per-query maxima of stats().counters
         assert self._max_q_node_probes <= 2 * MAX_TABLES, \
             "a query probed more than 2 node buckets per table"
@@ -609,12 +606,6 @@ class CuckooGraph:
 
     # -- internals ----------------------------------------------------------
 
-    def _edge_total(self):
-        """Stored edges: inline destinations, adjacency cells and overflow
-        entries."""
-        return (self._inline_edges + self.adj_level.entries
-                + self.adj_level.overflow)
-
     def _new_row(self):
         """A row for a new source: the last one freed, else a fresh one."""
         if self._free:
@@ -637,7 +628,6 @@ class CuckooGraph:
         self._fill[record.row] = 0
         self._promoted[record.node] = record
         record.chain = TableChain(self.adj_level, record.node)
-        self._inline_edges -= len(items)
         self._movements += len(items)
         for item in items:
             self._chain_add(record, *(item if self._weighted else (item, None)))
@@ -657,7 +647,6 @@ class CuckooGraph:
         self._slots[s:s + self._width * len(items)] = array(
             "Q", _flatten(items) if self._weighted else items)
         self._fill[record.row] = len(items)
-        self._inline_edges += len(items)
         self._movements += len(items)
 
     def _find_row(self, u, h1, h2):

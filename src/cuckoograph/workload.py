@@ -128,8 +128,6 @@ def generate_synthetic(kind, nodes, edges, seed, path=None):
             raise ValueError("sparse needs edges divisible by nodes "
                              "(constant out-degree)")
         degree = edges // nodes
-        if degree > nodes - 1:
-            raise ValueError("out-degree exceeds nodes - 1")
         out = [(u, v) for u in range(nodes)
                for v in _sample_targets(rng, nodes, u, degree)]
     elif kind == "zipf":

@@ -270,6 +270,10 @@ class TestTasks:
         for score in analytics.pagerank(g).values():
             assert math.isclose(score, 1 / 4, abs_tol=1e-12)
 
+    def test_pagerank_of_an_empty_graph(self):
+        g, ref = build_pair([])
+        assert analytics.pagerank(g) == oracle.pagerank(ref) == {}
+
     def test_betweenness_path(self):
         g, _ = build_pair(PATH)
         assert analytics.betweenness_brandes(g) == {1: 0.0, 2: 1.0, 3: 0.0}

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import random
 import re
 import statistics
@@ -10,9 +12,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cuckoograph import bench, workload
-from cuckoograph.bench import Report, Workload, run
+from cuckoograph.bench import Workload, run
 from cuckoograph.cli import _split_phases, main
 from cuckoograph.graph import GraphParams
+
+
+CSV_HEADER = ["phase", "ops", "elapsed_ns", "mops", "bytes", "placements",
+              "evictions", "dl_hits", "movements"]
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestIngest:
@@ -244,6 +255,8 @@ class TestGenerators:
             workload.generate_synthetic("sparse", 5, 7, seed=0)
         with pytest.raises(ValueError):
             workload.generate_synthetic("wat", 5, 5, seed=0)
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            workload.generate_synthetic("sparse", 1, 0, seed=0)
 
 
 class TestRun:
@@ -355,9 +368,20 @@ class TestRun:
                               phases=("insert", "query", "task:pr:6")))
         csv_path = tmp_path / "out.csv"
         report.to_csv(csv_path)
-        assert Report.from_csv(csv_path) == report
-        with open(csv_path) as fh:
-            assert len(fh.readlines()) == 1 + len(report.phases)
+        header, *rows = read_csv(csv_path)
+        assert header == CSV_HEADER
+        assert rows == [[str(v) for v in dataclasses.astuple(p)]
+                        for p in report.phases]
+        # a float is written as its repr, so it reads back exact
+        assert [float(r[3]) for r in rows] == [p.mops for p in report.phases]
+
+    def test_dedup_drops_repeated_pairs(self, tmp_path):
+        path = tmp_path / "d.txt"
+        workload.write_edge_file(path, [(1, 2), (1, 2), (2, 3), (1, 2, 4)])
+        for dedup, ops in ((False, 4), (True, 2)):
+            report = run(Workload(dataset=str(path), dedup=dedup,
+                                  phases=("insert", "delete")))
+            assert [p.ops for p in report.phases] == [ops, ops]
 
     def test_workload_validation(self):
         with pytest.raises(ValueError):
@@ -390,9 +414,34 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "mops=" in out
-        assert csv_out.exists()
-        report = Report.from_csv(csv_out)
-        assert len(report.phases) == 3
+        header, *rows = read_csv(csv_out)
+        assert header == CSV_HEADER
+        assert [r[0].split("@")[0] for r in rows] == \
+            ["0:insert", "1:query", "2:task:cc:5"]
+
+    def test_dedup_flag(self, tmp_path):
+        ds = tmp_path / "g.txt"
+        csv_out = tmp_path / "r.csv"
+        workload.write_edge_file(ds, [(1, 2), (1, 2), (2, 3)])
+        code = main(["--dataset", str(ds), "--dedup", "--phases", "insert",
+                     "--csv-out", str(csv_out)])
+        assert code == 0
+        assert read_csv(csv_out)[1][1] == "2"
+
+    def test_malformed_generate_spec_is_an_error(self, capsys):
+        code = main(["--generate", "sparse:5"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_generate_without_dataset_names_the_file(self, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["--generate", "sparse:10:20:3", "--phases", "insert"])
+        assert code == 0
+        written = tmp_path / "generated_sparse_10_20_3.txt"
+        assert workload.read_edge_file(written) == \
+            workload.generate_synthetic("sparse", 10, 20, 3)
+        assert written.name in capsys.readouterr().out
 
     def test_mem_interval_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -210,6 +210,29 @@ class TestDenylists:
         assert g.adjacency_lengths(0) is None
         assert g.stats().adj_dl_len == 0
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_inline_edge_count_matches_the_rows(self, weighted):
+        # criterion 08's stream: inline, promoted and spilled destinations
+        g = CuckooGraph(GraphParams.from_seed(
+            8, cells_per_bucket=2, node_table_len=2, adj_table_len=2,
+            kick_budget=1, weighted=weighted))
+        ops = {"i": g.insert_edge, "q": g.query_edge, "d": g.delete_edge}
+        checked_spilled = False
+        for i, (op, u, v) in enumerate(mixed_ops(20_000, (0.7, 0.1, 0.2),
+                                                 4096, seed=8)):
+            ops[op](u, v)
+            s = g.stats()
+            if i % 1000 and (checked_spilled or not s.adj_dl_len):
+                continue
+            checked_spilled |= s.adj_dl_len > 0
+            lists = dict(g.out_lists(ids=True))
+            inline = sum(len(d) for src, d in lists.items()
+                         if g.adjacency_lengths(src) is None)
+            assert s.inline_edges == inline, i
+            assert s.edges == sum(map(len, lists.values())), i
+        assert checked_spilled
+        assert 0 < s.inline_edges < s.edges
+
 
 def _graph_with_a_spilled_source(weighted):
     """Node 0 promoted, a source id at 2**63 and a crowd of inline sources,
@@ -1307,6 +1330,8 @@ class TestBounds:
             GraphParams(node_table_len=3)
         with pytest.raises(ValueError):
             GraphParams(kick_budget=0)
+        with pytest.raises(ValueError, match="denylist_cap"):
+            GraphParams(denylist_cap=0)
 
     def test_expand_at_has_a_floor(self):
         # below it a chain grows at every insert: 1e-6 took 60 edges into
