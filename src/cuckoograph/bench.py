@@ -5,7 +5,7 @@ Phases are given as compact strings:
     insert                    insert every dataset edge
     query                     query every dataset edge
     delete                    delete every dataset edge (insertion or random order)
-    mixed:RI,RQ,RD:COUNT      random op mix over the node universe
+    mixed:RI,RQ,RD:COUNT      random op mix over the dataset's endpoint ids
     task:NAME[:TOP_K]         one analytics task (bfs sssp tc cc pr bc lcc)
 
 The CSV has one summary row per phase, under a header of the field names
@@ -121,7 +121,8 @@ def run(workload: Workload) -> Report:
             edges = dedup_edges(edges)
     graph = CuckooGraph(workload.params)
     phases = []
-    universe = 1 + max((max(e[0], e[1]) for e in edges), default=1 << 16)
+    # the ids a mixed phase draws: op id r is the r-th smallest endpoint
+    ids = sorted({x for e in edges for x in e[:2]}) or range(1 << 16)
     before = _counter_totals(graph.stats())
     for i, spec in enumerate(workload.phases):
         parsed = _parse_phase(spec, workload)
@@ -133,7 +134,8 @@ def run(workload: Workload) -> Report:
             random.Random(workload.seed).shuffle(order)
         elif parsed[0] == "mixed":
             _, ratios, ops = parsed
-            order = list(mixed_ops(ops, ratios, universe, workload.seed))
+            order = [(op, ids[u], ids[v]) for op, u, v
+                     in mixed_ops(ops, ratios, len(ids), workload.seed)]
         start = time.perf_counter_ns()
         if parsed[0] == "insert":
             for e in edges:

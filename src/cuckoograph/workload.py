@@ -12,10 +12,13 @@ import numpy as np
 DEGREE_SKEW = 1.2
 ID_SKEW = 1.05
 
-# a whole file read_edge_file parses in one pass, and a field the line loop
-# reads (a negative one then raises its own message)
-_PLAIN = re.compile(r"(?:[0-9]{1,20}[ \t][0-9]{1,20}\n)*+")
+# a field the line loop reads (a negative one then raises its own message)
 _FIELD = re.compile(r"-?[0-9]+")
+
+# bytes of a file _is_plain checks at a time: its arrays peak near 8.5
+# bytes per chunk byte on the densest plain lines ("0 0"), about 0.55 MB,
+# however long the file
+_CHUNK = 1 << 16
 
 
 def read_edge_file(path):
@@ -25,26 +28,70 @@ def read_edge_file(path):
     A field is ASCII decimal digits, a value in ``[0, 2^64)``; a weight
     ``w`` is at least 1. Blank lines, and lines starting with '#' or '%'
     (comments), are skipped. Any other line raises ValueError with its
-    line number. A file whose every line is plain, "u v" of at most 20
-    digits each with one space or tab between and a newline after, is
-    tokenized in one pass by numpy as unsigned 64-bit values. numpy
-    clamps a value past ``2^64 - 1`` to it, so a plain file that reads
-    back holding ``2^64 - 1`` goes to the line loop, like every other
-    file. All give the same list.
+    line number.
+
+    The file is read once as bytes, with "\\r\\n" and a lone "\\r" read
+    as "\\n", as text mode reads them. A file whose every line is plain,
+    "u v" of at most 20 digits each with one space or tab between and a
+    newline after, is checked by numpy a chunk at a time (``_is_plain``)
+    and tokenized in one pass as unsigned 64-bit values. numpy clamps a
+    value past ``2^64 - 1`` to it, so a plain file that reads back holding
+    ``2^64 - 1`` is reopened in text mode for the line loop, like every
+    other file. All give the same list, or raise the same error.
     """
-    with open(path) as fh:
-        text = fh.read()
-    if _PLAIN.fullmatch(text):
-        values = np.fromstring(text, dtype=np.uint64, sep=" ")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if _is_plain(data):
+        values = np.fromstring(data, dtype=np.uint64, sep=" ")
+        del data
         # numpy reads every value below 2**64 - 1 exactly and clamps a
         # larger one to it: only the line loop tells the two apart
-        if values.max(initial=0) == np.iinfo(np.uint64).max:
-            return _read_lines(path, text)
-        nums = values.tolist()
-        del values          # before the tuples: a lower peak
-        pairs = iter(nums)
-        return list(zip(pairs, pairs))
-    return _read_lines(path, text)
+        if values.max(initial=0) < np.iinfo(np.uint64).max:
+            nums = values.tolist()
+            del values      # before the tuples: a lower peak
+            pairs = iter(nums)
+            return list(zip(pairs, pairs))
+    with open(path) as fh:
+        return _read_lines(path, fh.read())
+
+
+def _is_plain(data):
+    """Whether ``data`` is empty or plain lines: 1-20 ASCII digits, one
+    space or tab, 1-20 digits and a newline each.
+
+    Checked on a uint8 view, ``_CHUNK`` bytes at a time, each chunk cut
+    just after a newline; a chunk with none is not plain.
+    """
+    view = np.frombuffer(data, dtype=np.uint8)
+    start = 0
+    while start < len(data):
+        end = len(data)
+        if end - start > _CHUNK:
+            end = data.rfind(b"\n", start, start + _CHUNK) + 1
+            if end <= start:
+                return False
+        if not _plain_lines(view[start:end]):
+            return False
+        start = end
+    return True
+
+
+def _plain_lines(chunk):
+    """``_is_plain`` on one non-empty chunk of bytes."""
+    if chunk[-1] != 10 or chunk.max() > 57:     # "\n" last, nothing past "9"
+        return False
+    # the bytes below "0" must be separators: a space or tab, then "\n"
+    seps = np.flatnonzero(chunk < 48)
+    kinds = chunk[seps]
+    # (an odd count would put the last "\n" where a space or tab goes)
+    if ((kinds[1::2] != 10).any()
+            or ((kinds[::2] != 32) & (kinds[::2] != 9)).any()):
+        return False
+    # a field is what lies between two separators: 1 to 20 digits
+    gaps = np.diff(seps)
+    return 1 <= seps[0] <= 20 and gaps.min() >= 2 and gaps.max() <= 21
 
 
 def _read_lines(path, text):

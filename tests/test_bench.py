@@ -142,9 +142,10 @@ class TestIngest:
         assert workload.read_edge_file(p) == edges
 
     def test_one_pass_peak_stays_near_the_list_it_returns(self, tmp_path):
-        # beyond the returned list, the one-pass path holds the text and one
-        # list of values; splitting the text into strings held about 7.5
-        # times the file's size on top of the list
+        # beyond the returned list, the one-pass path holds one list of
+        # values (about 1.4 times the file's size here); a decoded copy of
+        # the text held through it read 2.4, and splitting the text into
+        # strings about 7.5 times the size on top of the list
         p = tmp_path / "e.txt"
         workload.write_edge_file(
             p, [(i, i * 7919 % 100_000) for i in range(100_000)])
@@ -156,18 +157,142 @@ class TestIngest:
         finally:
             tracemalloc.stop()
         assert len(edges) == 100_000
-        assert peak - held < 3 * size
+        assert peak - held < 2 * size
 
-    def test_plain_check_keeps_no_backtrack_stack(self):
-        # a greedy repeat keeps a backtrack point per line, about 4 MB here
-        text = "".join(f"{i} {i * 7 % 1000}\n" for i in range(20_000))
+    @pytest.mark.parametrize("lines", [20_000, 1_000_000])
+    def test_plain_check_memory_stays_flat(self, lines):
+        # the check's arrays cover one chunk, not the file (about 11.6 MB
+        # at a million lines)
+        data = "".join(f"{i} {i * 7 % 1000}\n" for i in range(lines)).encode()
         tracemalloc.start()
         try:
-            assert workload._PLAIN.fullmatch(text)
+            assert workload._is_plain(data)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    # the one-pass path's gate before the numpy check, as the reference
+    OLD_PLAIN = re.compile(r"(?:[0-9]{1,20}[ \t][0-9]{1,20}\n)*+")
+
+    @staticmethod
+    def outcome(read):
+        try:
+            return read()
+        except ValueError as e:         # UnicodeDecodeError too
+            return type(e), str(e)
+
+    def assert_reads_as_the_line_loop(self, p):
+        assert self.outcome(lambda: workload.read_edge_file(p)) == \
+            self.outcome(lambda: workload._read_lines(p, p.read_text()))
+
+    # "/" and ":" are the bytes either side of the digits
+    _ALPHABET = list("0123456789 \t\n\r-#x\u0663/:")
+
+    @staticmethod
+    def _lines(lengths):
+        field = lengths.flatmap(
+            lambda n: st.text("0123456789", min_size=n, max_size=n))
+        return st.builds("{}{}{}{}".format, field, st.sampled_from(" \t"),
+                         field, st.sampled_from(["\n", "\r\n", "\r"]))
+
+    _line = _lines(st.one_of(st.sampled_from([1, 20, 21]), st.integers(1, 25)))
+
+    @st.composite
+    def _near_plain(draw, lines=_lines(st.one_of(
+            st.integers(1, 2), st.just(20), st.integers(1, 20))),
+            alphabet=_ALPHABET):
+        # plain lines with up to three characters inserted, replaced or
+        # deleted: the texts at the edges of the grammar
+        text = "".join(draw(st.lists(lines, max_size=4)))
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(text)))
+            edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+            new = "" if edit == "delete" else draw(st.sampled_from(alphabet))
+            text = text[:i] + new + text[i + (edit != "insert"):]
+        return text
+
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(
+        _near_plain(),
+        st.lists(st.one_of(_line, st.sampled_from(_ALPHABET)),
+                 max_size=30).map("".join)))
+    def test_plain_check_matches_the_old_grammar(self, tmp_path, text):
+        lf = text.replace("\r\n", "\n").replace("\r", "\n")
+        assert workload._is_plain(lf.encode()) == \
+            bool(self.OLD_PLAIN.fullmatch(lf))
+        p = tmp_path / "e.txt"
+        p.write_bytes(text.encode())
+        self.assert_reads_as_the_line_loop(p)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "1 2\n", "1 2", "1 \n", " 2\n", "1\t\n", "1\n2\n",
+        "1 2\n\n", "1  2\n", "1 2 \n", "1 2\n3 4 5\n", "1 2\n3\n",
+        f"{'9' * 20} {'0' * 20}\n", f"{'1' * 21} 2\n", f"1 {'2' * 21}\n",
+        "1 2\n/ 3\n", "1 2\n: 3\n", "1 2\n-3 4\n", "\u0663 4\n",
+    ])
+    def test_plain_check_at_the_edges_of_the_grammar(self, text):
+        assert workload._is_plain(text.encode()) == \
+            bool(self.OLD_PLAIN.fullmatch(text))
+
+    @pytest.fixture
+    def chunked(self, tmp_path):
+        # a plain file of more than three chunks, and where its first
+        # chunk ends
+        p = tmp_path / "e.txt"
+        workload.write_edge_file(
+            p, [(i, i * 7919 % 100_000) for i in range(30_000)])
+        data = p.read_bytes()
+        assert len(data) > 3 * workload._CHUNK
+        assert workload._is_plain(data)
+        return p, data, data.rfind(b"\n", 0, workload._CHUNK) + 1
+
+    @pytest.mark.parametrize("where", ["second-chunk-start",
+                                       "first-chunk-end"])
+    def test_bad_line_at_a_chunk_boundary(self, chunked, where):
+        p, data, cut = chunked
+        at = cut if where == "second-chunk-start" else cut - 2
+        bad = data[:at] + b"x" + data[at + 1:]
+        assert not workload._is_plain(bad)
+        p.write_bytes(bad)
+        with pytest.raises(ValueError, match="non-integer field"):
+            workload.read_edge_file(p)
+        self.assert_reads_as_the_line_loop(p)
+
+    def test_unterminated_last_line_of_a_chunked_file(self, chunked):
+        p, data, _ = chunked
+        edges = workload.read_edge_file(p)
+        assert not workload._is_plain(data[:-1])
+        p.write_bytes(data[:-1])
+        assert workload.read_edge_file(p) == edges
+
+    def test_line_longer_than_a_chunk(self, tmp_path):
+        data = b"0" * workload._CHUNK + b"1 2\n"
+        assert not workload._is_plain(data)
+        p = tmp_path / "e.txt"
+        p.write_bytes(data)
+        assert workload.read_edge_file(p) == [(1, 2)]
+
+    @pytest.mark.parametrize("data", [b"1 2\r\n3 4\r\n", b"1 2\r3 4\r"],
+                             ids=["crlf", "cr"])
+    def test_translated_newlines_take_the_one_pass_path(self, tmp_path,
+                                                        no_line_loop, data):
+        p = tmp_path / "e.txt"
+        p.write_bytes(data)
+        assert workload.read_edge_file(p) == [(1, 2), (3, 4)]
+
+    def test_undecodable_byte_raises_the_decode_error(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_bytes(b"1 2\n\xff 3\n")
+        with pytest.raises(UnicodeDecodeError):
+            workload.read_edge_file(p)
+
+    def test_byte_order_mark_is_a_non_integer_field(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_bytes(b"\xef\xbb\xbf1 2\n")
+        with pytest.raises(ValueError, match=":1: non-integer field"):
+            workload.read_edge_file(p)
 
 
 class TestGenerators:
@@ -338,6 +463,58 @@ class TestRun:
         (mixed,) = report.phases
         assert mixed.ops == 500
         assert mixed.elapsed_ns < 0.2e9
+
+    @pytest.fixture
+    def graph_calls(self, monkeypatch):
+        # every insert, query and delete the runner's graph is asked for
+        calls = []
+
+        class Recording(bench.CuckooGraph):
+            def insert_edge(self, u, v, w=1):
+                calls.append(("i", u, v))
+                return super().insert_edge(u, v, w)
+
+            def query_edge(self, u, v):
+                calls.append(("q", u, v))
+                return super().query_edge(u, v)
+
+            def delete_edge(self, u, v):
+                calls.append(("d", u, v))
+                return super().delete_edge(u, v)
+        monkeypatch.setattr(bench, "CuckooGraph", Recording)
+        return calls
+
+    def test_mixed_phase_over_contiguous_ids(self, tmp_path, graph_calls):
+        path, edges = self.make_dataset(tmp_path)
+        assert {x for e in edges for x in e} == set(range(200))
+        run(Workload(dataset=str(path), phases=("mixed:0.5,0.3,0.2:3000",),
+                     seed=4))
+        assert graph_calls == workload.mixed_ops(3000, (0.5, 0.3, 0.2), 200, 4)
+
+    @pytest.mark.parametrize("big", [1 << 40, (1 << 64) - 1])
+    def test_mixed_phase_draws_the_dataset_endpoints(self, tmp_path,
+                                                     graph_calls, big):
+        # ids are ranks among the endpoints, not values: no array as long
+        # as the largest id
+        path = tmp_path / "d.txt"
+        workload.write_edge_file(path, [(1, big), (big, 7)])
+        tracemalloc.start()
+        try:
+            report = run(Workload(dataset=str(path), seed=2, phases=(
+                "insert", "mixed:0.5,0.3,0.2:10")))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert report.phases[1].ops == 10
+        mixed = graph_calls[2:]
+        assert len(mixed) == 10
+        assert {x for _, u, v in mixed for x in (u, v)} <= {1, 7, big}
+
+    def test_mixed_phase_without_a_dataset(self, graph_calls):
+        run(Workload(phases=("mixed:0.5,0.3,0.2:500",), seed=1))
+        assert graph_calls == workload.mixed_ops(500, (0.5, 0.3, 0.2),
+                                                 1 << 16, 1)
 
     def test_random_delete_order_empties_the_graph(self, tmp_path):
         path, edges = self.make_dataset(tmp_path)
