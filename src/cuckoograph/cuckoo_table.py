@@ -8,46 +8,54 @@ the table. A table's length is its ``len_major``. Each table keeps its
 buckets in one of two layouts, fixed by the level it serves:
 
 - ``ROWS`` (node tables): a bucket is a list of keys; the payloads, the
-  graph's row id of each source, sit unboxed in one ``array('Q')`` of
-  ``cap`` cells, key ``i`` of bucket ``b`` with its row in cell ``b * d +
+  graph's row id of each source, sit unboxed in one array of ``cap``
+  4-byte cells, key ``i`` of bucket ``b`` with its row in cell ``b * d +
   i``. The keys stay in lists because the node level is probed on every
   operation: a flat probe (``key in keys[lo:hi]``) costs about 460 ns
   against 117 ns for ``key in list``, and a query on the sparse-inline
   workload probes 2.49 node buckets, so flat node keys would add about
-  0.85 us to an operation of about 5.5 us. This layout takes 21.45 B/edge
-  there (heap pass, seed 1), and a heap model puts flat keys at about 17,
-  which is not worth that time.
+  0.85 us to an operation of about 5.5 us. This layout took 21.45 B/edge
+  there with 8-byte cells (heap pass, seed 1), and a heap model put flat
+  keys at about 17, which was not worth that time; with 4-byte cells it
+  takes 15.46.
 - ``KEYS`` and ``WEIGHTS`` (adjacency tables): flat. All keys sit in one
-  ``array('Q')`` of ``cap`` cells, bucket ``b`` in cells ``b * d``
-  onwards, with a ``bytearray`` holding each bucket's fill count (so ``d``
-  is at most 255); the filled cells come first. A weighted table keeps its
-  weights in a parallel ``array('Q')``. A destination id or weight then
-  costs 8 bytes, not an int object plus a list cell: on the zipf workloads
-  these tables held about half of the heap. Both bucket arrays share one
-  key array and one fill array, because most adjacency tables have only a
-  few buckets, so the arrays' object headers weigh as much as their cells.
+  array of ``cap`` cells, bucket ``b`` in cells ``b * d`` onwards, with a
+  ``bytearray`` holding each bucket's fill count (so ``d`` is at most
+  255); the filled cells come first. A weighted table keeps its weights
+  in a parallel array. A destination id or weight then costs one cell,
+  not an int object plus a list cell: on the zipf workloads these tables
+  held about half of the heap. Both bucket arrays share one key array and
+  one fill array, because most adjacency tables have only a few buckets,
+  so the arrays' object headers weigh as much as their cells.
 
-Payloads, where kept, are in an ``array('Q')`` in both layouts, so a
-payload is an int below 2**64. No entry carries its hashes and no entry
-is an object of its own, so the garbage collector sees no per-entry
-object. Callers that already hashed a key pass both hashes to
-``insert``; a key displaced by the kick walk, or drained from a chain's
-overflow list, is rehashed with the level's ``HashPair`` (as MemC3 works
-out a displaced item's other bucket). A chain's merge or contraction
-moves its entries in bulk: it hashes all their keys in one batch
-(``HashPair.pairs``) and hands them to ``place``, one loop that puts each
-key into its major or minor bucket, exactly where ``insert`` would, and
-sends only a key whose two buckets are full on the kick walk. ``_put`` is
-the one place a key is appended to a bucket, for both layouts: ``insert``,
-``place`` and the kick walk all write through it. Membership scans run on
-the C side of the interpreter: ``in`` on a key list, or on a slice of the
-key array.
+Cell widths. Every array of a table is built at its level's ``code``
+(``Level.code``), one allocation of ``cap`` zeroed cells. A level starts
+at ``NARROW``, 4-byte unsigned cells. The node level stays there, so a
+row id is below 2**32 and a graph holds fewer than 2**32 sources. The
+graph widens its adjacency level to ``WIDE``, 8-byte cells, the first
+time an id or weight of 2**32 or more is to be stored, and re-types the
+arrays it already built; a level is never narrowed again. This module is
+the one place an array typecode is spelled.
+
+No entry carries its hashes and no entry is an object of its own, so the
+garbage collector sees no per-entry object. Callers that already hashed a
+key pass both hashes to ``insert``; a key displaced by the kick walk, or
+drained from a chain's overflow list, is rehashed with the level's
+``HashPair`` (as MemC3 works out a displaced item's other bucket). A
+chain's merge or contraction moves its entries in bulk: it hashes all
+their keys in one batch (``HashPair.pairs``) and hands them to ``place``,
+one loop that puts each key into its major or minor bucket, exactly where
+``insert`` would, and sends only a key whose two buckets are full on the
+kick walk. ``_put`` is the one place a key is appended to a bucket, for
+both layouts: ``insert``, ``place`` and the kick walk all write through
+it. Membership scans run on the C side of the interpreter: ``in`` on a
+key list, or on a slice of the key array.
 
 Array lengths are powers of two, so the modular bucket index reduces to a
 bitmask with identical semantics.
 
-The tables of a graph level share one ``Level`` (its settings and
-counters) and keep only their own geometry (``d``, ``cap``, masks,
+The tables of a graph level share one ``Level`` (its settings, cell width
+and counters) and keep only their own geometry (``d``, ``cap``, masks,
 ``len_major``) in slots of their own, for the probe path.
 
 A lookup is the chain's (``TableChain.find``); its table hit comes back as
@@ -70,6 +78,9 @@ _flatten = itertools.chain.from_iterable
 # bucket layouts: key lists with a row array, or flat key (and weight) arrays
 ROWS, KEYS, WEIGHTS = "rows", "keys", "weights"
 
+# array typecodes: 4-byte and 8-byte unsigned cells
+NARROW, WIDE = "I", "Q"
+
 
 @functools.cache
 def _fill_masks(d: int) -> tuple:
@@ -91,6 +102,10 @@ class Level:
     ``contract_at``, and ``overflow_cap``, the cap on the entries of all the
     level's overflow lists together.
 
+    ``code`` is the typecode every array of the level's tables is built
+    at: ``NARROW`` until the graph widens the level to ``WIDE`` (see the
+    module docstring).
+
     Counters (``COUNTERS``): the ``kicks_*`` fields count displacement
     walks by their length: a walk that settled after 1, 2-3, 4-15 or 16
     and more kicks, or one that ran out of its kick budget and handed an
@@ -108,7 +123,7 @@ class Level:
                 "kicks_16_up", "kicks_exhausted")
     __slots__ = COUNTERS + ("list_hits", "d", "max_kicks", "hash", "rng",
                             "layout", "base_len", "expand_at", "contract_at",
-                            "overflow_cap")
+                            "overflow_cap", "code")
 
     def __init__(self, *, cells_per_bucket, kick_budget, hash_pair, rng,
                  layout, base_len, expand_at, contract_at, overflow_cap):
@@ -127,6 +142,7 @@ class Level:
         self.expand_at = expand_at
         self.contract_at = contract_at
         self.overflow_cap = overflow_cap
+        self.code = NARROW
         self.list_hits = 0
         for name in self.COUNTERS:
             setattr(self, name, 0)
@@ -174,16 +190,18 @@ class CuckooTable:
         self.mask_major = length - 1
         self.mask_minor = length // 2 - 1
         buckets = length + length // 2
-        self.cap = buckets * d
+        cap = self.cap = buckets * d
+        # one allocation per array: array(code, bytes(...)) builds the
+        # zeroed bytes and copies them, about 18 times slower at 49,152 cells
+        cells = array(level.code, [0])
         if level.layout == ROWS:
             # copied to exact size: a comprehension's list keeps spare cells
             self.keys = [[] for _ in range(buckets)].copy()
             self.fill = None
         else:
-            self.keys = array("Q", bytes(8 * self.cap))
+            self.keys = cells * cap
             self.fill = bytearray(buckets)
-        self.vals = (array("Q", bytes(8 * self.cap))
-                     if level.layout != KEYS else None)
+        self.vals = cells * cap if level.layout != KEYS else None
         self.count = 0
         self.level = level
         level.capacity_cells += self.cap

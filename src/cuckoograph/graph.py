@@ -13,23 +13,25 @@ else needs re-placing.
 Rows and columns. Every stored source has a row id, and its per-source
 state lives in graph-level columns indexed by row, not in an object:
 
-- ``_slots``, one ``array('Q')`` of ``2 * MAX_TABLES`` values per row: the
-  inline destinations, ids, or ``v, w`` pairs when weighted, in insertion
-  order (a delete shifts the later ones down);
+- ``_slots``, one array of ``2 * MAX_TABLES`` values per row, at the
+  adjacency level's cell width (see below): the inline destinations, ids,
+  or ``v, w`` pairs when weighted, in insertion order (a delete shifts the
+  later ones down);
 - ``_fill``, a ``bytearray``: the row's inline destinations, at most
   ``inline_capacity``; 0 once the source was promoted;
-- ``_free``, an ``array('Q')`` of the rows freed by deleted sources, reused
-  last in, first out.
+- ``_free``, an array of the rows freed by deleted sources, at the node
+  level's 4-byte cells, reused last in, first out.
 
 The columns keep their peak row count while any source is left; they
 are emptied only when the last source goes. One count, ``_edges``, holds
 the stored edges: promotion and demotion only move them, and the inline
 ones are what the adjacency level does not hold.
 
-A node table's payload is the row id, unboxed in the table's row array
-(the ``ROWS`` layout of ``cuckoo_table``; node keys stay in list buckets,
-for the probe speed given there), and the node chain's overflow list
-keeps row ids too. Only a source whose inline slots overflowed owns an
+A node table's payload is the row id, unboxed in the table's 4-byte row
+array (the ``ROWS`` layout of ``cuckoo_table``; node keys stay in list
+buckets, for the probe speed given there), and the node chain's overflow
+list keeps row ids too. Row ids are below 2**32: a graph holds fewer than
+2**32 sources. Only a source whose inline slots overflowed owns an
 object: a ``Promoted`` record with its adjacency chain, which counts the
 source's destinations, in ``_promoted`` under the source's id. A source
 with inline destinations thus costs its key, its table cells and its
@@ -49,13 +51,26 @@ payloads, index)`` of its chain's lists, and an inline destination
 to be freed (``TableChain.remove``), which contracts it when the freed
 cell left it under its floor.
 
-Adjacency tables are flat: destination ids in one ``array('Q')`` per
-table, and the weights, when weighted, in a parallel one, so a
-destination there costs 8 bytes (16 weighted), and a weight, like an id,
-must be below 2**64.
+Adjacency tables are flat: destination ids in one array per table, and
+the weights, when weighted, in a parallel one. A weight, like an id, must
+be below 2**64.
 
-``GraphStats.bytes_total`` still models cells (a node cell as a key plus
-``2 * MAX_TABLES`` slots), not the arrays' real sizes.
+Cell widths. Destination ids and weights sit in 4-byte cells while every
+stored one is below 2**32, so a destination costs 4 bytes (8 weighted),
+in a table or inline. ``insert_edge`` folds the test into its range
+check: an edge with ``(u | v | weight) >> 32`` takes the slow path
+(``_admit``), which raises past 2**64 and otherwise, when the destination
+or a stored weight is 2**32 or more, widens the graph before anything is
+written. ``_widen`` re-types ``_slots`` and every promoted chain's key and
+weight arrays to 8-byte cells and sets the adjacency level's ``code``
+(``cuckoo_table.Level``), so every table built later is wide too. A
+weighted increment whose sum reaches 2**32 widens first, then re-points
+the slot it holds at the re-typed arrays. Widening is one-way: a graph
+whose wide values are all deleted keeps 8-byte cells. Source ids are the
+node tables' list keys, so none needs a wide cell.
+
+``GraphStats.bytes_total`` still models 8-byte cells (a node cell as a key
+plus ``2 * MAX_TABLES`` slots), not the arrays' real sizes or widths.
 
 A source's destinations are read in one place, ``_dests``: its inline
 slots, or its chain's entries (``TableChain.keys``/``entries``: the live
@@ -87,14 +102,16 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .chain import MAX_TABLES, TableChain
-from .cuckoo_table import KEYS, ROWS, WEIGHTS, Level, _fill_masks, is_pow2
+from .cuckoo_table import (KEYS, NARROW, ROWS, WEIGHTS, WIDE, Level,
+                           _fill_masks, is_pow2)
 from .hashing import HashPair, mix64
 from .workload import write_edge_file
 
 NODE_BYTES = 8
 TABLE_HEADER_BYTES = 48
 SLOTS = 2 * MAX_TABLES          # inline slot values per row
-_BLANK_ROW = array("Q", bytes(8 * SLOTS))
+# a fresh row's zeroed slots, at either cell width
+_BLANK_ROW = {code: array(code, [0]) * SLOTS for code in (NARROW, WIDE)}
 
 _flatten = itertools.chain.from_iterable
 
@@ -233,9 +250,9 @@ class CuckooGraph:
                                base_len=params.adj_table_len, **shared)
         self._node_chain = TableChain(self.node_level)
         # the row columns (see the module docstring)
-        self._slots = array("Q")
+        self._slots = array(self.adj_level.code)
         self._fill = bytearray()
-        self._free = array("Q")
+        self._free = array(self.node_level.code)
         self._promoted = {}
         self._edges = 0
         self._movements = 0
@@ -290,18 +307,26 @@ class CuckooGraph:
 
     def insert_edge(self, u: int, v: int, weight: int = 1) -> InsertResult:
         """Insert the directed edge u->v; duplicates increment w in weighted mode."""
-        if weight < 1 or weight >> 64:
-            raise ValueError(f"weight must be in [1, 2**64), got {weight}")
-        if (u | v) >> 64:
-            raise ValueError(f"node ids must be in [0, 2**64), got {u}, {v}")
+        if weight < 1 or (u | v | weight) >> 32:
+            self._admit(u, v, weight)
         row, record, cslot, slot, uh, vh = self._locate_edge(u, v)
         if slot is not None:
             if not self._weighted:
                 return _DUPLICATE
             w = _weight(slot) + weight
-            if w >> 64:
-                raise ValueError(f"weight of {u}->{v} would reach 2**64: "
-                                 f"{w - weight} + {weight}")
+            if w >> 32:
+                if w >> 64:
+                    raise ValueError(f"weight of {u}->{v} would reach 2**64: "
+                                     f"{w - weight} + {weight}")
+                if self.adj_level.code != WIDE:
+                    self._widen()
+                    # the slot named the narrow arrays; its cell is kept (an
+                    # overflow entry's lists are not re-typed)
+                    table, keys, _, i = slot
+                    if table is not None:
+                        slot = table, table.keys, table.vals, i
+                    elif keys is None:
+                        slot = None, None, self._slots, i
             _write_weight(slot, w)
             return InsertResult("incremented", w)
         if row is None:
@@ -533,9 +558,16 @@ class CuckooGraph:
         node_chain.check_invariants()
         assert all(t.fill is None and t.vals is not None
                    for t in node_chain.tables), "node table without rows"
+        # cell widths: row ids 4-byte, ids and weights the adjacency level's
+        assert all(a.itemsize == 4 for a in itertools.chain(
+            (t.vals for t in node_chain.tables), [self._free])), \
+            "a row array is not 4-byte"
+        code = self.adj_level.code
+        assert self._slots.typecode == code, "inline slots off the level's width"
         _check_level(self.node_level, [node_chain])
         self._check_rows()
         total_edges = 0
+        top = 0
         adj_chains = []
         out_degrees = {}
         in_degrees = Counter()
@@ -551,7 +583,12 @@ class CuckooGraph:
                            and (t.vals is not None) == self._weighted
                            for t in chain.tables), \
                     f"adjacency layout does not match the mode under node {u}"
+                assert all(a.typecode == code for t in chain.tables
+                           for a in (t.keys, t.vals) if a is not None), \
+                    f"adjacency cells off the level's width under node {u}"
                 adj_chains.append(chain)
+            top = max(top, max(_flatten(dests) if self._weighted else dests,
+                               default=0))
             ids = {d[0] for d in dests} if self._weighted else set(dests)
             assert len(ids) == len(dests), f"duplicate destination under node {u}"
             assert len(dests) == count, f"count drift for node {u}"
@@ -565,6 +602,9 @@ class CuckooGraph:
             "destinations drift"
         _check_level(self.adj_level, adj_chains)
         assert total_edges == self._edges, "edge count drift"
+        # overflow lists hold ints of any size: none may outgrow the cells
+        assert not top >> 8 * self._slots.itemsize, \
+            "a stored id or weight exceeds the level's width"
         # the per-query maxima of stats().counters
         assert self._max_q_node_probes <= 2 * MAX_TABLES, \
             "a query probed more than 2 node buckets per table"
@@ -606,12 +646,36 @@ class CuckooGraph:
 
     # -- internals ----------------------------------------------------------
 
+    def _admit(self, u, v, weight):
+        """The range check of an insert holding a value of 2**32 or more, or
+        a weight below 1: raise past the bounds, else widen the cells when
+        the destination or a stored weight needs 8 bytes."""
+        if weight < 1 or weight >> 64:
+            raise ValueError(f"weight must be in [1, 2**64), got {weight}")
+        if (u | v) >> 64:
+            raise ValueError(f"node ids must be in [0, 2**64), got {u}, {v}")
+        if ((v | weight) if self._weighted else v) >> 32 \
+                and self.adj_level.code != WIDE:
+            self._widen()
+
+    def _widen(self):
+        """Re-type every id and weight array to 8-byte cells: ``_slots`` and
+        each promoted chain's key and weight arrays; the adjacency level
+        builds every later table wide. Nothing narrows them again."""
+        self.adj_level.code = WIDE
+        self._slots = array(WIDE, self._slots)
+        for record in self._promoted.values():
+            for t in record.chain.tables:
+                t.keys = array(WIDE, t.keys)
+                if t.vals is not None:
+                    t.vals = array(WIDE, t.vals)
+
     def _new_row(self):
         """A row for a new source: the last one freed, else a fresh one."""
         if self._free:
             return self._free.pop()
         self._fill.append(0)
-        self._slots += _BLANK_ROW
+        self._slots += _BLANK_ROW[self._slots.typecode]
         return len(self._fill) - 1
 
     def _chain_add(self, record, v, weight, vh=None):
@@ -645,7 +709,7 @@ class CuckooGraph:
         del self._promoted[record.node]
         s = record.row * SLOTS
         self._slots[s:s + self._width * len(items)] = array(
-            "Q", _flatten(items) if self._weighted else items)
+            self._slots.typecode, _flatten(items) if self._weighted else items)
         self._fill[record.row] = len(items)
         self._movements += len(items)
 
@@ -680,9 +744,10 @@ class CuckooGraph:
         if self._node_chain.count:
             self._free.append(row)
         else:
-            # the last source went: the columns start over
-            self._slots, self._fill = array("Q"), bytearray()
-            self._free = array("Q")
+            # the last source went: the columns start over, at their widths
+            self._slots = array(self._slots.typecode)
+            self._fill = bytearray()
+            self._free = array(self.node_level.code)
 
 
 def _weight(slot):

@@ -68,8 +68,9 @@ class HashPair:
         return (x ^ (x >> 31)) & MASK30, x >> 34
 
     def pairs(self, keys) -> tuple[list[int], list[int]]:
-        """Both hash lists of a batch of keys (a sequence of ints or an
-        ``array('Q')``): element i of each is ``pair(keys[i])``'s."""
+        """Both hash lists of a batch of keys (a sequence of ints, or an id
+        array of 4-byte or 8-byte cells): element i of each is
+        ``pair(keys[i])``'s."""
         if not len(keys):
             # a move or a frontier with no key pays no numpy set-up
             return [], []

@@ -15,6 +15,11 @@ ID_SKEW = 1.05
 # a field the line loop reads (a negative one then raises its own message)
 _FIELD = re.compile(r"-?[0-9]+")
 
+# the one field numpy reads as 2**64 - 1 exactly; it clamps any larger
+# value to the same number
+_U64_MAX = np.iinfo(np.uint64).max
+_U64_MAX_FIELD = str(_U64_MAX).encode()
+
 # bytes of a file _is_plain checks at a time: its arrays peak near 8.5
 # bytes per chunk byte on the densest plain lines ("0 0"), about 0.55 MB,
 # however long the file
@@ -35,9 +40,10 @@ def read_edge_file(path):
     "u v" of at most 20 digits each with one space or tab between and a
     newline after, is checked by numpy a chunk at a time (``_is_plain``)
     and tokenized in one pass as unsigned 64-bit values. numpy clamps a
-    value past ``2^64 - 1`` to it, so a plain file that reads back holding
-    ``2^64 - 1`` is reopened in text mode for the line loop, like every
-    other file. All give the same list, or raise the same error.
+    value past ``2^64 - 1`` to it, so the one-pass result stands only when
+    every ``2^64 - 1`` it holds is spelled so in the file; otherwise the
+    file is reopened in text mode for the line loop, like every other
+    file. All give the same list, or raise the same error.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -45,10 +51,12 @@ def read_edge_file(path):
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if _is_plain(data):
         values = np.fromstring(data, dtype=np.uint64, sep=" ")
-        del data
-        # numpy reads every value below 2**64 - 1 exactly and clamps a
-        # larger one to it: only the line loop tells the two apart
-        if values.max(initial=0) < np.iinfo(np.uint64).max:
+        # only a 20-digit field can clamp, and no field is longer, so the
+        # two counts match exactly when no field is 2**64 or more
+        if (values.max(initial=0) < _U64_MAX
+                or np.count_nonzero(values == _U64_MAX)
+                == data.count(_U64_MAX_FIELD)):
+            del data
             nums = values.tolist()
             del values      # before the tuples: a lower peak
             pairs = iter(nums)

@@ -121,6 +121,9 @@ class TestIngest:
         pytest.param(f"1 {10**19}\n", [(1, 10**19)], id="10^19"),
         pytest.param(f"{(1 << 64) - 2} 0\n", [((1 << 64) - 2, 0)],
                      id="2^64-2"),
+        pytest.param(f"1 2\n{(1 << 64) - 1} 0\n3 {(1 << 64) - 1}\n",
+                     [(1, 2), ((1 << 64) - 1, 0), (3, (1 << 64) - 1)],
+                     id="2^64-1"),
         pytest.param("", [], id="empty"),
     ])
     def test_one_pass_reads_exact_values(self, tmp_path, no_line_loop, text,

@@ -1,9 +1,11 @@
 """Design gates read from the source, not from a running graph."""
 
 import ast
+from array import array
 from pathlib import Path
 
 import cuckoograph
+from cuckoograph import cuckoo_table
 
 SRC = Path(cuckoograph.__file__).parent
 
@@ -61,3 +63,29 @@ def test_every_private_module_name_is_read():
     assert assigned, "no private module-level names found"
     unread = {where for where, read in assigned.items() if not read}
     assert not unread, f"private module-level names never read: {unread}"
+
+
+def _array_calls(tree):
+    """The first argument of every ``array(...)`` or ``array.array(...)``
+    call in a module."""
+    return [node.args[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and node.args
+            and (isinstance(node.func, ast.Name) and node.func.id == "array"
+                 or isinstance(node.func, ast.Attribute)
+                 and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id == node.func.attr == "array")]
+
+
+def test_array_typecodes_are_spelled_in_one_module():
+    # the cell width of ids, weights and rows is decided in cuckoo_table:
+    # every other module builds its arrays from its constants, or from an
+    # array's own typecode, and never spells a typecode
+    trees = _trees()
+    assert _array_calls(trees["graph.py"]), "the gate sees no array call"
+    spelled = {name: [arg.lineno for arg in _array_calls(tree)
+                      if isinstance(arg, ast.Constant)]
+               for name, tree in trees.items() if name != "cuckoo_table.py"}
+    spelled = {name: lines for name, lines in spelled.items() if lines}
+    assert not spelled, f"array typecodes spelled outside cuckoo_table: {spelled}"
+    assert array(cuckoo_table.NARROW).itemsize == 4
+    assert array(cuckoo_table.WIDE).itemsize == 8

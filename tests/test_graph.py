@@ -17,7 +17,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 
 from cuckoograph import CuckooGraph, GraphParams, OracleGraph, analytics, oracle
 from cuckoograph.chain import MAX_TABLES, TableChain
-from cuckoograph.cuckoo_table import KEYS, ROWS, WEIGHTS
+from cuckoograph.cuckoo_table import KEYS, NARROW, ROWS, WEIGHTS, WIDE
 from cuckoograph.graph import Promoted
 from cuckoograph.workload import generate_synthetic, mixed_ops
 
@@ -482,6 +482,33 @@ class TestAudit:
         with pytest.raises(AssertionError, match="a query"):
             g.check_invariants()
 
+    @pytest.mark.parametrize("breach, message", [
+        ("row cells", "a row array is not 4-byte"),
+        ("inline cells", "inline slots off the level's width"),
+        ("table cells", "adjacency cells off the level's width"),
+        ("spilled id", "exceeds the level's width"),
+    ])
+    def test_rejects_cells_off_the_level_width(self, breach, message):
+        g, record = _chained_node_5(weighted=True)
+        g.check_invariants()
+        if breach == "row cells":
+            t = g._node_chain.tables[0]
+            t.vals = array(WIDE, t.vals)
+        elif breach == "inline cells":
+            g.insert_edge(6, 1)
+            g._slots = array(WIDE, g._slots)
+        elif breach == "table cells":
+            t = record.chain.tables[0]
+            t.vals = array(WIDE, t.vals)
+        else:
+            # an overflow list holds any int: a wide id there, counted as
+            # insert_edge counts one, while the cells stay narrow
+            record.chain.count += 1
+            g._edges += 1
+            record.chain.spill((1 << 32, 1))
+        with pytest.raises(AssertionError, match=message):
+            g.check_invariants()
+
 
 def _row(g, u):
     """u's row id, read through the store's node lookup."""
@@ -802,6 +829,120 @@ def _location(g, u, v):
     return "adj_table"
 
 
+def _narrow_graph(weighted):
+    """A store and its oracle, mid-run and still narrow: chains on upper
+    schedule rows, both overflow lists non-empty and some rows inline."""
+    g = CuckooGraph(tiny_params(weighted=weighted))
+    ref = OracleGraph(weighted=weighted)
+    rnd = random.Random(5)
+    while not (g.adj_level.overflow and g.node_level.overflow and any(g._fill)
+               and any(r.chain.step >= 2 for r in g._promoted.values())):
+        u = rnd.randrange(4) if rnd.random() < 0.5 else rnd.randrange(4, 200)
+        v, w = rnd.randrange(1000), rnd.randint(1, 3)
+        assert tuple(g.insert_edge(u, v, w)) == ref.insert(u, v, w)
+    assert g.adj_level.code == NARROW
+    _check_widths(g, 4)
+    return g, ref
+
+
+def _check_widths(g, size):
+    """Ids and weights in ``size``-byte cells, rows in 4-byte ones."""
+    assert g._slots.itemsize == size
+    for record in g._promoted.values():
+        for t in record.chain.tables:
+            assert t.keys.itemsize == size
+            assert t.vals is None or t.vals.itemsize == size
+    assert all(t.vals.itemsize == 4 for t in g._node_chain.tables)
+    assert g._free.itemsize == 4
+
+
+def _agrees(g, ref):
+    """The store matches its oracle and passes the audit."""
+    assert set(g.iter_edges()) == ref.edge_set()
+    for u in ref.adj:
+        assert g.successors(u) == ref.successors(u)
+    g.check_invariants()
+
+
+class TestWidening:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("where", ["inline", "adj_table", "new source"])
+    def test_first_big_id(self, weighted, where):
+        g, ref = _narrow_graph(weighted)
+        if where == "new source":
+            u = 10**6
+        else:
+            u = next(u for u in sorted(ref.adj)
+                     if _location(g, u, next(iter(ref.adj[u]))) == where)
+        assert tuple(g.insert_edge(u, 1 << 32)) == ref.insert(u, 1 << 32)
+        assert g.adj_level.code == WIDE
+        _check_widths(g, 8)
+        _agrees(g, ref)
+
+    def test_widening_moves_nothing(self):
+        g, _ = _narrow_graph(True)
+        before, edges = g.stats(), list(g.iter_edges())
+        g._widen()
+        _check_widths(g, 8)
+        # no entry moved, and no counter or modelled byte changed
+        assert list(g.iter_edges()) == edges
+        assert g.stats() == before
+
+    def test_big_source_ids_leave_the_cells_narrow(self):
+        g, ref = _narrow_graph(True)
+        for u in (1 << 32, (1 << 64) - 1):
+            assert tuple(g.insert_edge(u, 3, 2)) == ref.insert(u, 3, 2)
+        # a weight in an unweighted store is checked, never stored
+        h, _ = _narrow_graph(False)
+        h.insert_edge(1, 2, 1 << 40)
+        for store in (g, h):
+            assert store.adj_level.code == NARROW
+            _check_widths(store, 4)
+        _agrees(g, ref)
+
+    def test_first_big_weight(self):
+        g, ref = _narrow_graph(True)
+        u = next(u for u in g._promoted if g._promoted[u].chain.spill_k)
+        assert tuple(g.insert_edge(u, 5000, 1 << 33)) == \
+            ref.insert(u, 5000, 1 << 33)
+        assert g.query_edge(u, 5000) == 1 << 33
+        _check_widths(g, 8)
+        _agrees(g, ref)
+
+    @pytest.mark.parametrize("where", ["inline", "adj_table", "adj_dl"])
+    def test_increment_past_2_32(self, where):
+        g, ref = _narrow_graph(True)
+        u, v = next((u, v) for u in sorted(ref.adj) for v in sorted(ref.adj[u])
+                    if _location(g, u, v) == where)
+        w = ref.query(u, v)
+        assert g.insert_edge(u, v, (1 << 32) - w - 1) == \
+            ("incremented", (1 << 32) - 1)
+        assert g.adj_level.code == NARROW
+        ref.insert(u, v, (1 << 32) - w - 1)
+        # the sum reaches 2**32: the store widens, then writes the weight
+        # at the cell it had found
+        assert tuple(g.insert_edge(u, v, 1)) == ref.insert(u, v, 1)
+        assert g.query_edge(u, v) == 1 << 32
+        _check_widths(g, 8)
+        _agrees(g, ref)
+
+    def test_widening_is_one_way(self):
+        g, ref = _narrow_graph(True)
+        assert tuple(g.insert_edge(0, 1 << 40)) == ref.insert(0, 1 << 40)
+        for u, v, _ in sorted(ref.edges()):
+            while ref.query(u, v):
+                assert tuple(g.delete_edge(u, v)) == ref.delete(u, v)
+        assert g.stats().edges == g.stats().nodes == 0
+        _check_widths(g, 8)
+        g.check_invariants()
+        # a chain built after the wide values went is wide as well
+        for v in range(40):
+            g.insert_edge(7, v)
+        assert g.adjacency_lengths(7) is not None
+        _check_widths(g, 8)
+        g.check_invariants()
+
+
 class TestProbeAccounting:
     def test_deleting_a_nodes_last_edge_charges_only_the_lookup(self):
         g = CuckooGraph(GraphParams())
@@ -1074,12 +1215,16 @@ def valid_params(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(params=valid_params(), burst=st.integers(0, 1500),
-       churn=st.integers(0, 400), stream=st.integers(0, 2**32))
-def test_differential_over_the_parameter_space(params, burst, churn, stream):
+       churn=st.integers(0, 400), stream=st.integers(0, 2**32),
+       wide=st.none() | st.integers(0, 1900))
+def test_differential_over_the_parameter_space(params, burst, churn, stream,
+                                               wide):
     # one source takes a burst of destinations, so its chain climbs the
     # schedule (and spills, at small buckets and kick budgets); a churn of
     # inserts, queries and deletes over a few sources follows; then every
-    # edge goes in random order, so chains contract back to the floor
+    # edge goes in random order, so chains contract back to the floor.
+    # Unless ``wide`` is None, one insert at that place in the stream
+    # brings a destination of 2**32 or more, which widens the store's cells
     rnd = random.Random(stream)
     ops = [("i", 0, v, 1) for v in rnd.sample(range(1 << 20), burst)]
     for _ in range(churn):
@@ -1087,6 +1232,8 @@ def test_differential_over_the_parameter_space(params, burst, churn, stream):
         op = "i" if r < 0.6 else ("q" if r < 0.75 else "d")
         ops.append((op, rnd.randrange(6), rnd.randrange(64),
                     rnd.randint(1, 3)))
+    if wide is not None:
+        ops.insert(wide, ("i", wide % 6, (1 << 32) + wide, 1))
     g = CuckooGraph(params)
     ref = OracleGraph(weighted=params.weighted)
     for op, u, v, w in ops:
@@ -1134,6 +1281,12 @@ class GraphMachine(RuleBasedStateMachine):
     @rule(u=sources, v=dests, w=st.integers(1, 3))
     def insert(self, u, v, w):
         self._insert(u, v, w)   # an unweighted store ignores w
+
+    @rule(u=st.integers(0, 3), v=dests)
+    def insert_wide(self, u, v):
+        # a destination of 2**32 or more widens every id and weight array,
+        # amid whatever chains and overflow lists the run has built
+        self._insert(u, (1 << 32) + v)
 
     @rule(u=sources, v=dests)
     def delete(self, u, v):

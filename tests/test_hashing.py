@@ -55,6 +55,10 @@ class TestBulkHash:
     def test_array_input(self, hp):
         keys = array("Q", [0, MASK64, 7, 1 << 40, 12345678901234567])
         assert _bulk(hp, keys) == _one_by_one(hp, keys)
+        # the 4-byte cells an id array has until the graph widens it
+        keys = array("I", [0, (1 << 32) - 1, 7, 1 << 31, 123456789])
+        assert keys.itemsize == 4
+        assert _bulk(hp, keys) == _one_by_one(hp, keys)
 
     @pytest.mark.parametrize("keys", sorted(STRUCTURED_KEYS))
     def test_structured_keys(self, hp, keys):
