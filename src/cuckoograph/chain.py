@@ -90,14 +90,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cuckoo_table import CuckooTable
+from .cuckoo_table import CuckooTable, _flatten
 
 MAX_TABLES = 3
 MIN_TABLE_LEN = 2
-
-_flatten = itertools.chain.from_iterable
 
 
 def lengths_for_step(step: int, base_len: int) -> tuple[int, ...]:
@@ -134,9 +132,9 @@ class ChainEvent:
 
     kind: str                      # enabled | merged | removed
     lengths: tuple[int, ...]
-    moved: int = 0
-    failed: list = field(default_factory=list)  # homeless on a redone try, then placed
-    rebuilt: bool = False          # a contraction that kept no table
+    moved: int
+    failed: list                   # homeless on a redone try, then placed
+    rebuilt: bool                  # a contraction that kept no table
 
 
 class TableChain:
@@ -174,10 +172,6 @@ class TableChain:
 
     def load_rate(self) -> float:
         return (self.count - len(self.spill_k)) / self.capacity()
-
-    def at_floor(self) -> bool:
-        # the audit pins the tables to the step's row, so row 0 is the floor
-        return self.step == 0
 
     # -- triggers ----------------------------------------------------------
 
@@ -324,10 +318,9 @@ class TableChain:
         tables left after dropping ``hit_table`` already form the target
         row they are kept, and only the hit table's entries move; else
         every entry moves into fresh tables of the row. Returns None when
-        the chain sits at its floor or already is the target row.
+        the chain already is the target row. ``remove`` calls it only
+        once ``should_contract`` holds, which a chain at row 0 never does.
         """
-        if self.at_floor():
-            return None
         step = self._row_for(self.count - len(self.spill_k))
         target = _materialized(step, self.level.base_len)
         if target == self.lengths():

@@ -11,13 +11,13 @@ buckets in one of two layouts, fixed by the level it serves:
   graph's row id of each source, sit unboxed in one array of ``cap``
   4-byte cells, key ``i`` of bucket ``b`` with its row in cell ``b * d +
   i``. The keys stay in lists because the node level is probed on every
-  operation: a flat probe (``key in keys[lo:hi]``) costs about 460 ns
-  against 117 ns for ``key in list``, and a query on the sparse-inline
-  workload probes 2.49 node buckets, so flat node keys would add about
-  0.85 us to an operation of about 5.5 us. This layout took 21.45 B/edge
-  there with 8-byte cells (heap pass, seed 1), and a heap model put flat
-  keys at about 17, which was not worth that time; with 4-byte cells it
-  takes 15.46.
+  operation. A prototype keeping them flat, with a fill byte per bucket
+  as adjacency tables do, probed a bucket in 264 ns on a hit and 170 ns on
+  a miss, against 142 and 85 ns for a key list. Over 6 alternating
+  perfbench pairs (``--seconds 8``) it lost every pair on sparse-inline's
+  insert, hit, miss and delete throughput (by 8.6-13.3%) and on every
+  workload's ``bfs_s`` (8.3-12.5%), for 11.2% fewer heap bytes per edge
+  there and 2.3-2.9% fewer on the zipf workloads.
 - ``KEYS`` and ``WEIGHTS`` (adjacency tables): flat. All keys sit in one
   array of ``cap`` cells, bucket ``b`` in cells ``b * d`` onwards, with a
   ``bytearray`` holding each bucket's fill count (so ``d`` is at most
@@ -100,7 +100,7 @@ class Level:
     victims, the bucket ``layout``, and for the chains the ``base_len`` of
     a fresh chain, the grow and floor thresholds ``expand_at`` and
     ``contract_at``, and ``overflow_cap``, the cap on the entries of all the
-    level's overflow lists together.
+    level's overflow lists together; ``GraphParams`` checks the settings.
 
     ``code`` is the typecode every array of the level's tables is built
     at: ``NARROW`` until the graph widens the level to ``WIDE`` (see the
@@ -127,12 +127,6 @@ class Level:
 
     def __init__(self, *, cells_per_bucket, kick_budget, hash_pair, rng,
                  layout, base_len, expand_at, contract_at, overflow_cap):
-        if cells_per_bucket < 1:
-            raise ValueError("cells_per_bucket must be >= 1")
-        if kick_budget < 1:
-            raise ValueError("kick_budget must be >= 1")
-        if layout not in (ROWS, KEYS, WEIGHTS):
-            raise ValueError(f"unknown bucket layout {layout!r}")
         self.d = cells_per_bucket
         self.max_kicks = kick_budget
         self.hash = hash_pair

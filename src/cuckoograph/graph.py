@@ -64,8 +64,8 @@ or a stored weight is 2**32 or more, widens the graph before anything is
 written. ``_widen`` re-types ``_slots`` and every promoted chain's key and
 weight arrays to 8-byte cells and sets the adjacency level's ``code``
 (``cuckoo_table.Level``), so every table built later is wide too. A
-weighted increment whose sum reaches 2**32 widens first, then re-points
-the slot it holds at the re-typed arrays. Widening is one-way: a graph
+weighted increment whose sum reaches 2**32 widens first, then looks its
+edge up again in the re-typed arrays. Widening is one-way: a graph
 whose wide values are all deleted keeps 8-byte cells. Source ids are the
 node tables' list keys, so none needs a wide cell.
 
@@ -103,7 +103,7 @@ from typing import NamedTuple, Optional
 
 from .chain import MAX_TABLES, TableChain
 from .cuckoo_table import (KEYS, NARROW, ROWS, WEIGHTS, WIDE, Level,
-                           _fill_masks, is_pow2)
+                           _fill_masks, _flatten, is_pow2)
 from .hashing import HashPair, mix64
 from .workload import write_edge_file
 
@@ -112,8 +112,6 @@ TABLE_HEADER_BYTES = 48
 SLOTS = 2 * MAX_TABLES          # inline slot values per row
 # a fresh row's zeroed slots, at either cell width
 _BLANK_ROW = {code: array(code, [0]) * SLOTS for code in (NARROW, WIDE)}
-
-_flatten = itertools.chain.from_iterable
 
 
 class InsertResult(NamedTuple):
@@ -210,8 +208,6 @@ class GraphStats:
     edges: int
     node_cells: int
     adj_cells: int
-    node_load_rate: float
-    adj_load_rate: float
     inline_edges: int
     node_dl_len: int
     adj_dl_len: int
@@ -320,13 +316,8 @@ class CuckooGraph:
                                      f"{w - weight} + {weight}")
                 if self.adj_level.code != WIDE:
                     self._widen()
-                    # the slot named the narrow arrays; its cell is kept (an
-                    # overflow entry's lists are not re-typed)
-                    table, keys, _, i = slot
-                    if table is not None:
-                        slot = table, table.keys, table.vals, i
-                    elif keys is None:
-                        slot = None, None, self._slots, i
+                    # the slot named the narrow arrays
+                    slot = self._locate_edge(u, v)[3]
             _write_weight(slot, w)
             return InsertResult("incremented", w)
         if row is None:
@@ -524,10 +515,6 @@ class CuckooGraph:
             edges=self._edges,
             node_cells=node_cells,
             adj_cells=adj_cells,
-            node_load_rate=(self.node_level.entries / node_cells)
-            if node_cells else 0.0,
-            adj_load_rate=(self.adj_level.entries / adj_cells)
-            if adj_cells else 0.0,
             inline_edges=(self._edges - self.adj_level.entries
                           - self.adj_level.overflow),
             node_dl_len=node_dl_len,
@@ -699,7 +686,7 @@ class CuckooGraph:
     def _maybe_demote(self, record):
         """Move a small chain's destinations back into the row's inline slots."""
         chain = record.chain
-        if (not chain.at_floor() or chain.count > self._inline_cap
+        if (chain.step or chain.count > self._inline_cap
                 or chain.count - len(chain.spill_k)
                 >= chain.level.contract_at * chain.capacity()):
             return

@@ -40,21 +40,17 @@ def mix64(x: int) -> int:
 class HashPair:
     """Two 30-bit hashes of an integer key from one seeded 64-bit mix.
 
-    Both seeds feed the one pass, and they must differ. Bucket indices
-    are the hashes masked to the array length (a power of two), so
-    growing an array by a power of two leaves roughly half of the keys
-    in place.
+    Both seeds fold into one 64-bit mask that the key is xored with
+    before the pass; they need not differ. Bucket indices are the hashes
+    masked to the array length (a power of two), so growing an array by a
+    power of two leaves roughly half of the keys in place.
     Keys are ids in ``[0, 2^64)``; ``CuckooGraph.insert_edge`` rejects
     any other.
     """
 
-    __slots__ = ("seed_1", "seed_2", "_m")
+    __slots__ = ("_m",)
 
     def __init__(self, seed_1: int, seed_2: int):
-        if seed_1 == seed_2:
-            raise ValueError("hash seeds must differ")
-        self.seed_1 = seed_1
-        self.seed_2 = seed_2
         self._m = mix64(mix64(seed_1) ^ seed_2)
 
     def pair(self, key: int) -> tuple[int, int]:

@@ -233,6 +233,9 @@ def mixed_ops(count, ratios, universe, seed):
     up in the cumulative weights in one ``np.searchsorted`` call.
     """
     check_ratios(ratios)
+    if count < 0 or universe < 1:
+        raise ValueError("mixed_ops needs count >= 0 and universe >= 1, "
+                         f"got {count} and {universe}")
     ri, rq, _ = ratios
     rng = random.Random(seed)
     draws = [rng.random() for _ in range(3 * count)]

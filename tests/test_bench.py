@@ -356,6 +356,14 @@ class TestGenerators:
         with pytest.raises(ValueError, match="mixed ratios"):
             workload.mixed_ops(5, ratios, 100, 1)
 
+    @pytest.mark.parametrize("args", [(3, (1, 0, 0), 0, 1),
+                                      (-1, (1, 0, 0), 100, 1)])
+    def test_mixed_ops_checks_its_count_and_universe(self, args):
+        # an empty universe would draw id 0 every time, and a negative
+        # count would give an empty stream
+        with pytest.raises(ValueError, match="universe >= 1"):
+            workload.mixed_ops(*args)
+
     @pytest.mark.parametrize("args", [
         *[pytest.param((200_000, (0.6, 0.3, 0.1), 1 << 16, seed),
                        id=f"criterion-02-seed-{seed}") for seed in range(5)],

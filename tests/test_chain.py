@@ -439,7 +439,7 @@ class TestContract:
         # a length-2 table has one minor bucket, so a drain of (2, 2) into
         # (2,) strands keys whenever more than 16 share a major bucket;
         # the contraction must then rebuild instead of dropping them
-        for hp in HASH_PAIRS:
+        for h, hp in enumerate(HASH_PAIRS):
             for seed in range(300):
                 chain, _ = make_chain(base=2, d=8, kicks=250, rng_seed=seed,
                                       hp=hp)
@@ -452,7 +452,7 @@ class TestContract:
                     event = remove(chain, k)
                     live.discard(k)
                     if event is not None:
-                        assert set(chain_keys(chain)) == live, (hp.seed_1, seed, k)
+                        assert set(chain_keys(chain)) == live, (h, seed, k)
                 assert chain_keys(chain) == []
 
     def test_rebuild_retries_homeless_entries_before_a_larger_row(self):

@@ -8,6 +8,7 @@ import cuckoograph
 from cuckoograph import cuckoo_table
 
 SRC = Path(cuckoograph.__file__).parent
+TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
 
 
 def _trees():
@@ -63,6 +64,29 @@ def test_every_private_module_name_is_read():
     assert assigned, "no private module-level names found"
     unread = {where for where, read in assigned.items() if not read}
     assert not unread, f"private module-level names never read: {unread}"
+
+
+def test_every_slot_is_read():
+    # every name spelled in a ``__slots__`` is read as an attribute in the
+    # package, or by the benchmark's tracer, which labels its events with
+    # ``TableChain.owner``; ``Level.COUNTERS`` are read by name (snapshot)
+    trees = _trees()
+    trees["tracer.py"] = ast.parse(TRACER.read_text(), str(TRACER))
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    slots = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in node.targets)):
+                for c in ast.walk(node.value):
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                        slots[f"{c.value} ({name}:{c.lineno})"] = c.value
+    assert "owner" in slots.values(), "the gate sees no slot"
+    unread = {where for where, attr in slots.items() if attr not in read}
+    assert not unread, f"slots never read: {unread}"
 
 
 def _array_calls(tree):

@@ -36,7 +36,6 @@ class TestBasicOps:
         assert g.query_edge(1, 2) is False
         s = g.stats()
         assert s.nodes == 0 and s.edges == 0
-        assert s.node_load_rate == 0.0
 
     def test_roundtrip_and_directedness(self):
         g = CuckooGraph(GraphParams())
@@ -919,8 +918,8 @@ class TestWidening:
             ("incremented", (1 << 32) - 1)
         assert g.adj_level.code == NARROW
         ref.insert(u, v, (1 << 32) - w - 1)
-        # the sum reaches 2**32: the store widens, then writes the weight
-        # at the cell it had found
+        # the sum reaches 2**32: the store widens, then looks the edge up
+        # again and writes the weight there
         assert tuple(g.insert_edge(u, v, 1)) == ref.insert(u, v, 1)
         assert g.query_edge(u, v) == 1 << 32
         _check_widths(g, 8)
@@ -1467,9 +1466,11 @@ class TestBounds:
         assert c["ldl_peak"] < g.params.denylist_cap
 
     def test_cells_per_bucket_fits_the_fill_byte(self):
-        # a flat bucket counts its filled cells in one byte
-        with pytest.raises(ValueError, match="cells_per_bucket"):
-            GraphParams(cells_per_bucket=256)
+        # a bucket has at least one cell, and a flat one counts its filled
+        # cells in one byte
+        for d in (0, 256):
+            with pytest.raises(ValueError, match="cells_per_bucket"):
+                GraphParams(cells_per_bucket=d)
         g = CuckooGraph(GraphParams(cells_per_bucket=255))
         for v in range(600):
             g.insert_edge(1, v)
