@@ -171,44 +171,34 @@ def scc_tarjan(graph) -> list:
     on_stack = set()
     stack = []
     comps = []
-    counter = [0]
     for root in sorted(adj):
         if root in index:
             continue
-        work = [(root, iter(sorted(adj[root])))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
+        index[root] = lowlink[root] = len(index)
         stack.append(root)
         on_stack.add(root)
+        work = [(root, iter(sorted(adj[root])))]
         while work:
             node, it = work[-1]
-            pushed = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(adj[nxt]))))
-                    pushed = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    x = stack.pop()
-                    on_stack.discard(x)
-                    comp.append(x)
-                    if x == node:
-                        break
-                comps.append(sorted(comp))
+            nxt = next(it, None)
+            if nxt is None:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    comp = [stack.pop()]
+                    while comp[-1] != node:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    comps.append(sorted(comp))
+            elif nxt not in index:
+                index[nxt] = lowlink[nxt] = len(index)
+                stack.append(nxt)
+                on_stack.add(nxt)
+                work.append((nxt, iter(sorted(adj[nxt]))))
+            elif nxt in on_stack:
+                lowlink[node] = min(lowlink[node], index[nxt])
     comps.sort(key=lambda c: c[0])
     return comps
 

@@ -68,13 +68,13 @@ they came from, and the newest table always starts empty.
 
 Each chain owns its overflow list (the paper's denylist), as a cuckoo
 table with a stash owns its stash: the keys an insert's kick walk left
-homeless, in ``spill_k``, with their payloads in a parallel ``spill_v``
-when the chain's tables keep payloads. ``spill`` is the one push and
-``advance`` the one drain: every grow event retries the list, in order,
-in the newest table. The cap on a level's lists is shared by all chains
-of that level, so the lists count their entries in the level's
-``overflow``; a push over the cap forces the chain to grow first. Most
-chains never spill, so a chain allocates its lists on its first spill.
+homeless, in ``spill_k``, and their payloads (None without payloads) in
+a parallel ``spill_v``. ``spill`` is the one push and ``advance`` the
+one drain: every grow event retries the list, in order, in the newest
+table. A level's cap bounds all its chains' lists together, so they
+count their entries in the level's ``overflow``, and its peak in
+``overflow_peak``; a push over the cap forces the chain to grow first.
+Most chains never spill: both lists are ``()`` until the first spill.
 
 A chain knows where its keys are. ``find`` probes at most two buckets
 per table, oldest table first, and scans the overflow list only after
@@ -158,9 +158,7 @@ class TableChain:
         self.step = 0
         self.count = 0
         self.tables = [CuckooTable(max(MIN_TABLE_LEN, level.base_len), level)]
-        # empty until the first spill; spill_v stays None without payloads
-        self.spill_k = ()
-        self.spill_v = None if self.tables[0].vals is None else ()
+        self.spill_k = self.spill_v = ()   # lists from the first spill on
 
     # -- metrics ---------------------------------------------------------
 
@@ -253,8 +251,7 @@ class TableChain:
         self.count -= 1
         if table is None:
             keys.pop(i)
-            if payloads is not None:
-                payloads.pop(i)
+            payloads.pop(i)
             self.level.overflow -= 1
             return None
         table.clear_slot(keys, payloads, i)
@@ -317,16 +314,17 @@ class TableChain:
         capacity``); the row is chosen from that count alone. When the
         tables left after dropping ``hit_table`` already form the target
         row they are kept, and only the hit table's entries move; else
-        every entry moves into fresh tables of the row. Returns None when
-        the chain already is the target row. ``remove`` calls it only
-        once ``should_contract`` holds, which a chain at row 0 never does.
+        every entry moves into fresh tables of the row. Returns None unless
+        the target lies below the chain's row: a contraction never moves a
+        chain to a later row. ``remove`` calls it only once
+        ``should_contract`` holds, which a chain at row 0 never does.
         """
         step = self._row_for(self.count - len(self.spill_k))
-        target = _materialized(step, self.level.base_len)
-        if target == self.lengths():
+        if step >= self.step:
             return None
         survivors = [t for t in self.tables if t is not hit_table]
-        if tuple(t.len_major for t in survivors) != target:
+        if (tuple(t.len_major for t in survivors)
+                != _materialized(step, self.level.base_len)):
             survivors = ()
         return self._move("removed", step, survivors)
 
@@ -369,9 +367,7 @@ class TableChain:
         keys, vals = self.spill_k, self.spill_v
         assert self.count == sum(t.count for t in self.tables) + len(keys), \
             "chain count drift"
-        assert (vals is None) == (self.tables[0].vals is None), \
-            "overflow payloads do not match the tables"
-        assert vals is None or len(vals) == len(keys), "overflow payloads not parallel"
+        assert len(vals) == len(keys), "overflow payloads not parallel"
         assert len(set(keys)) == len(keys), "key spilled twice"
         for key, t in itertools.product(keys, self.tables):
             for b in t.buckets(key):
@@ -388,23 +384,18 @@ class TableChain:
 
     def _keep(self, key, payload):
         if not self.spill_k:
-            self.spill_k = []
-            if self.spill_v is not None:
-                self.spill_v = []
+            self.spill_k, self.spill_v = [], []
         self.spill_k.append(key)
-        if self.spill_v is not None:
-            self.spill_v.append(payload)
-        self.level.overflow += 1
+        self.spill_v.append(payload)
+        level = self.level
+        level.overflow += 1
+        level.overflow_peak = max(level.overflow_peak, level.overflow)
 
     def _drain(self):
         """Retry every overflow entry in the newest table, in list order."""
         keys, payloads = self.spill_k, self.spill_v
         self.level.overflow -= len(keys)
-        self.spill_k = ()
-        if payloads is None:
-            payloads = itertools.repeat(None)
-        else:
-            self.spill_v = ()
+        self.spill_k = self.spill_v = ()
         for entry in zip(keys, payloads):
             homeless = self._to_newest(*entry)
             if homeless is None:
@@ -433,12 +424,11 @@ class TableChain:
         added to the level's ``moved`` and ``move_failures``.
         """
         level = self.level
-        with_payloads = self.spill_v is not None
-        keys, payloads = _columns([t for t in self.tables if t not in keep],
-                                  with_payloads)
-        for t in self.tables:
-            if t not in keep:
-                t.dispose()
+        with_payloads = self.tables[0].vals is not None
+        moving = [t for t in self.tables if t not in keep]
+        keys, payloads = _columns(moving, with_payloads)
+        for t in moving:
+            t.dispose()
         moved = 0
         failed = []
         while True:

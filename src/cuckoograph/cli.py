@@ -10,6 +10,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .bench import Report, Workload, run
@@ -49,15 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _split_phases(raw: str):
-    """Split on commas, but keep mixed:a,b,c:n ratio commas together."""
-    out = []
-    for chunk in raw.split(","):
-        if out and (chunk.replace(".", "").isdigit()
-                    or (out[-1].startswith("mixed") and out[-1].count(":") < 2)):
-            out[-1] += "," + chunk
-        else:
-            out.append(chunk)
-    return tuple(s.strip() for s in out if s.strip())
+    """Split on commas, but a ``mixed:RI,RQ,RD:COUNT`` phase runs to the
+    first comma after its second colon."""
+    parts = re.findall(r"mixed:[^:]*:[^,]*|[^,]+", raw)
+    return tuple(filter(None, map(str.strip, parts)))
 
 
 def main(argv=None) -> int:

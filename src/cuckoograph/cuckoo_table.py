@@ -113,17 +113,18 @@ class Level:
     attempt of a merge or contraction, and every overflow entry a grow
     drained into a table. ``move_failures`` counts the entries that made a
     move discard a try and redo it. ``overflow`` is the number of entries in
-    all the level's overflow lists. ``list_hits``, outside ``COUNTERS``,
-    counts the lookups those lists answered (``TableChain.find``).
+    all the level's overflow lists. Outside ``COUNTERS``, ``list_hits``
+    counts the lookups those lists answered (``TableChain.find``), and
+    ``overflow_peak`` is the most entries the lists ever held together.
     """
 
     COUNTERS = ("insert_events", "placements", "evictions", "bucket_probes",
                 "entries", "capacity_cells", "tables", "move_failures",
                 "moved", "overflow", "kicks_1", "kicks_2_3", "kicks_4_15",
                 "kicks_16_up", "kicks_exhausted")
-    __slots__ = COUNTERS + ("list_hits", "d", "max_kicks", "hash", "rng",
-                            "layout", "base_len", "expand_at", "contract_at",
-                            "overflow_cap", "code")
+    __slots__ = COUNTERS + ("list_hits", "overflow_peak", "d", "max_kicks",
+                            "hash", "rng", "layout", "base_len", "expand_at",
+                            "contract_at", "overflow_cap", "code")
 
     def __init__(self, *, cells_per_bucket, kick_budget, hash_pair, rng,
                  layout, base_len, expand_at, contract_at, overflow_cap):
@@ -137,7 +138,7 @@ class Level:
         self.contract_at = contract_at
         self.overflow_cap = overflow_cap
         self.code = NARROW
-        self.list_hits = 0
+        self.list_hits = self.overflow_peak = 0
         for name in self.COUNTERS:
             setattr(self, name, 0)
 

@@ -252,21 +252,17 @@ class CuckooGraph:
         self._promoted = {}
         self._edges = 0
         self._movements = 0
-        self._sdl_peak = 0
-        self._ldl_peak = 0
         self._max_q_node_probes = 0
         self._max_q_adj_probes = 0
         self._max_q_dl_scans = 0
 
-    # -- overflow lists -----------------------------------------------------
+    # -- overflow lists: one named push per level, for traces -------------
 
     def _push_node_dl(self, entry):
         self._node_chain.spill(entry)
-        self._ldl_peak = max(self._ldl_peak, self.node_level.overflow)
 
     def _push_adj_dl(self, record, entry):
         record.chain.spill(entry)
-        self._sdl_peak = max(self._sdl_peak, self.adj_level.overflow)
 
     # -- location helpers ---------------------------------------------------
 
@@ -504,8 +500,8 @@ class CuckooGraph:
             "movements": (self._movements + self.node_level.moved
                           + self.adj_level.moved),
             "dl_hits": self.node_level.list_hits + self.adj_level.list_hits,
-            "sdl_peak": self._sdl_peak,
-            "ldl_peak": self._ldl_peak,
+            "sdl_peak": self.adj_level.overflow_peak,
+            "ldl_peak": self.node_level.overflow_peak,
             "max_query_probes_node": self._max_q_node_probes,
             "max_query_probes_adj": self._max_q_adj_probes,
             "max_query_dl_scans": self._max_q_dl_scans,

@@ -133,14 +133,10 @@ def _read_lines(path, text):
 
 def dedup_edges(edges):
     """Drop repeated (u, v) pairs, keeping the first occurrence order."""
-    seen = set()
-    out = []
+    first = {}
     for e in edges:
-        key = (e[0], e[1])
-        if key not in seen:
-            seen.add(key)
-            out.append(e)
-    return out
+        first.setdefault(e[:2], e)
+    return list(first.values())
 
 
 def write_edge_file(path, edges):

@@ -260,6 +260,18 @@ class TestTasks:
         g2, _ = build_pair(DAG)
         assert analytics.scc_tarjan(g2) == [[1], [2], [3], [4]]
 
+    def test_scc_on_a_path_deeper_than_the_recursion_limit(self):
+        # the oracle stops at 2,000 nodes, so the structure is checked
+        # directly: the back edge closes the path's second half
+        g = CuckooGraph(GraphParams())
+        for u in range(50_000):
+            g.insert_edge(u, u + 1)
+        g.insert_edge(50_000, 25_000)
+        comps = analytics.scc_tarjan(g)
+        assert len(comps) == 25_001
+        assert comps[:-1] == [[u] for u in range(25_000)]
+        assert comps[-1] == list(range(25_000, 50_001))
+
     def test_pagerank_cycle_symmetry(self):
         g, _ = build_pair(THREE_CYCLE)
         for score in analytics.pagerank(g).values():

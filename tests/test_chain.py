@@ -343,6 +343,17 @@ class TestContract:
         assert chain.contract(chain.tables[0]) is None
         assert chain.lengths() == (8,)
 
+    def test_contract_never_moves_a_chain_to_a_later_row(self):
+        # insert checks the grow threshold, 0.9 * 24 = 21.6, before it
+        # adds: a row-0 chain takes a 22nd entry and stays at row 0
+        chain, _ = make_chain(base=2, d=8)
+        assert fill(chain, range(22)) == []
+        assert (chain.count, chain.lengths()) == (22, (2,))
+        assert chain.count > chain.level.expand_at * chain.capacity()
+        assert chain.contract(chain.tables[0]) is None
+        assert chain.lengths() == (2,)
+        chain.check_invariants()
+
     def test_off_schedule_survivor_rebuilds_onto_a_row(self):
         chain, _ = make_chain(base=8, d=8)
         fill(chain, range(10))
@@ -507,11 +518,10 @@ class TestOverflowList:
     def test_lists_are_allocated_on_the_first_spill(self):
         for payloads in (False, True):
             chain, stats = make_chain(layout=ROWS if payloads else KEYS)
-            assert chain.spill_k == ()
-            assert chain.spill_v == (() if payloads else None)
+            assert chain.spill_k == chain.spill_v == ()
             push(chain, (7, 70 if payloads else None))
             assert chain.spill_k == [7]
-            assert chain.spill_v == ([70] if payloads else None)
+            assert chain.spill_v == ([70] if payloads else [None])
             assert stats.overflow == 1
             chain.check_invariants()
 

@@ -232,6 +232,42 @@ class TestDenylists:
         assert checked_spilled
         assert 0 < s.inline_edges < s.edges
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_peaks_are_the_maxima_after_each_push(self, weighted,
+                                                  monkeypatch):
+        # criterion 08's stream; each level's overflow count is recorded
+        # after every push, and the graph reports the recorded maxima
+        seen = {"node_level": 0, "adj_level": 0}
+
+        def recording(name, level):
+            push = getattr(CuckooGraph, name)
+
+            def wrapper(self, *args):
+                push(self, *args)
+                seen[level] = max(seen[level], getattr(self, level).overflow)
+            return wrapper
+
+        monkeypatch.setattr(CuckooGraph, "_push_node_dl",
+                            recording("_push_node_dl", "node_level"))
+        monkeypatch.setattr(CuckooGraph, "_push_adj_dl",
+                            recording("_push_adj_dl", "adj_level"))
+        g = CuckooGraph(GraphParams.from_seed(
+            8, cells_per_bucket=2, node_table_len=2, adj_table_len=2,
+            kick_budget=1, weighted=weighted))
+        ops = {"i": g.insert_edge, "q": g.query_edge, "d": g.delete_edge}
+
+        def peaks():
+            c = g.stats().counters
+            return {"node_level": c["ldl_peak"], "adj_level": c["sdl_peak"]}
+
+        for i, (op, u, v) in enumerate(mixed_ops(20_000, (0.7, 0.1, 0.2),
+                                                 4096, seed=8), 1):
+            ops[op](u, v)
+            if i % 1000 == 0:
+                assert peaks() == seen, i
+        assert peaks() == seen
+        assert min(seen.values()) > 0
+
 
 def _graph_with_a_spilled_source(weighted):
     """Node 0 promoted, a source id at 2**63 and a crowd of inline sources,
