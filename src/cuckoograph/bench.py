@@ -51,7 +51,6 @@ class Workload:
     dedup: bool = False
     params: GraphParams = field(default_factory=GraphParams)
     seed: int = 0
-    top_k: int = 10
     delete_order: str = "insertion"
 
     def __post_init__(self):
@@ -60,7 +59,7 @@ class Workload:
         if self.delete_order not in ("insertion", "random"):
             raise ValueError("delete_order must be 'insertion' or 'random'")
         for spec in self.phases:
-            _parse_phase(spec, self)  # validate early
+            _parse_phase(spec)  # validate early
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class Report:
         return path
 
 
-def _parse_phase(spec, workload):
+def _parse_phase(spec):
     parts = spec.split(":")
     name = parts[0]
     if name in ("insert", "query", "delete") and len(parts) == 1:
@@ -92,8 +91,7 @@ def _parse_phase(spec, workload):
     if name == "task":
         if len(parts) not in (2, 3):
             raise ValueError(f"task phase needs task:NAME[:TOP_K], got {spec!r}")
-        top_k = int(parts[2]) if len(parts) == 3 else workload.top_k
-        return ("task", TaskSpec(parts[1], top_k=top_k))
+        return ("task", TaskSpec(parts[1], *map(int, parts[2:])))
     raise ValueError(f"unknown phase {spec!r}")
 
 
@@ -125,7 +123,7 @@ def run(workload: Workload) -> Report:
     ids = sorted({x for e in edges for x in e[:2]}) or range(1 << 16)
     before = _counter_totals(graph.stats())
     for i, spec in enumerate(workload.phases):
-        parsed = _parse_phase(spec, workload)
+        parsed = _parse_phase(spec)
         name = f"{i}:{spec}"
         ops = len(edges)
         order = edges

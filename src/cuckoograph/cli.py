@@ -33,8 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phases", default="insert,query",
                    help="comma-separated phases: insert, query, delete, "
                         "mixed:RI,RQ,RD:COUNT, task:NAME[:TOP_K]")
-    p.add_argument("--top-k", type=int, default=10,
-                   help="default top-degree selection size for task phases")
     p.add_argument("--d", type=int, default=8, help="cells per bucket")
     p.add_argument("--g", type=float, default=0.9, help="grow threshold")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5,
@@ -85,7 +83,6 @@ def main(argv=None) -> int:
             dedup=args.dedup,
             params=params,
             seed=seed,
-            top_k=args.top_k,
             delete_order=args.delete_order,
         )
         report = run(workload)

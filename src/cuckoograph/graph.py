@@ -46,10 +46,11 @@ back as one slot shape, ``(table, keys, payloads, index)``: a node table's
 bucket list and row array, or an adjacency table's key and weight arrays,
 with the cell's index. An overflow entry has the slot ``(None, keys,
 payloads, index)`` of its chain's lists, and an inline destination
-``(None, None, slots, index)``, ``index`` being the id's place in
-``_slots`` (its weight follows it). A chain's slots go back to the chain
-to be freed (``TableChain.remove``), which contracts it when the freed
-cell left it under its floor.
+``(None, None, slots, index)``, ``index`` being the place in ``_slots``
+of the destination's last value: its weight when weighted, else its id.
+So ``slot[2][slot[3]]`` is an edge's weight wherever it sits. A chain's
+slots go back to the chain to be freed (``TableChain.remove``), which
+contracts it when the freed cell left it under its floor.
 
 Adjacency tables are flat: destination ids in one array per table, and
 the weights, when weighted, in a parallel one. A weight, like an id, must
@@ -187,17 +188,16 @@ class GraphParams:
 class Promoted:
     """A source whose inline slots overflowed: the only per-source object.
 
-    ``node`` is the source, ``row`` its row (whose inline fill stays 0
-    while the record lives) and ``chain`` its adjacency chain, which holds
-    and counts all its live destinations.
+    ``node`` is the source and ``chain`` its adjacency chain, which holds
+    and counts all its live destinations; the source's row keeps an
+    inline fill of 0 while the record lives.
     """
 
-    __slots__ = ("node", "row", "chain")
+    __slots__ = ("node", "chain")
 
-    def __init__(self, node, row):
+    def __init__(self, node, chain):
         self.node = node
-        self.row = row
-        self.chain = None
+        self.chain = chain
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,8 @@ class CuckooGraph:
     def _push_node_dl(self, entry):
         self._node_chain.spill(entry)
 
-    def _push_adj_dl(self, record, entry):
-        record.chain.spill(entry)
+    def _push_adj_dl(self, chain, entry):
+        chain.spill(entry)
 
     # -- location helpers ---------------------------------------------------
 
@@ -286,8 +286,10 @@ class CuckooGraph:
             width = self._width
             ids = self._slots[s:s + width * n:width]
             if v in ids:
+                # the slot names the destination's last value (see above)
                 return (row, None, cslot,
-                        (None, None, self._slots, s + width * ids.index(v)),
+                        (None, None, self._slots,
+                         s + width * ids.index(v) + width - 1),
                         uh, None)
             return row, None, cslot, None, uh, None
         record = self._promoted[u]
@@ -305,7 +307,7 @@ class CuckooGraph:
         if slot is not None:
             if not self._weighted:
                 return _DUPLICATE
-            w = _weight(slot) + weight
+            w = slot[2][slot[3]] + weight
             if w >> 32:
                 if w >> 64:
                     raise ValueError(f"weight of {u}->{v} would reach 2**64: "
@@ -314,7 +316,7 @@ class CuckooGraph:
                     self._widen()
                     # the slot named the narrow arrays
                     slot = self._locate_edge(u, v)[3]
-            _write_weight(slot, w)
+            slot[2][slot[3]] = w
             return InsertResult("incremented", w)
         if row is None:
             row = self._new_row()
@@ -333,10 +335,11 @@ class CuckooGraph:
                 # the id object the node chain holds, not the caller's,
                 # so the source's id is held once
                 keys = cslot[1]
-                record = Promoted(keys[keys.index(u)], row)
-                self._promote(record)
+                node = keys[keys.index(u)]
+                record = Promoted(node, TableChain(self.adj_level, node))
+                self._promote(record, row)
         if record is not None:
-            self._chain_add(record, v, weight, vh)
+            self._chain_add(record.chain, v, weight, vh)
         self._edges += 1
         return InsertResult("inserted", weight) if self._weighted else _INSERTED
 
@@ -359,7 +362,7 @@ class CuckooGraph:
         if slot is None:
             return None if self._weighted else False
         if self._weighted:
-            return _weight(slot)
+            return slot[2][slot[3]]
         return True
 
     def delete_edge(self, u: int, v: int) -> DeleteResult:
@@ -368,30 +371,33 @@ class CuckooGraph:
         if slot is None:
             return _ABSENT
         if self._weighted:
-            w = _weight(slot)
+            w = slot[2][slot[3]]
             if w > 1:
-                _write_weight(slot, w - 1)
+                slot[2][slot[3]] = w - 1
                 return DeleteResult("decremented", w - 1)
         self._edges -= 1
-        if record is None:
-            # shift the later inline destinations down: slot order is kept
-            width = self._width
-            n = self._fill[row] - 1
-            i = slot[3]
-            end = row * SLOTS + width * (n + 1)
-            self._slots[i:end - width] = self._slots[i + width:end]
-            self._fill[row] = n
-            if n == 0:
-                self._clear_row(row, cslot)
-            return _DELETED
-        if record.chain.count == 1:
-            # the chain goes whole, its last destination with it
-            record.chain.dispose()
-            del self._promoted[record.node]
-            self._clear_row(row, cslot)
-        else:
+        width = self._width
+        if record is not None:
             record.chain.remove(slot)
-            self._maybe_demote(record)
+            items = self._maybe_demote(record)
+            if items is None:
+                return _DELETED
+            n = len(items)
+            s = row * SLOTS
+            self._slots[s:s + width * n] = array(
+                self._slots.typecode,
+                _flatten(items) if self._weighted else items)
+            self._movements += n
+        else:
+            # shift the later inline destinations down over the one that
+            # ends at the slot's index: slot order is kept
+            n = self._fill[row] - 1
+            i = slot[3] + 1
+            end = row * SLOTS + width * n   # the row's live end once shifted
+            self._slots[i - width:end] = self._slots[i:end + width]
+        self._fill[row] = n
+        if n == 0:
+            self._clear_row(row, cslot)
         return _DELETED
 
     def successors(self, u: int, ids=False):
@@ -598,7 +604,8 @@ class CuckooGraph:
 
     def _check_rows(self):
         """Every live row has one reference, no free row has any, every
-        promoted row its record, and the columns match the row count."""
+        record is a stored source's with a destination, and the columns
+        match the row count."""
         rows = len(self._fill)
         free = set(self._free)
         assert len(free) == len(self._free), "a row is freed twice"
@@ -623,9 +630,9 @@ class CuckooGraph:
         assert len(owners) == self._node_chain.count, "node count drift"
         for u, record in self._promoted.items():
             assert record.node == u, f"record of node {record.node} under node {u}"
-            assert owners.get(record.row) == u, \
-                f"record of node {u} names row {record.row}, not its own"
-            assert record.chain is not None, f"record of node {u} without a chain"
+            assert u in nodes, f"record of node {u}, which is no stored source"
+            assert record.chain is not None and record.chain.count, \
+                f"record of node {u} without a chain or a destination"
 
     # -- internals ----------------------------------------------------------
 
@@ -661,40 +668,38 @@ class CuckooGraph:
         self._slots += _BLANK_ROW[self._slots.typecode]
         return len(self._fill) - 1
 
-    def _chain_add(self, record, v, weight, vh=None):
+    def _chain_add(self, chain, v, weight, vh=None):
         if vh is None:
             vh = self._adj_hash.pair(v)
-        homeless = record.chain.insert(v, vh[0], vh[1],
-                                       weight if self._weighted else None)
+        homeless = chain.insert(v, vh[0], vh[1],
+                                weight if self._weighted else None)
         if homeless is not None:
-            self._push_adj_dl(record, homeless)
+            self._push_adj_dl(chain, homeless)
 
-    def _promote(self, record):
-        """Move a full row's inline destinations into a fresh adjacency chain."""
-        items = self._dests(record.node, record.row)
-        self._fill[record.row] = 0
+    def _promote(self, record, row):
+        """Move a full row's inline destinations into the record's chain."""
+        items = self._dests(record.node, row)
+        self._fill[row] = 0
         self._promoted[record.node] = record
-        record.chain = TableChain(self.adj_level, record.node)
         self._movements += len(items)
         for item in items:
-            self._chain_add(record, *(item if self._weighted else (item, None)))
+            self._chain_add(record.chain,
+                            *(item if self._weighted else (item, None)))
 
     def _maybe_demote(self, record):
-        """Move a small chain's destinations back into the row's inline slots."""
+        """Release a chain small enough to sit inline, and return its
+        destinations (``(v, w)`` pairs when weighted) for the caller to
+        write into the row; None while the chain stays."""
         chain = record.chain
         if (chain.step or chain.count > self._inline_cap
                 or chain.count - len(chain.spill_k)
                 >= chain.level.contract_at * chain.capacity()):
-            return
-        items = self._dests(record.node, record.row)
+            return None
+        items = list(chain.entries() if self._weighted else chain.keys())
         chain.dispose()
-        record.chain = None
+        record.chain = None   # how perfbench's tracer tells a demotion
         del self._promoted[record.node]
-        s = record.row * SLOTS
-        self._slots[s:s + self._width * len(items)] = array(
-            self._slots.typecode, _flatten(items) if self._weighted else items)
-        self._fill[record.row] = len(items)
-        self._movements += len(items)
+        return items
 
     def _find_row(self, u, h1, h2):
         """u's row, or None when u is no stored source."""
@@ -731,18 +736,6 @@ class CuckooGraph:
             self._slots = array(self._slots.typecode)
             self._fill = bytearray()
             self._free = array(self.node_level.code)
-
-
-def _weight(slot):
-    """The weight at an edge slot: a table cell's or overflow entry's
-    payload, else the inline slot after the id."""
-    _, keys, items, i = slot
-    return items[i] if keys is not None else items[i + 1]
-
-
-def _write_weight(slot, w):
-    _, keys, items, i = slot
-    items[i if keys is not None else i + 1] = w
 
 
 def _check_level(level, chains):

@@ -465,13 +465,6 @@ class TestAudit:
         with pytest.raises(AssertionError, match="past the last row"):
             g.check_invariants()
 
-    def test_rejects_a_promoted_row_under_a_foreign_record(self):
-        g, record = _chained_node_5()
-        g.insert_edge(6, 1)
-        record.row = _row(g, 6)
-        with pytest.raises(AssertionError, match="promoted node 5|not its own"):
-            g.check_invariants()
-
     def test_rejects_a_fill_count_over_the_inline_capacity(self):
         g, _ = _chained_node_5()
         g.insert_edge(6, 1)
@@ -480,9 +473,17 @@ class TestAudit:
             g.check_invariants()
 
     def test_rejects_inline_slots_on_a_promoted_row(self):
-        g, record = _chained_node_5()
-        g._fill[record.row] = 1
+        g, _ = _chained_node_5()
+        g._fill[_row(g, 5)] = 1
         with pytest.raises(AssertionError, match="promoted node 5 keeps inline"):
+            g.check_invariants()
+
+    def test_rejects_a_record_without_a_destination(self):
+        # a chain's last destination leaves through demotion, which drops
+        # the record: no promoted source is left with an empty chain
+        g, record = _chained_node_5()
+        record.chain.count = 0
+        with pytest.raises(AssertionError, match="without a chain or a dest"):
             g.check_invariants()
 
     def test_rejects_a_live_row_on_the_free_list(self):
@@ -607,8 +608,8 @@ class TestLayout:
                 assert type(t.keys) is array and t.vals is None
                 assert not any(type(o) is list for o in gc.get_referents(t))
         # node tables keep rows unboxed: the ints are the source ids (in
-        # key lists, each held once), the promoted records' rows, and the
-        # graph's own (hash seeds, settings and counters)
+        # key lists, each held once), a promoted chain's and its tables'
+        # sizes, and the graph's own (hash seeds, settings and counters)
         ints = sum(1 for o in objs if type(o) is int)
         assert ints <= sources + len(records) + 64
         for t in g._node_chain.tables:
@@ -725,6 +726,36 @@ class TestDeletion:
             lengths = now
         assert g.stats().edges == 0
         g.check_invariants()
+
+    @pytest.mark.parametrize("other", [False, True],
+                             ids=["alone", "with-another-source"])
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["plain", "weighted"])
+    def test_last_destination_leaves_a_chain_above_row_0(self, weighted,
+                                                         other):
+        # at this floor, demotion waits until node 5's last destination,
+        # which sits in a chain above row 0: it leaves through remove, the
+        # contraction it triggers, demotion and the row's release
+        g = CuckooGraph(tiny_params(contract_at=0.05, weighted=weighted))
+        ref = OracleGraph(weighted=weighted)
+        if other:
+            assert tuple(g.insert_edge(6, 1)) == ref.insert(6, 1)
+        for v in range(12):
+            assert tuple(g.insert_edge(5, v)) == ref.insert(5, v)
+        for v in range(12):
+            if v == 11:
+                record = g._promoted[5]
+                assert record.chain.count == 1 and record.chain.step > 0
+            row = _row(g, 5)
+            assert tuple(g.delete_edge(5, v)) == ref.delete(5, v)
+            _agrees(g, ref)
+        assert 5 not in set(g.nodes()) and 5 not in g._promoted
+        assert g.query_edge(5, 11) == (None if weighted else False)
+        assert list(g._free) == ([row] if other else [])
+        assert len(g._fill) == (2 if other else 0)
+        level = g.adj_level
+        assert (level.entries, level.tables, level.capacity_cells,
+                level.overflow) == (0, 0, 0, 0)
 
 
 class TestWeighted:

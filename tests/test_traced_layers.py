@@ -9,6 +9,7 @@ from pathlib import Path
 
 from cuckoograph import CuckooGraph, GraphParams, analytics, cuckoo_table, workload
 from cuckoograph.chain import ChainEvent, TableChain
+from cuckoograph.graph import Promoted
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -48,6 +49,8 @@ def test_every_table_of_both_levels_runs_the_traced_insert():
 def test_the_fields_the_tracer_reads_exist():
     g, record = _graph_with_a_chained_node()
     assert record.node == 5 and isinstance(record.chain, TableChain)
+    # the record holds nothing the tracer does not read
+    assert Promoted.__slots__ == ("node", "chain")
     chain = record.chain
     assert chain.owner == 5 and g._node_chain.owner is None
     assert chain.lengths() == tuple(t.len_major for t in chain.tables)
